@@ -18,7 +18,7 @@ from .coloring import (
     format_coloring,
     verify_conflict_free_connected,
 )
-from .decomposition import block_decomposition, cut_edge_profile
+from .decomposition import block_decomposition, count_cut_edges
 from .errors import (
     BudgetExhaustedError,
     CfcError,
@@ -81,8 +81,8 @@ def cmd_analyze(args) -> int:
         "complete": is_complete(g),
     }
     if connected and g.vertex_count >= 2:
-        profile = cut_edge_profile(g)
         decomp = block_decomposition(g)
+        profile = decomp.profile
         payload.update(
             {
                 "cut_edge_count": len(profile.cut_edges),
@@ -181,8 +181,6 @@ def cmd_gen(args) -> int:
     if args.format == "dot":
         _write_output(_graph_dot(g), args.out)
         return EXIT_OK
-    from .decomposition import count_cut_edges
-
     comments = [
         f"family {family} params {' '.join(str(x) for x in args.params)}",
         f"n={g.vertex_count} m={g.edge_count} delta={degree_view(g).min_degree} "

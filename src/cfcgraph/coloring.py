@@ -9,10 +9,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .decomposition import (
     BlockDecomposition,
-    BlockMatching,
     CutEdgeProfile,
     block_decomposition,
-    cut_edge_profile,
     select_block_matching,
 )
 from .errors import (
@@ -40,9 +38,6 @@ class EdgeColoring:
     @property
     def palette_size(self) -> int:
         return len(set(self.colors))
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.as_dict()[canonical_edge(u, v)]
 
     def as_dict(self) -> Dict[Edge, int]:
         return dict(zip(self.graph.edges, self.colors))
@@ -190,10 +185,11 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     g = coloring.graph
     if not is_connected(g):
         raise NotConnectedError("verification requires a connected graph")
+    cmap = coloring.as_dict()
     witnesses: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
-            p = find_conflict_free_path(coloring, u, v)
+            p = conflict_free_path_from_map(g, cmap, u, v)
             if p is None:
                 return CfcVerdict(
                     is_conflict_free_connected=False,
@@ -218,14 +214,10 @@ def two_coloring_hypothesis_holds(profile: CutEdgeProfile) -> bool:
     return all(o == 2 for o in orders[:-1]) and orders[-1] <= 4
 
 
-def construct_two_coloring(
-    g: Graph,
-    d: Optional[BlockDecomposition] = None,
-    profile: Optional[CutEdgeProfile] = None,
-    matching: Optional[BlockMatching] = None,
-) -> EdgeColoring:
+def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> EdgeColoring:
     """The explicit conflict-free connection 2-coloring.
 
+    ``d`` is g's block decomposition, computed here when not given.
     Matching edges (one per nontrivial block) get color 2; the largest bridge
     component is colored 1 / 1,2 / 1,2,1 along its path depending on order;
     every other edge gets color 1.
@@ -234,32 +226,24 @@ def construct_two_coloring(
         raise NotConnectedError("construction requires a connected graph")
     if is_complete(g):
         raise CompleteGraphError("complete graphs need only one color")
-    if profile is None:
-        profile = cut_edge_profile(g)
+    if d is None:
+        d = block_decomposition(g)
+    profile = d.profile
     if not two_coloring_hypothesis_holds(profile):
         raise HypothesisViolatedError(
             "bridge subgraph is not a linear forest with at most one component "
             f"of order 3..4 (orders {list(profile.component_orders)})"
         )
-    if d is None:
-        d = block_decomposition(g)
-    if matching is None:
-        matching = select_block_matching(d)
 
     color_map = {e: 1 for e in g.edges}
-    for e in matching.chosen_edges:
+    for e in select_block_matching(d).chosen_edges:
         color_map[e] = 2
     largest = profile.largest
     if largest is not None and largest.order >= 3:
-        seq = largest.path_sequence
-        path_edges = [canonical_edge(a, b) for a, b in zip(seq, seq[1:])]
-        if largest.order == 3:
-            color_map[path_edges[0]] = 1
-            color_map[path_edges[1]] = 2
-        else:
-            color_map[path_edges[0]] = 1
-            color_map[path_edges[1]] = 2
-            color_map[path_edges[2]] = 1
+        # Bridges lie in no nontrivial block, so only the path's second edge
+        # differs from color 1.
+        a, b = largest.path_sequence[1:3]
+        color_map[canonical_edge(a, b)] = 2
     return make_coloring(g, color_map)
 
 
@@ -301,7 +285,10 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
             u, v, c = (int(x) for x in parts)
         except ValueError:
             raise EdgeListParseError("fields must be integers", lineno)
-        color_map[canonical_edge(u, v)] = c
+        e = canonical_edge(u, v)
+        if e in color_map:
+            raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
+        color_map[e] = c
     if not header_seen:
         raise EdgeListParseError("missing header 'coloring t'", 1)
     try:

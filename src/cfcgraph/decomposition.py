@@ -1,14 +1,18 @@
 """Structural analysis: cut edges, blocks, block-cut tree, the bridge-induced
-subgraph with its linear-forest classification, and the per-block matching
-selection used by the two-coloring construction.
+subgraph C(G) with its linear-forest classification, and the per-block
+matching selection used by the two-coloring construction.
+
+``block_decomposition`` is the one structural pass: one lowpoint DFS gives
+every field, C(G) included.  ``find_cut_edges``, ``count_cut_edges`` and
+``cut_edge_profile`` run the same DFS for callers that need no more.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NotConnectedError, TrivialGraphError
-from .graph import Edge, Graph, canonical_edge, is_connected
+from .errors import EmptyGraphError, NotConnectedError, TrivialGraphError
+from .graph import Edge, Graph, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -27,12 +31,13 @@ class Block:
 class BlockDecomposition:
     blocks: Tuple[Block, ...]
     cut_vertices: FrozenSet[int]
-    cut_edges: FrozenSet[Edge]
     # Bipartite tree edges (block_index, cut_vertex).
     tree_edges: Tuple[Tuple[int, int], ...]
+    profile: CutEdgeProfile
 
-    def blocks_containing(self, v: int) -> List[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b.vertices]
+    @property
+    def cut_edges(self) -> FrozenSet[Edge]:
+        return self.profile.cut_edges
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,26 @@ class CutEdgeProfile:
     def largest(self) -> Optional[BridgeComponent]:
         return self.components[-1] if self.components else None
 
+    @property
+    def lemma_2_2_shape(self) -> bool:
+        """Lemma 2.2's necessary condition for cfc = 2: C(G) is a linear
+        forest whose every component has at most three edges."""
+        return self.is_linear_forest and self.max_component_edges <= 3
+
 
 @dataclass(frozen=True)
 class BlockMatching:
     chosen_edges: Tuple[Edge, ...]
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise NotConnectedError("operation requires a connected graph")
-
-
 def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
     """Iterative lowpoint DFS: returns (blocks as edge lists, cut vertices).
 
-    Assumes g is connected with at least one edge.
+    Raises NotConnectedError when it reaches fewer than all vertices.
     """
     n = g.vertex_count
+    if n == 0:
+        raise EmptyGraphError("connectivity is undefined for the empty graph")
     disc = [-1] * n
     low = [0] * n
     blocks: List[List[Edge]] = []
@@ -139,16 +147,18 @@ def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
                     if e == marker:
                         break
                 blocks.append(block)
+    if counter != n:
+        raise NotConnectedError("operation requires a connected graph")
     if root_children >= 2:
         cut.add(root)
     return blocks, cut
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, cut edges, and block-cut tree of a connected graph."""
+    """Blocks, cut vertices, cut edges, block-cut tree and the cut-edge
+    profile of a connected graph, all from one lowpoint pass."""
     if g.vertex_count <= 1:
         raise TrivialGraphError("block decomposition needs at least two vertices")
-    _require_connected(g)
     raw_blocks, cut = _biconnected(g)
     blocks = []
     for edge_list in raw_blocks:
@@ -163,16 +173,13 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(
         blocks=tuple(blocks),
         cut_vertices=frozenset(cut),
-        cut_edges=cut_edges,
         tree_edges=tree_edges,
+        profile=_bridge_profile(cut_edges),
     )
 
 
 def find_cut_edges(g: Graph) -> FrozenSet[Edge]:
     """All bridges of a connected graph."""
-    _require_connected(g)
-    if g.vertex_count <= 1 or g.edge_count == 0:
-        return frozenset()
     raw_blocks, _ = _biconnected(g)
     return frozenset(b[0] for b in raw_blocks if len(b) == 1)
 
@@ -182,43 +189,43 @@ def count_cut_edges(g: Graph) -> int:
 
 
 def cut_edge_profile(g: Graph) -> CutEdgeProfile:
-    """The subgraph induced by cut edges, with per-component path orientation.
+    """The subgraph C(G) induced by the cut edges of a connected graph, with
+    per-component path orientation."""
+    return _bridge_profile(find_cut_edges(g))
 
-    All bridge components are acyclic, so the linear-forest test reduces to
+
+def _bridge_profile(bridges: FrozenSet[Edge]) -> CutEdgeProfile:
+    """C(G) from its edges: one walk per component collects its vertices and
+    edges.  All components are acyclic, so the linear-forest test reduces to
     max degree <= 2 within the bridge subgraph.
     """
-    bridges = find_cut_edges(g)
     adj: Dict[int, List[int]] = {}
     for u, v in bridges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    for v in adj:
-        adj[v].sort()
 
     seen = set()
     components = []
-    for start in sorted(adj):
+    for start in adj:
         if start in seen:
             continue
-        comp = []
+        comp = [start]
+        comp_edges = []
         stack = [start]
         seen.add(start)
         while stack:
             u = stack.pop()
-            comp.append(u)
             for w in adj[u]:
                 if w not in seen:
                     seen.add(w)
+                    comp.append(w)
+                    comp_edges.append(canonical_edge(u, w))
                     stack.append(w)
         comp_vertices = tuple(sorted(comp))
-        comp_edges = tuple(
-            sorted(e for e in bridges if e[0] in comp and e[1] in comp)
-        )
-        is_path = all(len(adj[v]) <= 2 for v in comp_vertices)
+        comp_edges = tuple(sorted(comp_edges))
         path_sequence = None
-        if is_path:
-            endpoints = [v for v in comp_vertices if len(adj[v]) == 1]
-            cur = min(endpoints)
+        if all(len(adj[v]) <= 2 for v in comp_vertices):
+            cur = min(v for v in comp_vertices if len(adj[v]) == 1)
             prev = None
             seq = [cur]
             while len(seq) < len(comp_vertices):

@@ -182,21 +182,6 @@ def gen_remark7_G(n: int) -> Graph:
     return build_graph(n, edges)
 
 
-_REMARK_GENERATORS = {
-    "remark4-H": lambda **p: gen_remark4_H(p["t"]),
-    "remark4-G": lambda **p: gen_remark4_G(p["n"]),
-    "remark6-H": lambda **p: gen_remark6_H(p["n"]),
-    "remark6-G": lambda **p: gen_remark6_G(),
-    "remark7-G": lambda **p: gen_remark7_G(p["n"]),
-}
-
-
-def gen_remark_graphs(which: str, **params) -> Graph:
-    if which not in _REMARK_GENERATORS:
-        raise ParamOutOfRangeError(f"unknown remark family {which!r}")
-    return _REMARK_GENERATORS[which](**params)
-
-
 def gen_random_connected(
     n: int, edge_probability: float, seed: int, max_retries: int = 2000
 ) -> Graph:

@@ -131,10 +131,12 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format.
 
     First non-comment line is ``n m``, followed by m lines ``u v`` with
-    0-based endpoints.  Lines starting with ``#`` are comments.
+    0-based endpoints, each edge once in either orientation.  Lines starting
+    with ``#`` are comments.
     """
     header = None
     edges = []
+    seen = set()
     expected_m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -156,6 +158,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError("edge endpoints must be integers", lineno)
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
+        seen.add(e)
         edges.append((u, v))
     if header is None:
         raise EdgeListParseError("missing header 'n m'", 1)

@@ -4,6 +4,10 @@ Colorings are enumerated as base-t odometers over canonical edge order with
 the first edge's color fixed to 1 (color-swap symmetry), so the reported
 witness is the lexicographically smallest successful coloring.  The budget
 counts (coloring, pair) verification steps, not wall time.
+
+The search starts at t = 3 when the cut-edge profile fails Lemma 2.2's
+necessary shape (``CutEdgeProfile.lemma_2_2_shape``); ``cfc_bracket`` takes
+its bounds from the same profile.
 """
 from __future__ import annotations
 
@@ -178,13 +182,6 @@ def _general_sweep(g: Graph, t: int, budget: _Budget) -> Optional[Tuple[int, ...
         colors[i] += 1
 
 
-def _lemma_shape_ok(g: Graph) -> bool:
-    """Necessary condition for a 2-coloring: the bridge subgraph is a linear
-    forest whose every component has at most three edges."""
-    profile = cut_edge_profile(g)
-    return profile.is_linear_forest and profile.max_component_edges <= 3
-
-
 def exact_cfc(
     g: Graph, max_colors: Optional[int] = None, budget: Optional[int] = None
 ) -> CfcResult:
@@ -212,10 +209,7 @@ def exact_cfc(
             raise NoColoringWithinMaxError("no coloring with zero colors")
         return finish(1, (1,) * g.edge_count)
 
-    lower = 2
-    if not _lemma_shape_ok(g):
-        lower = 3
-
+    lower = 2 if cut_edge_profile(g).lemma_2_2_shape else 3
     for t in range(lower, max_colors + 1):
         try:
             if t == 2:
@@ -259,9 +253,7 @@ def cfc_bracket(g: Graph) -> Tuple[int, int]:
     if is_complete(g):
         return (1, 1)
     profile = cut_edge_profile(g)
-    lower = 2
-    if not (profile.is_linear_forest and profile.max_component_edges <= 3):
-        lower = 3
+    lower = 2 if profile.lemma_2_2_shape else 3
     if two_coloring_hypothesis_holds(profile):
         upper = 2
     else:

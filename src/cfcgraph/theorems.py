@@ -11,14 +11,20 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .coloring import (
     construct_two_coloring,
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
-from .decomposition import count_cut_edges, cut_edge_profile
+from .decomposition import (
+    BlockDecomposition,
+    CutEdgeProfile,
+    block_decomposition,
+    count_cut_edges,
+    cut_edge_profile,
+)
 from .errors import (
     NotConnectedError,
     OracleInfeasibleError,
@@ -83,6 +89,15 @@ def _require_connected(g: Graph) -> None:
         raise NotConnectedError("theorem predicates need a connected graph")
 
 
+def _structure(g: Graph) -> Tuple[Optional[BlockDecomposition], CutEdgeProfile]:
+    """A check's one structural pass: g's block decomposition and its C(G).
+    The one-vertex graph has no blocks, only an empty C(G)."""
+    if g.vertex_count < 2:
+        return None, cut_edge_profile(g)
+    d = block_decomposition(g)
+    return d, d.profile
+
+
 def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
     """delta >= (n-k+1)/k on order n >= k^2 forces at most k-2 cut edges."""
     _require_connected(g)
@@ -95,13 +110,13 @@ def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
         "min_degree_bound": k * delta >= n - k + 1,
     }
     hyp = all(clauses.values())
-    concl = count_cut_edges(g) <= k - 2
+    cut_edges = count_cut_edges(g)
     return TheoremCheck(
         theorem="3.1",
         hypothesis_holds=hyp,
         clauses=clauses,
-        conclusion_holds=concl if hyp else None,
-        details={"k": k, "cut_edges": count_cut_edges(g)},
+        conclusion_holds=cut_edges <= k - 2 if hyp else None,
+        details={"k": k, "cut_edges": cut_edges},
     )
 
 
@@ -132,10 +147,10 @@ def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
         "degree_sum_bound": s is None or k * s >= 2 * n - 2 * k + 1,
     }
     hyp = all(clauses.values())
-    concl = count_cut_edges(g) <= k - 2
+    cut_edges = count_cut_edges(g)
     details = {
         "k": k,
-        "cut_edges": count_cut_edges(g),
+        "cut_edges": cut_edges,
         "order_thresholds": thresholds,
         "between_thresholds": thresholds["derived"] <= n < thresholds["displayed"],
     }
@@ -143,17 +158,19 @@ def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
         theorem="3.4",
         hypothesis_holds=hyp,
         clauses=clauses,
-        conclusion_holds=concl if hyp else None,
+        conclusion_holds=cut_edges <= k - 2 if hyp else None,
         details=details,
     )
 
 
-def _cfc_is_two(g: Graph, budget: Optional[int] = None) -> Dict[str, object]:
-    """Certify cfc(g) == 2, constructively when the two-coloring hypothesis
-    holds (any size), otherwise by exhaustive search on small graphs."""
-    profile = cut_edge_profile(g)
-    if not is_complete(g) and two_coloring_hypothesis_holds(profile):
-        coloring = construct_two_coloring(g, profile=profile)
+def _cfc_is_two(
+    g: Graph, d: BlockDecomposition, budget: Optional[int] = None
+) -> Dict[str, object]:
+    """Certify cfc(g) == 2, constructively from g's block decomposition ``d``
+    when the two-coloring hypothesis holds (any size), otherwise by
+    exhaustive search on small graphs."""
+    if not is_complete(g) and two_coloring_hypothesis_holds(d.profile):
+        coloring = construct_two_coloring(g, d)
         verdict = verify_conflict_free_connected(coloring)
         return {"mode": "constructive", "holds": verdict.is_conflict_free_connected}
     if g.edge_count <= ORACLE_EDGE_CAP:
@@ -183,7 +200,7 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     n = g.vertex_count
     lo, hi = _THM_4_RANGES[which]
     delta = degree_view(g).min_degree
-    profile = cut_edge_profile(g)
+    d, profile = _structure(g)
     clauses = {
         "order_range": n >= lo and (hi is None or n <= hi),
         "non_complete": not is_complete(g),
@@ -205,7 +222,7 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     mode = None
     concl = None
     if hyp:
-        outcome = _cfc_is_two(g, budget=budget)
+        outcome = _cfc_is_two(g, d, budget=budget)
         mode = outcome["mode"]
         concl = outcome["holds"]
     return TheoremCheck(
@@ -230,8 +247,7 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
     hyp = feasible and cfc_two
     concl = None
     if hyp:
-        profile = cut_edge_profile(g)
-        concl = profile.is_linear_forest and profile.max_component_edges <= 3
+        concl = cut_edge_profile(g).lemma_2_2_shape
     return TheoremCheck(
         theorem="2.2", hypothesis_holds=hyp, clauses=clauses, conclusion_holds=concl,
         mode="oracle" if feasible else None,
@@ -242,7 +258,7 @@ def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """All bridge components of order 2 (and at least one bridge) forces
     cfc = 2."""
     _require_connected(g)
-    profile = cut_edge_profile(g)
+    d, profile = _structure(g)
     clauses = {
         "has_cut_edges": bool(profile.cut_edges),
         "all_components_order_2": all(o == 2 for o in profile.component_orders),
@@ -251,7 +267,7 @@ def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
     mode = None
     concl = None
     if hyp:
-        outcome = _cfc_is_two(g, budget=budget)
+        outcome = _cfc_is_two(g, d, budget=budget)
         mode = outcome["mode"]
         concl = outcome["holds"]
     return TheoremCheck(
@@ -262,15 +278,16 @@ def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
 def _check_lemma_2_4(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """2-edge-connected non-complete forces cfc = 2."""
     _require_connected(g)
+    d, _ = _structure(g)
     clauses = {
-        "two_edge_connected": g.vertex_count >= 2 and count_cut_edges(g) == 0,
+        "two_edge_connected": d is not None and not d.cut_edges,
         "non_complete": not is_complete(g),
     }
     hyp = all(clauses.values())
     mode = None
     concl = None
     if hyp:
-        outcome = _cfc_is_two(g, budget=budget)
+        outcome = _cfc_is_two(g, d, budget=budget)
         mode = outcome["mode"]
         concl = outcome["holds"]
     return TheoremCheck(
@@ -402,9 +419,7 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     else:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
 
-    profile = cut_edge_profile(g)
-    shape_violated = not (profile.is_linear_forest and profile.max_component_edges <= 3)
-    if shape_violated:
+    if not cut_edge_profile(g).lemma_2_2_shape:
         refutation = "shape"
         cfc_at_least_3 = True
     elif g.edge_count <= ORACLE_EDGE_CAP:

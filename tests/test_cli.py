@@ -61,6 +61,13 @@ def test_analyze_parse_error_is_usage(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+def test_analyze_repeated_edge_is_usage(tmp_path, capsys):
+    bad = tmp_path / "repeated.edges"
+    bad.write_text("3 3\n0 1\n1 2\n1 0\n")
+    assert main(["analyze", str(bad)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_is_usage(capsys):
     assert main(["analyze", "/nonexistent/path.edges"]) == 2
 

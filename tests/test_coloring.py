@@ -7,6 +7,7 @@ import cfcgraph as cfc
 from cfcgraph.coloring import format_coloring, parse_coloring
 from cfcgraph.errors import (
     CompleteGraphError,
+    EdgeListParseError,
     HypothesisViolatedError,
     NonPositiveError,
     NotAPathError,
@@ -111,6 +112,21 @@ def test_coloring_format_round_trip():
     g = gen_H(3, 3)
     coloring = cfc.construct_two_coloring(g)
     assert parse_coloring(format_coloring(coloring), g).colors == coloring.colors
+
+
+def test_parse_coloring_rejects_repeated_edge_line():
+    g = gen_path(3)
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_coloring("coloring 2\n0 1 1\n1 2 2\n1 0 2\n", g)
+    assert exc.value.line_number == 4
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_construct_two_coloring_from_given_decomposition(seed):
+    g = gen_random_glued_blocks(seed, max_vertices=16)
+    d = cfc.block_decomposition(g)
+    assert cfc.construct_two_coloring(g, d) == cfc.construct_two_coloring(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))

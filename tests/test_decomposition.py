@@ -1,10 +1,21 @@
+import random
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
 from cfcgraph.errors import NotConnectedError, TrivialGraphError
-from cfcgraph.families import gen_H, gen_R, gen_S, gen_random_connected
+from cfcgraph.families import (
+    gen_H,
+    gen_path,
+    gen_R,
+    gen_random_connected,
+    gen_random_glued_blocks,
+    gen_remark4_H,
+    gen_S,
+)
 
 from conftest import bridge_oracle
 
@@ -161,3 +172,84 @@ def test_decomposition_invariants(seed):
         degree_in_c[v] = degree_in_c.get(v, 0) + 1
     assert profile.is_linear_forest == all(x <= 2 for x in degree_in_c.values())
     assert list(profile.component_orders) == sorted(profile.component_orders)
+
+
+def _bridge_subgraph_oracle(g):
+    """C(G) rebuilt from the remove-and-test bridges: per component its
+    vertices, edges and path sequence (None unless a path), ordered by
+    (order, vertices)."""
+    bridges = bridge_oracle(g)
+    nbrs = {}
+    for u, v in bridges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    left = set(nbrs)
+    components = []
+    while left:
+        start = min(left)
+        comp, frontier = {start}, [start]
+        while frontier:
+            for y in nbrs[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        left -= comp
+        seq = None
+        if all(len(nbrs[x]) <= 2 for x in comp):
+            seq = [min(x for x in comp if len(nbrs[x]) == 1)]
+            while len(seq) < len(comp):
+                seq.append(min(nbrs[seq[-1]] - set(seq)))
+            seq = tuple(seq)
+        edges = tuple(sorted(e for e in bridges if e[0] in comp))
+        components.append((tuple(sorted(comp)), edges, seq))
+    components.sort(key=lambda c: (len(c[0]), c[0]))
+    return bridges, components
+
+
+def _assert_profile_matches_oracle(g):
+    profile = cfc.block_decomposition(g).profile
+    assert profile == cfc.cut_edge_profile(g)
+    bridges, components = _bridge_subgraph_oracle(g)
+    assert profile.cut_edges == bridges
+    assert [(c.vertices, c.edges, c.path_sequence) for c in profile.components] == components
+    assert profile.component_orders == tuple(len(c[0]) for c in components)
+    assert profile.is_linear_forest == all(c[2] is not None for c in components)
+    assert profile.max_component_edges == max((len(c[1]) for c in components), default=0)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_single_pass_profile_matches_oracle_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    _assert_profile_matches_oracle(gen_random_connected(n, rng.uniform(0.15, 0.9), seed=seed))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_single_pass_profile_matches_oracle_on_glued_blocks(seed):
+    _assert_profile_matches_oracle(gen_random_glued_blocks(seed))
+
+
+def test_profile_of_one_vertex_graph_is_empty():
+    profile = cfc.cut_edge_profile(cfc.build_graph(1, []))
+    assert profile.cut_edges == frozenset() and profile.components == ()
+    assert profile.lemma_2_2_shape
+
+
+def test_lemma_2_2_shape():
+    assert cfc.cut_edge_profile(gen_S(3)).lemma_2_2_shape
+    star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert not cfc.cut_edge_profile(star).lemma_2_2_shape
+    # a linear forest, but with a bridge run of four edges
+    run = cfc.block_decomposition(gen_remark4_H(5)).profile
+    assert run.is_linear_forest and run.max_component_edges == 4
+    assert not run.lemma_2_2_shape
+
+
+def test_cut_edge_profile_is_linear_in_bridge_run_length():
+    g = gen_path(20000)
+    start = time.perf_counter()
+    profile = cfc.cut_edge_profile(g)
+    elapsed = time.perf_counter() - start
+    assert profile.component_orders == (20000,)
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a 19999-bridge path"

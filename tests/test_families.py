@@ -111,8 +111,6 @@ def test_param_validation():
         fam.gen_remark4_G(12)
     with pytest.raises(ParamOutOfRangeError):
         fam.gen_remark7_G(35)
-    with pytest.raises(ParamOutOfRangeError):
-        fam.gen_remark_graphs("nope")
 
 
 def test_generators_are_deterministic():

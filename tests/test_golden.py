@@ -1,0 +1,29 @@
+"""Byte-for-byte CLI output against recorded references.
+
+``golden/cases.json`` holds, per invocation, the argv, exit code, stdout and
+stderr recorded before the decomposition layer became a single structural
+pass; ``golden/inputs`` holds the edge lists it read.  A mismatch means the
+CLI's output changed.  Regenerate the references only for an intended
+output change, never to make a refactor pass.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from cfcgraph.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_cli_output_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit"],
+        case["stdout"],
+        case["stderr"],
+    )

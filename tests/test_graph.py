@@ -133,3 +133,10 @@ def test_parse_reports_line_numbers():
 def test_parse_checks_edge_count():
     with pytest.raises(EdgeListParseError):
         cfc.parse_edge_list("3 2\n0 1\n")
+
+
+def test_parse_rejects_repeated_edge_line():
+    for text in ("3 3\n0 1\n1 2\n0 1\n", "3 3\n0 1\n1 2\n1 0\n"):
+        with pytest.raises(EdgeListParseError) as exc:
+            cfc.parse_edge_list(text)
+        assert exc.value.line_number == 4
