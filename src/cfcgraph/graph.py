@@ -134,23 +134,22 @@ def parse_edge_list(text: str) -> Graph:
     0-based endpoints, each edge once in either orientation.  Lines starting
     with ``#`` are comments.
     """
-    header = None
-    edges = []
+    n = None  # until the header line
     seen = set()
-    expected_m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if header is None:
+        if n is None:
             if len(parts) != 2:
                 raise EdgeListParseError("expected header 'n m'", lineno)
             try:
                 n, expected_m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListParseError("header fields must be integers", lineno)
-            header = (n, expected_m)
+            if n < 0:
+                raise EdgeListParseError(f"vertex_count must be nonnegative, got {n}", lineno)
             continue
         if len(parts) != 2:
             raise EdgeListParseError("expected edge line 'u v'", lineno)
@@ -158,21 +157,21 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError("edge endpoints must be integers", lineno)
+        if u == v:
+            raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise EdgeListParseError(f"edge ({u}, {v}) has an endpoint outside [0, {n})", lineno)
         e = canonical_edge(u, v)
         if e in seen:
             raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
         seen.add(e)
-        edges.append((u, v))
-    if header is None:
+    if n is None:
         raise EdgeListParseError("missing header 'n m'", 1)
-    if len(edges) != header[1]:
+    if len(seen) != expected_m:
         raise EdgeListParseError(
-            f"header declares {header[1]} edges but {len(edges)} were given", 1
+            f"header declares {expected_m} edges but {len(seen)} were given", 1
         )
-    try:
-        return build_graph(header[0], edges)
-    except (InvalidVertexError, SelfLoopError) as exc:
-        raise EdgeListParseError(str(exc), 1)
+    return Graph(vertex_count=n, edges=tuple(sorted(seen)))
 
 
 def read_edge_list(path) -> Graph:

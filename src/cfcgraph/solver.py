@@ -2,8 +2,11 @@
 
 Colorings are enumerated as base-t odometers over canonical edge order with
 the first edge's color fixed to 1 (color-swap symmetry), so the reported
-witness is the lexicographically smallest successful coloring.  The budget
-counts (coloring, pair) verification steps, not wall time.
+witness is the lexicographically smallest successful coloring.  One sweep
+serves every t: each color class is an edge bitmask, and a pair check is one
+popcount per class and path; only pairs with more than ``_PATH_CAP_PER_PAIR``
+simple paths are checked by depth-first search.  The budget counts
+(coloring, pair) verification steps, not wall time.
 
 The search starts at t = 3 when the cut-edge profile fails Lemma 2.2's
 necessary shape (``CutEdgeProfile.lemma_2_2_shape``); ``cfc_bracket`` takes
@@ -11,9 +14,8 @@ its bounds from the same profile.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .coloring import (
     EdgeColoring,
@@ -38,7 +40,6 @@ _PATH_CAP_PER_PAIR = 4096
 class SearchStats:
     colorings_examined: int = 0
     verification_steps: int = 0
-    elapsed_seconds: float = 0.0
 
 
 @dataclass
@@ -70,31 +71,24 @@ class _Budget:
             raise _BudgetSignal()
 
 
-def _nonadjacent_pairs(g: Graph) -> List[Tuple[int, int]]:
-    # Adjacent pairs are always conflict-free connected via their single edge.
-    return [
-        (u, v)
-        for u in range(g.vertex_count)
-        for v in range(u + 1, g.vertex_count)
-        if not g.has_edge(u, v)
-    ]
-
-
 def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, int]]]]]:
     """Per nonadjacent pair: all simple paths as (edge bitmask, length).
 
-    A pair whose path count exceeds the cap gets None and is checked by
-    depth-first search per coloring instead.
+    Edge i of the canonical order is bit m-1-i, so the last edge is the
+    least significant.  A pair whose path count exceeds the cap gets None and
+    is checked by depth-first search per coloring instead.
     """
-    edge_index = {e: i for i, e in enumerate(g.edges)}
+    m, n = g.edge_count, g.vertex_count
+    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
     out = []
-    for u, v in _nonadjacent_pairs(g):
+    # Adjacent pairs are always conflict-free connected via their single edge.
+    for u, v in [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]:
         masks: List[Tuple[int, int]] = []
         capped = False
         for p in enumerate_simple_paths(g, u, v):
             mask = 0
             for a, b in zip(p, p[1:]):
-                mask |= 1 << edge_index[canonical_edge(a, b)]
+                mask |= edge_bit[canonical_edge(a, b)]
             masks.append((mask, len(p) - 1))
             if len(masks) > _PATH_CAP_PER_PAIR:
                 capped = True
@@ -104,82 +98,74 @@ def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, 
     return out
 
 
-def _colors_from_mask(m: int, emask: int) -> Tuple[int, ...]:
-    return tuple(2 if (emask >> i) & 1 else 1 for i in range(m))
+def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
+    """Per-edge colors from the masks of colors 2..t (color 1 is the rest)."""
+    colors = [1] * m
+    for c, cm in enumerate(classes, start=2):
+        for i in range(m):
+            if cm >> (m - 1 - i) & 1:
+                colors[i] = c
+    return tuple(colors)
 
 
-def _two_color_sweep(g: Graph, budget: _Budget) -> Optional[Tuple[int, ...]]:
-    """Sweep all 2-colorings with the first edge fixed to color 1.
+def _sweep(g: Graph, t: int, pairs, budget: _Budget) -> Optional[Tuple[int, ...]]:
+    """Sweep all t-colorings with the first edge fixed to color 1, checking
+    the pairs of ``_pair_path_masks``.
 
-    Pair checks reduce to popcounts over precomputed path masks; the last
-    failing pair is cached at the front of the pair order, which rejects most
-    colorings in a single check.
+    Color c >= 2 is the edge bitmask ``classes[c - 2]``; color 1 on a path
+    is its length minus the other colors' counts.  The last failing pair
+    moves to the front, which rejects most colorings in a single check.
     """
     m = g.edge_count
-    pairs = _pair_path_masks(g)
-    order = list(range(len(pairs)))
-    edges = g.edges
-
-    emask = 0  # bit i set <=> edge i has color 2; bit 0 stays 0
+    order = list(pairs)
+    classes = [0] * (t - 1)
+    lower_classes = tuple(range(t - 3, -1, -1))
+    first_edge = 1 << (m - 1)
+    stats = budget.stats
     while True:
-        budget.stats.colorings_examined += 1
-        failed_at = -1
-        for pos, idx in enumerate(order):
-            u, v, masks = pairs[idx]
+        stats.colorings_examined += 1
+        pos = 0
+        for pair in order:
             budget.spend()
-            ok = False
+            u, v, masks = pair
             if masks is None:
-                cmap = dict(zip(edges, _colors_from_mask(m, emask)))
-                ok = conflict_free_path_from_map(g, cmap, u, v) is not None
+                cmap = dict(zip(g.edges, _colors(m, classes)))
+                served = conflict_free_path_from_map(g, cmap, u, v) is not None
             else:
-                for pmask, plen in masks:
-                    pc = (emask & pmask).bit_count()
-                    if pc == 1 or plen - pc == 1:
-                        ok = True
-                        break
-            if not ok:
-                failed_at = pos
+                served = False
+                for pmask, ones in masks:
+                    for cm in classes:
+                        k = (cm & pmask).bit_count()
+                        if k == 1:
+                            break
+                        ones -= k
+                    else:  # no color c >= 2 occurs once; try color 1
+                        if ones != 1:
+                            continue
+                    served = True
+                    break
+            if not served:
+                if pos:
+                    del order[pos]
+                    order.insert(0, pair)
                 break
-        if failed_at == -1:
-            return _colors_from_mask(m, emask)
-        if failed_at != 0:
-            order.insert(0, order.pop(failed_at))
-        # Odometer increment in lexicographic order (last edge least significant).
-        i = m - 1
-        while i >= 1 and (emask >> i) & 1:
-            emask &= ~(1 << i)
-            i -= 1
-        if i == 0:
+            pos += 1
+        else:
+            return _colors(m, classes)
+        # Odometer increment: the trailing edges at color t wrap to color 1
+        # and the edge before them moves up one color.
+        top = classes[-1]
+        bit = (top + 1) & ~top
+        if bit == first_edge:
             return None
-        emask |= 1 << i
-
-
-def _general_sweep(g: Graph, t: int, budget: _Budget) -> Optional[Tuple[int, ...]]:
-    """Base-t odometer sweep with fail-fast depth-first pair verification."""
-    m = g.edge_count
-    edges = g.edges
-    order = _nonadjacent_pairs(g)
-    colors = [1] * m
-    while True:
-        budget.stats.colorings_examined += 1
-        cmap = dict(zip(edges, colors))
-        failed_at = -1
-        for pos, (u, v) in enumerate(order):
-            budget.spend()
-            if conflict_free_path_from_map(g, cmap, u, v) is None:
-                failed_at = pos
+        classes[-1] = top & (top + 1)
+        for c in lower_classes:
+            if classes[c] & bit:
+                classes[c] ^= bit
+                classes[c + 1] |= bit
                 break
-        if failed_at == -1:
-            return tuple(colors)
-        if failed_at != 0:
-            order.insert(0, order.pop(failed_at))
-        i = m - 1
-        while i >= 1 and colors[i] == t:
-            colors[i] = 1
-            i -= 1
-        if i == 0:
-            return None
-        colors[i] += 1
+        else:
+            classes[0] |= bit
 
 
 def exact_cfc(
@@ -193,11 +179,9 @@ def exact_cfc(
         raise NotConnectedError("cfc is defined for connected graphs")
     if max_colors is None:
         max_colors = g.edge_count
-    started = time.monotonic()
     tracker = _Budget(limit=budget)
 
     def finish(value: int, colors: Tuple[int, ...]) -> CfcResult:
-        tracker.stats.elapsed_seconds = time.monotonic() - started
         return CfcResult(
             value=value,
             optimal_coloring=EdgeColoring(graph=g, colors=colors),
@@ -210,12 +194,10 @@ def exact_cfc(
         return finish(1, (1,) * g.edge_count)
 
     lower = 2 if cut_edge_profile(g).lemma_2_2_shape else 3
+    pairs = _pair_path_masks(g)
     for t in range(lower, max_colors + 1):
         try:
-            if t == 2:
-                colors = _two_color_sweep(g, tracker)
-            else:
-                colors = _general_sweep(g, t, tracker)
+            colors = _sweep(g, t, pairs, tracker)
         except _BudgetSignal:
             raise BudgetExhaustedError(t, g.edge_count, tracker.stats.verification_steps)
         if colors is not None:
@@ -235,13 +217,11 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
         raise NotConnectedError("requires a connected graph")
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
-    started = time.monotonic()
     tracker = _Budget(limit=budget)
     try:
-        colors = _two_color_sweep(g, tracker)
+        colors = _sweep(g, 2, _pair_path_masks(g), tracker)
     except _BudgetSignal:
         raise BudgetExhaustedError(2, g.edge_count, tracker.stats.verification_steps)
-    tracker.stats.elapsed_seconds = time.monotonic() - started
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=tracker.stats)
 

@@ -38,7 +38,7 @@ from .graph import (
     is_connected,
     min_nonadjacent_degree_sum,
 )
-from .solver import exact_cfc, exists_two_coloring
+from .solver import exists_two_coloring
 
 ORACLE_EDGE_CAP = 20
 
@@ -169,13 +169,15 @@ def _cfc_is_two(
     """Certify cfc(g) == 2, constructively from g's block decomposition ``d``
     when the two-coloring hypothesis holds (any size), otherwise by
     exhaustive search on small graphs."""
-    if not is_complete(g) and two_coloring_hypothesis_holds(d.profile):
+    complete = is_complete(g)
+    if not complete and two_coloring_hypothesis_holds(d.profile):
         coloring = construct_two_coloring(g, d)
         verdict = verify_conflict_free_connected(coloring)
         return {"mode": "constructive", "holds": verdict.is_conflict_free_connected}
     if g.edge_count <= ORACLE_EDGE_CAP:
-        result = exact_cfc(g, budget=budget)
-        return {"mode": "oracle", "holds": result.value == 2}
+        # cfc = 1 exactly on complete graphs; Lemma 2.2's shape is necessary for cfc = 2.
+        holds = not complete and d.profile.lemma_2_2_shape
+        return {"mode": "oracle", "holds": holds and exists_two_coloring(g, budget=budget).exists}
     raise OracleInfeasibleError(
         f"graph with {g.edge_count} edges exceeds the oracle cap and the "
         "constructive route's hypothesis fails"
@@ -241,8 +243,9 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
     _require_connected(g)
     feasible = g.edge_count <= ORACLE_EDGE_CAP
     cfc_two = False
-    if feasible:
-        cfc_two = g.vertex_count >= 2 and not is_complete(g) and exact_cfc(g, budget=budget).value == 2
+    if feasible and g.vertex_count >= 2 and not is_complete(g):
+        # By the sweep alone: a search that assumed the lemma's shape could never refute it.
+        cfc_two = exists_two_coloring(g, budget=budget).exists
     clauses = {"oracle_feasible": feasible, "cfc_equals_two": cfc_two}
     hyp = feasible and cfc_two
     concl = None

@@ -1,8 +1,16 @@
 """Shared brute-force oracles, kept independent of the library's search code."""
 import itertools
+import os
 from collections import Counter
+from pathlib import Path
 
 import cfcgraph as cfc
+
+# CLI tests run `python -m cfcgraph.cli` in a subprocess; like pytest's
+# `pythonpath` setting for the tests themselves, let it import the package
+# from this checkout without an install.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def bridge_oracle(g):

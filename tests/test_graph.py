@@ -140,3 +140,21 @@ def test_parse_rejects_repeated_edge_line():
         with pytest.raises(EdgeListParseError) as exc:
             cfc.parse_edge_list(text)
         assert exc.value.line_number == 4
+
+
+def test_parse_reports_bad_edge_at_its_line():
+    cases = (
+        ("2 1\n# c\n0 5\n", "edge (0, 5) has an endpoint outside [0, 2)"),
+        ("3 2\n0 1\n2 2\n", "self-loop at vertex 2"),
+    )
+    for text, message in cases:
+        with pytest.raises(EdgeListParseError) as exc:
+            cfc.parse_edge_list(text)
+        assert exc.value.line_number == 3
+        assert str(exc.value) == f"line 3: {message}"
+
+
+def test_parse_reports_negative_order_at_header_line():
+    with pytest.raises(EdgeListParseError) as exc:
+        cfc.parse_edge_list("# c\n-1 0\n")
+    assert str(exc.value) == "line 2: vertex_count must be nonnegative, got -1"

@@ -134,3 +134,24 @@ def test_exact_cfc_matches_brute_oracle(seed):
     n = rng.randint(2, 5)
     g = gen_random_connected(n, rng.uniform(0.4, 1.0), seed=seed)
     assert cfc.exact_cfc(g).value == cfc_brute(g)
+
+
+def test_capped_pairs_search_like_masked_pairs(monkeypatch):
+    # Cap 0 sends every pair to the depth-first check; the search order,
+    # witness and counters must not change, at any palette size.
+    from cfcgraph import solver
+
+    rng = random.Random(11)
+    graphs = [
+        gen_random_connected(n, rng.uniform(0.3, 0.9), seed=rng.randrange(10_000))
+        for n in (3, 4, 5, 6) * 5
+    ]
+    graphs += [gen_path(6), cfc.build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), gen_remark4_H(5)]
+    expected = [cfc.exact_cfc(g) for g in graphs]
+    assert {r.value for r in expected} >= {2, 3, 4}
+    monkeypatch.setattr(solver, "_PATH_CAP_PER_PAIR", 0)
+    for g, want in zip(graphs, expected):
+        got = cfc.exact_cfc(g)
+        assert got.value == want.value
+        assert got.optimal_coloring.colors == want.optimal_coloring.colors
+        assert got.stats == want.stats

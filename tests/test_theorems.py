@@ -146,3 +146,14 @@ def test_remark5_path_value():
     for t in (5, 6, 8):
         g = fam.gen_path(t)
         assert cfc.exact_cfc(g).value == cfc.cfc_path_formula(t - 1) >= 3
+
+
+def test_lemma_2_2_hypothesis_does_not_assume_the_shape(monkeypatch):
+    # With the shape predicate forced false, C5 (cfc = 2) breaks the
+    # lemma's conclusion; its hypothesis must still be decided by search.
+    from cfcgraph.decomposition import CutEdgeProfile
+
+    monkeypatch.setattr(CutEdgeProfile, "lemma_2_2_shape", property(lambda self: False))
+    check = check_theorem(fam.gen_cycle(5), "2.2")
+    assert check.hypothesis_holds
+    assert check.is_counterexample
