@@ -11,7 +11,6 @@ from .coloring import (
     EdgeColoring,
     cfc_path_formula,
     construct_two_coloring,
-    find_conflict_free_path,
     is_conflict_free_path,
     make_coloring,
     normalize_coloring,
@@ -61,6 +60,7 @@ from .theorems import (
     check_thm_3_1,
     check_thm_3_4,
     check_thm_4_x,
+    harness_config,
     run_harness,
 )
 

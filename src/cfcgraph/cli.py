@@ -7,11 +7,11 @@ deterministic for fixed flags (sorted keys, no timestamps).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, List, Optional
 
-from . import families
 from .coloring import (
     EdgeColoring,
     construct_two_coloring,
@@ -27,9 +27,10 @@ from .errors import (
     HypothesisViolatedError,
     ParamOutOfRangeError,
 )
+from .families import FAMILIES
 from .graph import Graph, degree_view, format_edge_list, is_complete, is_connected, read_edge_list
 from .solver import exact_cfc
-from .theorems import HarnessConfig, check_sharpness, run_harness
+from .theorems import check_sharpness, harness_config, run_harness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,12 +39,10 @@ EXIT_BUDGET = 4
 EXIT_COUNTEREXAMPLE = 5
 
 
-def _emit(payload: Dict, fmt: str, out) -> None:
+def _render(payload: Dict, fmt: str) -> str:
     if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        for key in sorted(payload):
-            out.write(f"{key}: {payload[key]}\n")
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(f"{key}: {payload[key]}\n" for key in sorted(payload))
 
 
 def _graph_dot(g: Graph, coloring: Optional[EdgeColoring] = None) -> str:
@@ -97,7 +96,7 @@ def cmd_analyze(args) -> int:
                 "cut_vertices": sorted(decomp.cut_vertices),
             }
         )
-    _emit(payload, args.format, sys.stdout)
+    _write_output(_render(payload, args.format), args.out)
     return EXIT_OK
 
 
@@ -119,7 +118,7 @@ def cmd_color2(args) -> int:
             [e[0], e[1], c] for e, c in zip(g.edges, coloring.colors)
         ],
     }
-    _emit(payload, args.format, sys.stdout)
+    sys.stdout.write(_render(payload, args.format))
     return EXIT_OK if verdict.is_conflict_free_connected else EXIT_COUNTEREXAMPLE
 
 
@@ -134,7 +133,7 @@ def cmd_cfc(args) -> int:
             "bracket": [exc.lower, exc.upper],
             "verification_steps": exc.steps,
         }
-        _emit(payload, args.format, sys.stdout)
+        _write_output(_render(payload, args.format), args.out)
         return EXIT_BUDGET
     payload = {
         "command": "cfc",
@@ -146,38 +145,22 @@ def cmd_cfc(args) -> int:
         "colorings_examined": result.stats.colorings_examined,
         "verification_steps": result.stats.verification_steps,
     }
-    _emit(payload, args.format, sys.stdout)
+    _write_output(_render(payload, args.format), args.out)
     return EXIT_OK
-
-
-_GEN_FAMILIES = {
-    "H": (2, lambda p: families.gen_H(p[0], p[1])),
-    "R": (1, lambda p: families.gen_R(p[0])),
-    "S": (1, lambda p: families.gen_S(p[0])),
-    "D": (1, lambda p: families.gen_D(p[0])),
-    "remark4-H": (1, lambda p: families.gen_remark4_H(p[0])),
-    "remark4-G": (1, lambda p: families.gen_remark4_G(p[0])),
-    "remark6-H": (1, lambda p: families.gen_remark6_H(p[0])),
-    "remark6-G": (0, lambda p: families.gen_remark6_G()),
-    "remark7-G": (1, lambda p: families.gen_remark7_G(p[0])),
-    "path": (1, lambda p: families.gen_path(p[0])),
-    "cycle": (1, lambda p: families.gen_cycle(p[0])),
-    "complete": (1, lambda p: families.gen_complete(p[0])),
-    "random": (3, lambda p: families.gen_random_connected(p[0], p[1] / 100.0, p[2])),
-}
 
 
 def cmd_gen(args) -> int:
     family = args.family
-    if family not in _GEN_FAMILIES:
+    if family not in FAMILIES:
         raise ParamOutOfRangeError(f"unknown family {family!r}")
-    arity, make = _GEN_FAMILIES[family]
-    if len(args.params) != arity:
+    make = FAMILIES[family]
+    names = list(inspect.signature(make).parameters)
+    if len(args.params) != len(names):
         raise ParamOutOfRangeError(
-            f"family {family!r} takes {arity} integer parameter(s)"
-            + (" (random: n, edge probability in percent, seed)" if family == "random" else "")
+            f"family {family!r} takes {len(names)} integer parameter(s)"
+            + (f": {' '.join(names)}" if names else "")
         )
-    g = make(args.params)
+    g = make(*args.params)
     if args.format == "dot":
         _write_output(_graph_dot(g), args.out)
         return EXIT_OK
@@ -190,50 +173,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_HARNESS_DEFAULT_RANGES = {
-    "2.2": (4, 7, 0.3, 0.9),
-    "2.3": (5, 9, 0.25, 0.55),
-    "2.4": (4, 9, 0.4, 0.9),
-    "3.1": None,  # derived from k
-    "3.4": None,
-    "4.1": (25, 30, 0.5, 0.9),
-    "4.2": (9, 16, 0.4, 0.9),
-    "4.3": (4, 8, 0.4, 0.9),
-    "4.4": (16, 20, 0.5, 0.9),
-    "4.5": (33, 36, 0.5, 0.9),
-}
-
-
 def cmd_verify(args) -> int:
     theorem = args.theorem
     if theorem.startswith("sharpness:"):
-        family = theorem.split(":", 1)[1]
-        params = {}
-        if args.t is not None:
-            params["t"] = args.t
-        if args.n is not None:
-            params["n"] = args.n
-        result = check_sharpness(family, budget=args.budget, **params)
-        payload = {"command": "verify", **result}
-        _emit(payload, args.format, sys.stdout)
+        params = {name: v for name, v in (("t", args.t), ("n", args.n)) if v is not None}
+        result = check_sharpness(theorem.split(":", 1)[1], budget=args.budget, **params)
+        sys.stdout.write(_render({"command": "verify", **result}, args.format))
         return EXIT_OK if result["holds"] else EXIT_COUNTEREXAMPLE
 
-    if theorem not in _HARNESS_DEFAULT_RANGES:
-        raise ParamOutOfRangeError(f"unknown theorem id {theorem!r}")
-    defaults = _HARNESS_DEFAULT_RANGES[theorem]
-    if defaults is None:
-        k = args.k if args.k is not None else (3 if theorem == "3.1" else 5)
-        base = k * k if theorem == "3.1" else k * k + k
-        n_min, n_max, p_min, p_max = base, base + 5, 0.5, 0.9
-    else:
-        n_min, n_max, p_min, p_max = defaults
-        k = args.k
-    if args.n_min is not None:
-        n_min = args.n_min
-    if args.n_max is not None:
-        n_max = args.n_max
-    config = HarnessConfig(
-        n_min=n_min, n_max=n_max, p_min=p_min, p_max=p_max, k=k, budget=args.budget
+    config = harness_config(
+        theorem, k=args.k, n_min=args.n_min, n_max=args.n_max, budget=args.budget
     )
     report = run_harness(theorem, trials=args.trials, seed=args.seed, config=config)
     payload = {"command": "verify", **report.to_payload()}
@@ -246,7 +195,7 @@ def cmd_verify(args) -> int:
                 )
             )
         payload["counterexample_path"] = args.out
-    _emit(payload, args.format, sys.stdout)
+    sys.stdout.write(_render(payload, args.format))
     return EXIT_COUNTEREXAMPLE if report.conclusion_fail_count else EXIT_OK
 
 
@@ -257,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text", "dot"), default="json")
+    def add_common(p, formats=("json", "text", "dot")):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("analyze", help="structural report for an edge-list file")
@@ -275,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
-    add_common(p)
+    add_common(p, ("json", "text"))
     p.set_defaults(func=cmd_cfc)
 
     p = sub.add_parser("gen", help="generate a named family as an edge list")
@@ -294,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
-    add_common(p)
+    add_common(p, ("json", "text"))
     p.set_defaults(func=cmd_verify)
     return parser
 

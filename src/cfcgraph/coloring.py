@@ -108,18 +108,12 @@ def enumerate_simple_paths(g: Graph, source: int, target: int) -> Iterator[Tuple
             on_path[path.pop()] = False
 
 
-def find_conflict_free_path(
-    coloring: EdgeColoring, source: int, target: int
-) -> Optional[Tuple[int, ...]]:
-    """First conflict-free source-target path in depth-first order, or None
-    after the pair's whole simple-path space is exhausted."""
-    return conflict_free_path_from_map(coloring.graph, coloring.as_dict(), source, target)
-
-
 def conflict_free_path_from_map(
     g: Graph, cmap: Dict[Edge, int], source: int, target: int
 ) -> Optional[Tuple[int, ...]]:
-    """Same search as find_conflict_free_path, driven by a raw edge-color map.
+    """First conflict-free source-target path in depth-first order under the
+    edge-color map ``cmap``, or None after the pair's whole simple-path space
+    is exhausted.
 
     Color multiplicities are maintained incrementally, so each step is O(1).
     """
@@ -266,18 +260,19 @@ def format_coloring(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
-    """Parse the coloring text format against a known graph."""
+    """Parse the coloring text format against a known graph.  The header's
+    t must be the number of distinct colors in the body."""
     color_map: Dict[Edge, int] = {}
-    header_seen = False
+    header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if not header_seen:
-            if parts[0] != "coloring" or len(parts) != 2:
-                raise EdgeListParseError("expected header 'coloring t'", lineno)
-            header_seen = True
+        if header_line is None:
+            if parts[0] != "coloring" or len(parts) != 2 or not parts[1].isdecimal():
+                raise EdgeListParseError("expected header 'coloring t', t a whole number", lineno)
+            header_line, t = lineno, int(parts[1])
             continue
         if len(parts) != 3:
             raise EdgeListParseError("expected line 'u v c'", lineno)
@@ -289,8 +284,12 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         if e in color_map:
             raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
         color_map[e] = c
-    if not header_seen:
+    if header_line is None:
         raise EdgeListParseError("missing header 'coloring t'", 1)
+    if len(set(color_map.values())) != t:
+        raise EdgeListParseError(
+            f"header says {t} colors, the body uses {len(set(color_map.values()))}", header_line
+        )
     try:
         return make_coloring(g, color_map)
     except ValueError as exc:

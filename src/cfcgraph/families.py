@@ -8,7 +8,7 @@ clique fill-ins in block order, so labels are stable for golden tests.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import ParamOutOfRangeError, RetriesExhaustedError
 from .graph import Graph, build_graph, is_complete, is_connected
@@ -291,3 +291,23 @@ def gen_random_glued_blocks(seed: int, max_vertices: int = 40) -> Graph:
         else:
             edges.append((a, b))
     return build_graph(n, edges)
+
+
+# The family names of `cfcgraph gen` and of the sharpness checks.  A family's
+# parameters are its generator's positional parameters, in order.
+FAMILIES: Dict[str, Callable[..., Graph]] = {
+    "H": gen_H,
+    "R": gen_R,
+    "S": gen_S,
+    "D": gen_D,
+    "remark4-H": gen_remark4_H,
+    "remark4-G": gen_remark4_G,
+    "remark6-H": gen_remark6_H,
+    "remark6-G": gen_remark6_G,
+    "remark7-G": gen_remark7_G,
+    "path": gen_path,
+    "cycle": gen_cycle,
+    "complete": gen_complete,
+    # The edge probability as an integer percentage keeps command lines whole-number.
+    "random": lambda n, p_percent, seed: gen_random_connected(n, p_percent / 100.0, seed),
+}

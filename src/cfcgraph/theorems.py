@@ -28,9 +28,10 @@ from .decomposition import (
 from .errors import (
     NotConnectedError,
     OracleInfeasibleError,
+    ParamOutOfRangeError,
     UnknownTheoremError,
 )
-from .families import gen_path, gen_random_connected
+from .families import FAMILIES, gen_random_connected
 from .graph import (
     Graph,
     degree_view,
@@ -163,24 +164,44 @@ def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
     )
 
 
-def _cfc_is_two(
-    g: Graph, d: BlockDecomposition, budget: Optional[int] = None
-) -> Dict[str, object]:
-    """Certify cfc(g) == 2, constructively from g's block decomposition ``d``
+def _cfc_two_check(
+    theorem: str,
+    g: Graph,
+    d: Optional[BlockDecomposition],
+    clauses: Dict[str, bool],
+    budget: Optional[int],
+    details: Optional[Dict[str, object]] = None,
+) -> TheoremCheck:
+    """Check a sufficient condition for cfc = 2 given by ``clauses``, plus
+    non-completeness (cfc = 1 exactly on complete graphs).  When it holds,
+    certify cfc(g) == 2, constructively from g's block decomposition ``d``
     when the two-coloring hypothesis holds (any size), otherwise by
     exhaustive search on small graphs."""
-    complete = is_complete(g)
-    if not complete and two_coloring_hypothesis_holds(d.profile):
-        coloring = construct_two_coloring(g, d)
-        verdict = verify_conflict_free_connected(coloring)
-        return {"mode": "constructive", "holds": verdict.is_conflict_free_connected}
-    if g.edge_count <= ORACLE_EDGE_CAP:
-        # cfc = 1 exactly on complete graphs; Lemma 2.2's shape is necessary for cfc = 2.
-        holds = not complete and d.profile.lemma_2_2_shape
-        return {"mode": "oracle", "holds": holds and exists_two_coloring(g, budget=budget).exists}
-    raise OracleInfeasibleError(
-        f"graph with {g.edge_count} edges exceeds the oracle cap and the "
-        "constructive route's hypothesis fails"
+    clauses["non_complete"] = not is_complete(g)
+    hyp = all(clauses.values())
+    mode = None
+    concl = None
+    if hyp and two_coloring_hypothesis_holds(d.profile):
+        mode = "constructive"
+        concl = verify_conflict_free_connected(
+            construct_two_coloring(g, d)
+        ).is_conflict_free_connected
+    elif hyp:
+        if g.edge_count > ORACLE_EDGE_CAP:
+            raise OracleInfeasibleError(
+                f"graph with {g.edge_count} edges exceeds the oracle cap and the "
+                "constructive route's hypothesis fails"
+            )
+        # Lemma 2.2's shape is necessary for cfc = 2.
+        mode = "oracle"
+        concl = d.profile.lemma_2_2_shape and exists_two_coloring(g, budget=budget).exists
+    return TheoremCheck(
+        theorem=theorem,
+        hypothesis_holds=hyp,
+        clauses=clauses,
+        conclusion_holds=concl,
+        mode=mode,
+        details=details or {},
     )
 
 
@@ -198,15 +219,12 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     range taken literally."""
     _require_connected(g)
     if which not in _THM_4_RANGES:
-        raise UnknownTheoremError(f"unknown theorem id {which!r}")
+        raise UnknownTheoremError(f"{which!r} is not one of the theorems 4.x")
     n = g.vertex_count
     lo, hi = _THM_4_RANGES[which]
     delta = degree_view(g).min_degree
     d, profile = _structure(g)
-    clauses = {
-        "order_range": n >= lo and (hi is None or n <= hi),
-        "non_complete": not is_complete(g),
-    }
+    clauses = {"order_range": n >= lo and (hi is None or n <= hi)}
     if which in ("4.1", "4.2", "4.3", "4.5"):
         clauses["linear_forest"] = profile.is_linear_forest
     if which == "4.1":
@@ -220,21 +238,8 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     else:
         s = min_nonadjacent_degree_sum(g)
         clauses["degree_sum_bound"] = s is None or 5 * s >= 2 * n - 9
-    hyp = all(clauses.values())
-    mode = None
-    concl = None
-    if hyp:
-        outcome = _cfc_is_two(g, d, budget=budget)
-        mode = outcome["mode"]
-        concl = outcome["holds"]
-    return TheoremCheck(
-        theorem=which,
-        hypothesis_holds=hyp,
-        clauses=clauses,
-        conclusion_holds=concl,
-        mode=mode,
-        details={"min_degree": delta, "component_orders": list(profile.component_orders)},
-    )
+    details = {"min_degree": delta, "component_orders": list(profile.component_orders)}
+    return _cfc_two_check(which, g, d, clauses, budget, details)
 
 
 def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
@@ -259,62 +264,63 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
 
 def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """All bridge components of order 2 (and at least one bridge) forces
-    cfc = 2."""
+    cfc = 2 on a non-complete graph."""
     _require_connected(g)
     d, profile = _structure(g)
     clauses = {
         "has_cut_edges": bool(profile.cut_edges),
         "all_components_order_2": all(o == 2 for o in profile.component_orders),
     }
-    hyp = all(clauses.values())
-    mode = None
-    concl = None
-    if hyp:
-        outcome = _cfc_is_two(g, d, budget=budget)
-        mode = outcome["mode"]
-        concl = outcome["holds"]
-    return TheoremCheck(
-        theorem="2.3", hypothesis_holds=hyp, clauses=clauses, conclusion_holds=concl, mode=mode
-    )
+    return _cfc_two_check("2.3", g, d, clauses, budget)
 
 
 def _check_lemma_2_4(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """2-edge-connected non-complete forces cfc = 2."""
     _require_connected(g)
     d, _ = _structure(g)
-    clauses = {
-        "two_edge_connected": d is not None and not d.cut_edges,
-        "non_complete": not is_complete(g),
-    }
-    hyp = all(clauses.values())
-    mode = None
-    concl = None
-    if hyp:
-        outcome = _cfc_is_two(g, d, budget=budget)
-        mode = outcome["mode"]
-        concl = outcome["holds"]
-    return TheoremCheck(
-        theorem="2.4", hypothesis_holds=hyp, clauses=clauses, conclusion_holds=concl, mode=mode
-    )
+    clauses = {"two_edge_connected": d is not None and not d.cut_edges}
+    return _cfc_two_check("2.4", g, d, clauses, budget)
+
+
+# The theorem ids.  The harness samples orders in [n_min, n_max] and edge
+# probabilities in [p_min, p_max]; None marks the cut-edge bounds, which
+# sample orders base..base+5 with p in [0.5, 0.9] (_K_BOUNDS).
+_HARNESS_RANGES = {
+    "2.2": (4, 7, 0.3, 0.9),
+    "2.3": (5, 9, 0.25, 0.55),
+    "2.4": (4, 9, 0.4, 0.9),
+    "3.1": None,
+    "3.4": None,
+    "4.1": (25, 30, 0.5, 0.9),
+    "4.2": (9, 16, 0.4, 0.9),
+    "4.3": (4, 8, 0.4, 0.9),
+    "4.4": (16, 20, 0.5, 0.9),
+    "4.5": (33, 36, 0.5, 0.9),
+}
+THEOREM_IDS = tuple(_HARNESS_RANGES)
+# The cut-edge bounds: default k, and base order k^2 (3.1) or k^2 + k (3.4),
+# the least order their order clause admits.
+_K_BOUNDS = {"3.1": (3, lambda k: k * k), "3.4": (5, lambda k: k * k + k)}
+
+
+def _require_theorem_id(theorem: str) -> None:
+    if theorem not in _HARNESS_RANGES:
+        raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
 
 
 def check_theorem(
     g: Graph, theorem: str, k: Optional[int] = None, budget: Optional[int] = None
 ) -> TheoremCheck:
-    """Dispatch a single-graph theorem check by id."""
-    if theorem == "3.1":
-        return check_thm_3_1(g, k if k is not None else 3)
-    if theorem == "3.4":
-        return check_thm_3_4(g, k if k is not None else 5)
+    """Dispatch a single-graph theorem check by id; 3.1 and 3.4 take ``k``,
+    with their default when it is None."""
+    _require_theorem_id(theorem)
     if theorem in _THM_4_RANGES:
         return check_thm_4_x(g, theorem, budget=budget)
-    if theorem == "2.2":
-        return _check_lemma_2_2(g, budget)
-    if theorem == "2.3":
-        return _check_lemma_2_3(g, budget)
-    if theorem == "2.4":
-        return _check_lemma_2_4(g, budget)
-    raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
+    if theorem in _K_BOUNDS:
+        k = _K_BOUNDS[theorem][0] if k is None else k
+        return check_thm_3_1(g, k) if theorem == "3.1" else check_thm_3_4(g, k)
+    lemmas = {"2.2": _check_lemma_2_2, "2.3": _check_lemma_2_3, "2.4": _check_lemma_2_4}
+    return lemmas[theorem](g, budget)
 
 
 @dataclass(frozen=True)
@@ -325,6 +331,28 @@ class HarnessConfig:
     p_max: float = 0.9
     k: Optional[int] = None
     budget: Optional[int] = None
+
+
+def harness_config(
+    theorem: str,
+    k: Optional[int] = None,
+    n_min: Optional[int] = None,
+    n_max: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> HarnessConfig:
+    """The harness sampling for ``theorem``: its default ranges, or for 3.1
+    and 3.4 orders from the base order of ``k`` up; ``n_min``/``n_max``
+    override the order range."""
+    _require_theorem_id(theorem)
+    ranges = _HARNESS_RANGES[theorem]
+    if ranges is None:
+        default_k, base_order = _K_BOUNDS[theorem]
+        k = default_k if k is None else k
+        base = base_order(k)
+        ranges = (base, base + 5, 0.5, 0.9)
+    lo, hi, p_min, p_max = ranges
+    lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
+    return HarnessConfig(lo, hi, p_min, p_max, k=k, budget=budget)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -369,58 +397,58 @@ def run_harness(
     )
 
 
+def _remark5_margin(g: Graph, n: int, delta: int) -> bool:
+    """4.3: delta = 1 on a path of order n >= 5, whose cfc is ceil(log2 n) >= 3."""
+    if n < 5:
+        raise ParamOutOfRangeError("the sharp path example needs order >= 5")
+    return delta == 1
+
+
+def _remark7_margin(g: Graph, n: int, delta: int) -> bool:
+    """4.5: the degree-sum bound met, the order below 33."""
+    s = min_nonadjacent_degree_sum(g)
+    return s is not None and 5 * s >= 2 * n - 9 and n <= 32
+
+
+# Sharpness family -> (registry family, its one parameter or None, margin
+# predicate on (g, n, delta)): each misses the bound of the theorem it shows
+# best possible by the margin the predicate asserts.
+SHARPNESS = {
+    # 4.1: one unit short of 5*delta >= n-4.
+    "S": ("S", "t", lambda g, n, delta: 5 * delta == n - 5),
+    # 4.2: one short of delta >= 3.
+    "remark4-H": ("remark4-H", "t", lambda g, n, delta: delta == 2),
+    # 4.2: one unit short of 5*delta >= n-4.
+    "remark4-G": ("remark4-G", "n", lambda g, n, delta: 5 * delta == n - 5),
+    "remark5": ("path", "t", _remark5_margin),
+    # 4.4: one unit short of 4*delta >= n-3.
+    "remark6-H": ("remark6-H", "n", lambda g, n, delta: 4 * delta == n - 4),
+    # 4.4: the bound met, the order one below 16.
+    "remark6-G": ("remark6-G", None, lambda g, n, delta: 4 * delta >= n - 3 and n == 15),
+    "remark7": ("remark7-G", "n", _remark7_margin),
+}
+
+
 def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict[str, object]:
     """Certify that a sharpness family misses its theorem's bound by exactly
-    the advertised margin and has cfc >= 3.
+    the advertised margin and has cfc >= 3.  ``params`` is the family's one
+    parameter (``t`` or ``n``), or empty for a family without one.
 
     The lower bound cfc >= 3 comes from the necessary shape condition when
     the family violates it, otherwise from an exhaustive 2-coloring sweep
     (skipped with a note when the instance is beyond desk scale).
     """
-    from . import families as fam
-
-    if family == "S":
-        t = params["t"]
-        g = fam.gen_S(t)
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        margin_ok = 5 * delta == n - 5  # one unit short of 5*delta >= n-4
-    elif family == "remark4-H":
-        g = fam.gen_remark4_H(params["t"])
-        delta = degree_view(g).min_degree
-        margin_ok = delta == 2  # one short of the delta >= 3 requirement
-        n = g.vertex_count
-    elif family == "remark4-G":
-        g = fam.gen_remark4_G(params["n"])
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        margin_ok = 5 * delta == n - 5
-    elif family == "remark5":
-        t = params["t"]
-        if t < 5:
-            raise UnknownTheoremError("the sharp path example needs order >= 5")
-        g = gen_path(t)
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        margin_ok = delta == 1
-    elif family == "remark6-H":
-        g = fam.gen_remark6_H(params["n"])
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        margin_ok = 4 * delta == n - 4
-    elif family == "remark6-G":
-        g = fam.gen_remark6_G()
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        margin_ok = 4 * delta >= n - 3 and n == 15  # bound met, order below 16
-    elif family == "remark7":
-        g = fam.gen_remark7_G(params["n"])
-        n = g.vertex_count
-        delta = degree_view(g).min_degree
-        s = min_nonadjacent_degree_sum(g)
-        margin_ok = s is not None and 5 * s >= 2 * n - 9 and n <= 32
-    else:
+    if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
+    generator, param, margin = SHARPNESS[family]
+    if list(params) != ([param] if param else []):
+        takes = f"parameter {param}" if param else "no parameter"
+        given = ", ".join(sorted(params)) or "none"
+        raise ParamOutOfRangeError(f"sharpness family {family!r} takes {takes}, given {given}")
+    g = FAMILIES[generator](*params.values())
+    n = g.vertex_count
+    delta = degree_view(g).min_degree
+    margin_ok = margin(g, n, delta)
 
     if not cut_edge_profile(g).lemma_2_2_shape:
         refutation = "shape"

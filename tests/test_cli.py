@@ -1,11 +1,16 @@
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cfcgraph.cli import main
+from cfcgraph.families import FAMILIES
 from cfcgraph.graph import parse_edge_list
+from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
 
 
 def run_cli(*argv):
@@ -174,3 +179,94 @@ def test_repeated_runs_are_byte_identical(c5_file):
     v1 = run_cli("verify", "2.2", "--trials", "15", "--seed", "3")
     v2 = run_cli("verify", "2.2", "--trials", "15", "--seed", "3")
     assert v1 == v2
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["sharpness:S"], "takes parameter t, given none"),
+        (["sharpness:remark6-G", "--t", "9"], "takes no parameter, given t"),
+        (["sharpness:S", "--t", "3", "--n", "7"], "takes parameter t, given n, t"),
+    ],
+)
+def test_verify_sharpness_parameter_mismatch_is_usage(argv, named, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_verify_lemma_2_3_skips_k2(capsys):
+    assert main(["verify", "2.3", "--n-min", "2", "--n-max", "2", "--trials", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conclusion_fail_count"] == 0
+    assert payload["clause_breakdown"]["non_complete"] == 0
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["cfc", "--budget", "1000"]])
+def test_payload_honours_out(command, c5_file, tmp_path, capsys):
+    assert main([*command, c5_file]) == 0
+    expected = capsys.readouterr().out
+    out_path = tmp_path / "payload.json"
+    assert main([*command, c5_file, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == expected
+
+
+@pytest.mark.parametrize("argv", [["cfc", "g.edges"], ["verify", "2.4"]])
+def test_dot_format_only_where_rendered(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "dot"])
+    assert exc.value.code == 2
+
+
+GEN_PARAMS = {
+    "H": ["3", "3"],
+    "R": ["3"],
+    "S": ["3"],
+    "D": ["5"],
+    "remark4-H": ["5"],
+    "remark4-G": ["15"],
+    "remark6-H": ["12"],
+    "remark6-G": [],
+    "remark7-G": ["11"],
+    "path": ["5"],
+    "cycle": ["5"],
+    "complete": ["4"],
+    "random": ["8", "60", "5"],
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_gen_every_family(family, capsys):
+    assert main(["gen", family, *GEN_PARAMS[family]]) == 0
+    g = parse_edge_list(capsys.readouterr().out)
+    assert g.vertex_count >= 4
+    assert main(["gen", family, *GEN_PARAMS[family], "3"]) == 2
+    names = list(inspect.signature(FAMILIES[family]).parameters)
+    err = capsys.readouterr().err
+    assert f"takes {len(names)} integer parameter(s)" in err
+    assert " ".join(names) in err
+
+
+def _readme_paragraph(start: str) -> str:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return " ".join(text[text.index(start):].split("\n\n", 1)[0].split())
+
+
+def test_readme_lists_match_the_registries():
+    gen = re.findall(r"`([^`]+)`", _readme_paragraph("Families for `gen`:"))[1:]
+    assert [item.split()[0] for item in gen] == list(FAMILIES)
+    for item in gen:
+        name, *params = item.split()
+        assert params == list(inspect.signature(FAMILIES[name]).parameters), item
+
+    verify = _readme_paragraph("`verify` accepts the theorem ids")
+    ids = re.search(r"theorem ids `([^`]+)`", verify).group(1).split()
+    assert ids == list(THEOREM_IDS)
+    sharp = re.findall(r"`([^`]+)`", verify[verify.index("(families"):])
+    assert [item.split()[0] for item in sharp] == list(SHARPNESS)
+    for item in sharp:
+        name, *param = item.split()
+        _, expected, _ = SHARPNESS[name]
+        assert param == ([expected] if expected else []), item

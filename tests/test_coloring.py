@@ -112,6 +112,8 @@ def test_coloring_format_round_trip():
     g = gen_H(3, 3)
     coloring = cfc.construct_two_coloring(g)
     assert parse_coloring(format_coloring(coloring), g).colors == coloring.colors
+    edgeless = cfc.EdgeColoring(gen_path(1), ())
+    assert parse_coloring(format_coloring(edgeless), edgeless.graph).colors == ()
 
 
 def test_parse_coloring_rejects_repeated_edge_line():
@@ -119,6 +121,14 @@ def test_parse_coloring_rejects_repeated_edge_line():
     with pytest.raises(EdgeListParseError) as exc:
         parse_coloring("coloring 2\n0 1 1\n1 2 2\n1 0 2\n", g)
     assert exc.value.line_number == 4
+
+
+@pytest.mark.parametrize("header", ["coloring abc", "coloring -2", "coloring 3", "coloring 1"])
+def test_parse_coloring_checks_header_count(header):
+    g = gen_path(3)
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_coloring(f"# two colors\n{header}\n0 1 1\n1 2 2\n", g)
+    assert exc.value.line_number == 2
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -10,6 +10,7 @@ from cfcgraph.theorems import (
     check_thm_3_1,
     check_thm_3_4,
     check_thm_4_x,
+    harness_config,
     run_harness,
     thm_3_4_order_thresholds,
 )
@@ -157,3 +158,22 @@ def test_lemma_2_2_hypothesis_does_not_assume_the_shape(monkeypatch):
     check = check_theorem(fam.gen_cycle(5), "2.2")
     assert check.hypothesis_holds
     assert check.is_counterexample
+
+
+def test_lemma_2_3_excludes_complete_k2():
+    # K2 is one bridge whose component has order 2, but cfc(K2) = 1.
+    check = check_theorem(fam.gen_path(2), "2.3")
+    assert not check.clauses["non_complete"]
+    assert not check.hypothesis_holds
+    assert not check.is_counterexample
+
+
+def test_harness_config_defaults_and_overrides():
+    assert harness_config("2.3") == HarnessConfig(5, 9, 0.25, 0.55)
+    assert harness_config("3.1") == HarnessConfig(9, 14, 0.5, 0.9, k=3)
+    assert harness_config("3.4", k=6, n_max=50, budget=7) == HarnessConfig(
+        42, 50, 0.5, 0.9, k=6, budget=7
+    )
+    assert harness_config("4.5", k=4, n_min=34).n_min == 34
+    with pytest.raises(UnknownTheoremError):
+        harness_config("9.9")
