@@ -30,7 +30,7 @@ from .errors import (
 from .families import FAMILIES
 from .graph import Graph, degree_view, format_edge_list, is_complete, is_connected, read_edge_list
 from .solver import exact_cfc
-from .theorems import check_sharpness, harness_config, run_harness
+from .theorems import THEOREMS_WITH_K, check_sharpness, harness_config, run_harness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,9 +173,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# Flags of `verify` that only one kind of check reads; giving one to the
+# other kind is a usage error rather than a silently ignored value.
+_HARNESS_FLAGS = ("trials", "seed", "k", "n_min", "n_max", "out")
+_SHARPNESS_FLAGS = ("t", "n")
+
+
 def cmd_verify(args) -> int:
     theorem = args.theorem
-    if theorem.startswith("sharpness:"):
+    sharpness = theorem.startswith("sharpness:")
+    unused = [
+        "--" + name.replace("_", "-")
+        for name in (_HARNESS_FLAGS if sharpness else _SHARPNESS_FLAGS)
+        if getattr(args, name) is not None
+    ]
+    if not sharpness and args.k is not None and theorem not in THEOREMS_WITH_K:
+        unused.append("--k")
+    if unused:
+        raise ParamOutOfRangeError(f"verify {theorem} does not take {', '.join(unused)}")
+    if sharpness:
         params = {name: v for name, v in (("t", args.t), ("n", args.n)) if v is not None}
         result = check_sharpness(theorem.split(":", 1)[1], budget=args.budget, **params)
         sys.stdout.write(_render({"command": "verify", **result}, args.format))
@@ -184,7 +200,12 @@ def cmd_verify(args) -> int:
     config = harness_config(
         theorem, k=args.k, n_min=args.n_min, n_max=args.n_max, budget=args.budget
     )
-    report = run_harness(theorem, trials=args.trials, seed=args.seed, config=config)
+    report = run_harness(
+        theorem,
+        trials=200 if args.trials is None else args.trials,
+        seed=0 if args.seed is None else args.seed,
+        config=config,
+    )
     payload = {"command": "verify", **report.to_payload()}
     if report.counterexample is not None and args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -207,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, formats=("json", "text", "dot")):
-        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("analyze", help="structural report for an edge-list file")
@@ -230,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named family as an edge list")
     p.add_argument("family")
     p.add_argument("params", nargs="*", type=int)
-    add_common(p)
+    add_common(p, ("text", "dot"))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="randomized theorem verification / sharpness checks")
     p.add_argument("theorem")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None, help="harness trials (default 200)")
+    p.add_argument("--seed", type=int, default=None, help="harness seed (default 0)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

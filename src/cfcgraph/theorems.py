@@ -301,6 +301,7 @@ THEOREM_IDS = tuple(_HARNESS_RANGES)
 # The cut-edge bounds: default k, and base order k^2 (3.1) or k^2 + k (3.4),
 # the least order their order clause admits.
 _K_BOUNDS = {"3.1": (3, lambda k: k * k), "3.4": (5, lambda k: k * k + k)}
+THEOREMS_WITH_K = tuple(_K_BOUNDS)
 
 
 def _require_theorem_id(theorem: str) -> None:

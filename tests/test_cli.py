@@ -196,6 +196,49 @@ def test_verify_sharpness_parameter_mismatch_is_usage(argv, named, capsys):
     assert named in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["2.4", "--t", "5", "--trials", "2"], "does not take --t"),
+        (["2.4", "--n", "5", "--trials", "2"], "does not take --n"),
+        (["2.4", "--k", "3", "--trials", "2"], "does not take --k"),
+        (["sharpness:remark4-H", "--t", "5", "--out", "x.edges"], "does not take --out"),
+        (
+            ["sharpness:S", "--t", "3", "--trials", "5", "--seed", "1", "--k", "2"],
+            "does not take --trials, --seed, --k",
+        ),
+        (["sharpness:S", "--t", "3", "--n-min", "4", "--n-max", "6"], "--n-min, --n-max"),
+    ],
+)
+def test_verify_rejects_flags_the_check_does_not_read(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_harness_defaults_are_explicit_values(capsys):
+    assert main(["verify", "2.2", "--trials", "4"]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["verify", "2.2", "--trials", "4", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == implicit
+    assert json.loads(implicit)["seed"] == 0
+    assert main(["verify", "3.1", "--n-min", "9", "--n-max", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 200
+
+
+def test_gen_offers_text_and_dot_only(capsys):
+    assert main(["gen", "path", "3"]) == 0
+    default = capsys.readouterr().out
+    assert main(["gen", "path", "3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == default
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "path", "3", "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_verify_lemma_2_3_skips_k2(capsys):
     assert main(["verify", "2.3", "--n-min", "2", "--n-max", "2", "--trials", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)

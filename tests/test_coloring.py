@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
-from cfcgraph.coloring import format_coloring, parse_coloring
+from cfcgraph.coloring import conflict_free_path_from_map, format_coloring, parse_coloring
 from cfcgraph.errors import (
     CompleteGraphError,
     EdgeListParseError,
@@ -184,3 +185,64 @@ def test_refining_a_color_class_preserves_witnesses(seed):
     for path in verdict.witness_paths.values():
         assert cfc.is_conflict_free_path(refined_coloring, path)
     assert cfc.verify_conflict_free_connected(refined_coloring).is_conflict_free_connected
+
+
+def _pairwise_scan(coloring):
+    """Verdict and first failing pair by path search, one pair at a time."""
+    g = coloring.graph
+    cmap = coloring.as_dict()
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            if conflict_free_path_from_map(g, cmap, u, v) is None:
+                return False, (u, v)
+    return True, None
+
+
+def test_verifier_matches_pairwise_path_search():
+    rng = random.Random(2017)
+    verified = 0
+    for _ in range(1200):
+        n = rng.randint(2, 9)
+        g = gen_random_connected(n, rng.uniform(0.2, 1.0), seed=rng.randrange(10**6))
+        t = rng.randint(1, 3)
+        colors = tuple(rng.randint(1, t) for _ in range(g.edge_count))
+        coloring = colored(g, colors)
+        verdict = cfc.verify_conflict_free_connected(coloring)
+        expected = _pairwise_scan(coloring)
+        assert (verdict.is_conflict_free_connected, verdict.failing_pair) == expected
+        if verdict.is_conflict_free_connected or n <= 7:
+            # the recursive oracle is slow to refute dense colorings past n = 7
+            assert verdict.is_conflict_free_connected == coloring_is_conflict_free_connected(
+                g, colors
+            )
+        if verdict.is_conflict_free_connected:
+            verified += 1
+            assert len(verdict.witness_paths) == n * (n - 1) // 2
+            for (u, v), path in verdict.witness_paths.items():
+                assert (path[0], path[-1]) == (u, v)
+                assert cfc.is_conflict_free_path(coloring, path)
+        else:
+            assert verdict.witness_paths is None
+    # both verdicts occur often enough for the comparison to mean something
+    assert 300 < verified < 900
+
+
+def test_verifier_scales_to_a_chain_of_chorded_cycles():
+    # The ladder on 2 x 30 vertices: a 60-cycle with 28 chords, a chain of 29
+    # four-cycles with exponentially many paths between its ends.
+    r = 30
+    edges = [(i, i + 1) for i in range(r - 1)]
+    edges += [(r + i, r + i + 1) for i in range(r - 1)]
+    edges += [(i, r + i) for i in range(r)]
+    g = cfc.build_graph(2 * r, edges)
+    assert (g.vertex_count, g.edge_count) == (60, 88)
+    coloring = cfc.construct_two_coloring(g)
+    start = time.perf_counter()
+    verdict = cfc.verify_conflict_free_connected(coloring)
+    assert time.perf_counter() - start < 2.0
+    assert verdict.is_conflict_free_connected
+    path = verdict.witness_paths[(0, r - 1)]
+    assert (path[0], path[-1]) == (0, r - 1)
+    assert cfc.is_conflict_free_path(coloring, path)
+    mono = cfc.verify_conflict_free_connected(colored(g, (1,) * g.edge_count))
+    assert mono.failing_pair == (0, 2)
