@@ -1,12 +1,16 @@
-"""Command-line front end: analyze, color2, cfc, gen, verify.
+"""Command-line front end: analyze, color2, check, cfc, gen, verify.
 
 Exit codes: 0 success / claim holds, 2 parse or usage error, 3 hypothesis
-violated, 4 budget exhausted, 5 counterexample found.  All JSON output is
-deterministic for fixed flags (sorted keys, no timestamps).
+violated, 4 budget exhausted, 5 counterexample found / verification failed.
+All JSON output is deterministic for fixed flags (sorted keys, no
+timestamps).  ``main`` may be called any number of times in one process: the
+argument parser is built on the first call and reused, and it holds nothing
+derived from any input.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -16,6 +20,7 @@ from .coloring import (
     EdgeColoring,
     construct_two_coloring,
     format_coloring,
+    parse_coloring,
     verify_conflict_free_connected,
 )
 from .decomposition import block_decomposition, count_cut_edges
@@ -122,6 +127,21 @@ def cmd_color2(args) -> int:
     return EXIT_OK if verdict.is_conflict_free_connected else EXIT_COUNTEREXAMPLE
 
 
+def cmd_check(args) -> int:
+    g = read_edge_list(args.input)
+    with open(args.coloring, "r", encoding="utf-8") as fh:
+        coloring = parse_coloring(fh.read(), g)
+    verdict = verify_conflict_free_connected(coloring)
+    payload = {
+        "command": "check",
+        "verified": verdict.is_conflict_free_connected,
+        "palette_size": coloring.palette_size,
+        "failing_pair": None if verdict.failing_pair is None else list(verdict.failing_pair),
+    }
+    sys.stdout.write(_render(payload, "json"))
+    return EXIT_OK if verdict.is_conflict_free_connected else EXIT_COUNTEREXAMPLE
+
+
 def cmd_cfc(args) -> int:
     g = read_edge_list(args.input)
     try:
@@ -220,7 +240,14 @@ def cmd_verify(args) -> int:
     return EXIT_COUNTEREXAMPLE if report.conclusion_fail_count else EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Building it costs more than parsing a command line, so it is not redone
+    per ``main`` call.  It names each command only by ``subcommand``;
+    ``main`` looks the command function up when it runs it.
+    """
     parser = argparse.ArgumentParser(
         prog="cfcgraph",
         description="Conflict-free connection coloring toolkit",
@@ -234,25 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="structural report for an edge-list file")
     p.add_argument("input")
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("color2", help="construct and verify the explicit 2-coloring")
     p.add_argument("input")
     add_common(p)
-    p.set_defaults(func=cmd_color2)
+
+    p = sub.add_parser("check", help="verify a coloring file against an edge-list file")
+    p.add_argument("input")
+    p.add_argument("coloring")
 
     p = sub.add_parser("cfc", help="exact conflict-free connection number")
     p.add_argument("input")
     p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     add_common(p, ("json", "text"))
-    p.set_defaults(func=cmd_cfc)
 
     p = sub.add_parser("gen", help="generate a named family as an edge list")
     p.add_argument("family")
     p.add_argument("params", nargs="*", type=int)
     add_common(p, ("text", "dot"))
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="randomized theorem verification / sharpness checks")
     p.add_argument("theorem")
@@ -265,15 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     add_common(p, ("json", "text"))
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Resolved per call rather than stored in the shared parser, so a
+    # rebound module-level command function is the one that runs.
+    command = globals()["cmd_" + args.subcommand]
     try:
-        return args.func(args)
+        return command(args)
     except EdgeListParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from .errors import (
     NotAPathError,
     NotConnectedError,
 )
-from .graph import Edge, Graph, canonical_edge, is_complete, is_connected
+from .graph import Edge, Graph, canonical_edge, is_complete, is_connected, nonadjacent_pairs
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     if not is_connected(g):
         raise NotConnectedError("verification requires a connected graph")
     n = g.vertex_count
-    unserved = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    unserved = nonadjacent_pairs(g)
     served: Dict[Tuple[int, int], Tuple[int, int, int]] = {}  # pair -> (c, a, b)
     classes: Dict[int, List[Edge]] = {}
     for e, c in zip(g.edges, coloring.colors):

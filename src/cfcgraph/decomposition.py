@@ -92,11 +92,14 @@ class BlockMatching:
 def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
     """Iterative lowpoint DFS: returns (blocks as edge lists, cut vertices).
 
+    Each block is the slice of the edge stack above its tree edge; a DFS
+    pushes every edge once, so a block lists each of its edges once.
     Raises NotConnectedError when it reaches fewer than all vertices.
     """
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("connectivity is undefined for the empty graph")
+    adjacency = g.adjacency
     disc = [-1] * n
     low = [0] * n
     blocks: List[List[Edge]] = []
@@ -107,46 +110,41 @@ def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
     counter = 0
     disc[root] = low[root] = counter
     counter += 1
-    frames = [[root, -1, iter(g.adjacency[root])]]
+    # Frame: vertex, DFS parent, neighbour iterator, edge-stack height at
+    # the tree edge into the vertex.
+    frames = [(root, -1, iter(adjacency[root]), 0)]
     root_children = 0
 
     while frames:
-        u, pu, it = frames[-1]
+        u, pu, it, _ = frames[-1]
         pushed = False
         for v in it:
             if v == pu:
                 continue
             if disc[v] == -1:
-                edge_stack.append(canonical_edge(u, v))
+                frames.append((v, u, iter(adjacency[v]), len(edge_stack)))
+                edge_stack.append((u, v) if u < v else (v, u))
                 disc[v] = low[v] = counter
                 counter += 1
-                frames.append([v, u, iter(g.adjacency[v])])
                 if u == root:
                     root_children += 1
                 pushed = True
                 break
             if disc[v] < disc[u]:
-                edge_stack.append(canonical_edge(u, v))
+                edge_stack.append((u, v) if u < v else (v, u))
                 if disc[v] < low[u]:
                     low[u] = disc[v]
         if pushed:
             continue
-        frames.pop()
+        _, p, _, height = frames.pop()
         if frames:
-            p = frames[-1][0]
             if low[u] < low[p]:
                 low[p] = low[u]
             if low[u] >= disc[p]:
                 if p != root:
                     cut.add(p)
-                marker = canonical_edge(p, u)
-                block: List[Edge] = []
-                while True:
-                    e = edge_stack.pop()
-                    block.append(e)
-                    if e == marker:
-                        break
-                blocks.append(block)
+                blocks.append(edge_stack[height:])
+                del edge_stack[height:]
     if counter != n:
         raise NotConnectedError("operation requires a connected graph")
     if root_children >= 2:
@@ -162,10 +160,14 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     raw_blocks, cut = _biconnected(g)
     blocks = []
     for edge_list in raw_blocks:
-        edges = tuple(sorted(set(edge_list)))
-        vertices = tuple(sorted({x for e in edges for x in e}))
-        blocks.append(Block(edges=edges, vertices=vertices))
-    blocks.sort(key=lambda b: b.edges)
+        if len(edge_list) == 1:
+            blocks.append(Block(edges=tuple(edge_list), vertices=edge_list[0]))
+            continue
+        edge_list.sort()
+        vertices = tuple(sorted({x for e in edge_list for x in e}))
+        blocks.append(Block(edges=tuple(edge_list), vertices=vertices))
+    # Blocks are edge-disjoint, so their first edges alone fix the order.
+    blocks.sort(key=lambda b: b.edges[0])
     cut_edges = frozenset(b.edges[0] for b in blocks if b.is_trivial)
     tree_edges = tuple(
         (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut

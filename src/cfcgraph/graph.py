@@ -6,7 +6,8 @@ Vertices are dense indices 0..n-1.  Edges are stored in canonical form
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO, Tuple
+from itertools import combinations
+from typing import Iterable, List, Optional, TextIO, Tuple
 
 from .errors import (
     EdgeListParseError,
@@ -17,6 +18,12 @@ from .errors import (
 
 Edge = Tuple[int, int]
 
+# Largest vertex count an edge-list file may declare.  Every vertex, even an
+# isolated one, costs memory (adjacency, traversal arrays: about 100 MB for
+# `analyze` at this order), so a larger header is refused before anything
+# is allocated.
+MAX_VERTEX_COUNT = 1 << 20
+
 
 def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -26,9 +33,10 @@ def canonical_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple undirected graph.
 
-    ``edges`` is a sorted tuple of canonical (min, max) pairs; ``adjacency``
-    holds sorted neighbor tuples and is derived, so it is excluded from
-    equality and hashing.
+    ``edges`` is a strictly increasing tuple of canonical (min, max) pairs
+    of vertices in [0, vertex_count); any other tuple raises ValueError.
+    ``adjacency`` holds sorted neighbor tuples and is derived, so it is
+    excluded from equality and hashing.
     """
 
     vertex_count: int
@@ -37,11 +45,23 @@ class Graph:
     edge_set: frozenset = field(compare=False, repr=False, default=frozenset())
 
     def __post_init__(self):
-        neighbors = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(s)) for s in neighbors))
+        # Appending from the sorted canonical edges fills each vertex's
+        # neighbours in ascending order: its lower neighbours u from the
+        # edges (u, x), then its higher neighbours from the edges (x, v).
+        n = self.vertex_count
+        adjacency = [[] for _ in range(n)]
+        prev = (0, 0)
+        for e in self.edges:
+            u, v = e
+            if e <= prev or not u < v < n:
+                raise ValueError(
+                    f"edges must be sorted canonical pairs (u, v), 0 <= u < v < {n}; "
+                    f"got {e} after {prev}"
+                )
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            prev = e
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
         object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     @property
@@ -114,17 +134,17 @@ def degree_view(g: Graph) -> VertexDegreeView:
     return VertexDegreeView(degrees=degrees, min_degree=min(degrees))
 
 
+def nonadjacent_pairs(g: Graph) -> List[Edge]:
+    """Every pair (u, v), u < v, of nonadjacent vertices, in lexicographic
+    order."""
+    edge_set = g.edge_set
+    return [p for p in combinations(range(g.vertex_count), 2) if p not in edge_set]
+
+
 def min_nonadjacent_degree_sum(g: Graph) -> Optional[int]:
     """Minimum of deg(x)+deg(y) over nonadjacent pairs; None for complete graphs."""
-    best = None
     deg = [len(a) for a in g.adjacency]
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            if not g.has_edge(u, v):
-                s = deg[u] + deg[v]
-                if best is None or s < best:
-                    best = s
-    return best
+    return min((deg[u] + deg[v] for u, v in nonadjacent_pairs(g)), default=None)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -132,10 +152,11 @@ def parse_edge_list(text: str) -> Graph:
 
     First non-comment line is ``n m``, followed by m lines ``u v`` with
     0-based endpoints, each edge once in either orientation.  Lines starting
-    with ``#`` are comments.
+    with ``#`` are comments.  A header n above MAX_VERTEX_COUNT is an error
+    at the header line, raised before anything of size n is allocated.
     """
     n = None  # until the header line
-    seen = set()
+    seen = {}  # u * n + v -> (u, v), u < v
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -150,6 +171,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError("header fields must be integers", lineno)
             if n < 0:
                 raise EdgeListParseError(f"vertex_count must be nonnegative, got {n}", lineno)
+            if n > MAX_VERTEX_COUNT:
+                raise EdgeListParseError(
+                    f"vertex_count must be at most {MAX_VERTEX_COUNT}, got {n}", lineno
+                )
             continue
         if len(parts) != 2:
             raise EdgeListParseError("expected edge line 'u v'", lineno)
@@ -161,17 +186,17 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n) or not (0 <= v < n):
             raise EdgeListParseError(f"edge ({u}, {v}) has an endpoint outside [0, {n})", lineno)
-        e = canonical_edge(u, v)
-        if e in seen:
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
             raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
-        seen.add(e)
+        seen[key] = (u, v) if u < v else (v, u)
     if n is None:
         raise EdgeListParseError("missing header 'n m'", 1)
     if len(seen) != expected_m:
         raise EdgeListParseError(
             f"header declares {expected_m} edges but {len(seen)} were given", 1
         )
-    return Graph(vertex_count=n, edges=tuple(sorted(seen)))
+    return Graph(vertex_count=n, edges=tuple(map(seen.__getitem__, sorted(seen))))
 
 
 def read_edge_list(path) -> Graph:

@@ -31,7 +31,7 @@ from .errors import (
     NotConnectedError,
     TrivialGraphError,
 )
-from .graph import Graph, canonical_edge, is_complete, is_connected
+from .graph import Graph, canonical_edge, is_complete, is_connected, nonadjacent_pairs
 
 _PATH_CAP_PER_PAIR = 4096
 
@@ -78,11 +78,11 @@ def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, 
     least significant.  A pair whose path count exceeds the cap gets None and
     is checked by depth-first search per coloring instead.
     """
-    m, n = g.edge_count, g.vertex_count
+    m = g.edge_count
     edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
     out = []
     # Adjacent pairs are always conflict-free connected via their single edge.
-    for u, v in [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]:
+    for u, v in nonadjacent_pairs(g):
         masks: List[Tuple[int, int]] = []
         capped = False
         for p in enumerate_simple_paths(g, u, v):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import re
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cfcgraph.cli import main
+from cfcgraph.cli import build_parser, main
 from cfcgraph.families import FAMILIES
-from cfcgraph.graph import parse_edge_list
+from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
 
 
@@ -313,3 +314,122 @@ def test_readme_lists_match_the_registries():
         name, *param = item.split()
         _, expected, _ = SHARPNESS[name]
         assert param == ([expected] if expected else []), item
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `main` call, an
+    argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(c5_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sequence = [
+        ["analyze", c5_file],
+        ["color2", c5_file, "--out", "c5.coloring"],
+        ["check", c5_file, "c5.coloring"],
+        ["cfc", c5_file, "--format", "text"],
+        ["gen", "S", "3"],
+        ["verify", "2.2", "--trials", "3", "--seed", "1"],
+        ["cfc", c5_file, "--format", "dot"],  # argparse usage error
+        ["verify", "2.4", "--t", "5"],  # a flag the check does not read
+        ["analyze", "--format", "text", c5_file],
+        ["gen", "path", "4", "--format", "dot"],
+    ]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    build_parser()
+    one_tree = len(built)
+    build_parser.cache_clear()
+    built.clear()
+    assert [_outcome(argv, capsys) for argv in sequence] == fresh
+    assert len(built) == one_tree
+
+
+@pytest.fixture
+def c5_colorings(tmp_path):
+    good = tmp_path / "good.coloring"
+    good.write_text("coloring 2\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n0 4 2\n")
+    bad = tmp_path / "one-color.coloring"
+    bad.write_text("coloring 1\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n0 4 1\n")
+    return str(good), str(bad)
+
+
+def test_check_accepts_a_conflict_free_coloring(c5_file, c5_colorings, capsys):
+    assert main(["check", c5_file, c5_colorings[0]]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check",
+        "failing_pair": None,
+        "palette_size": 2,
+        "verified": True,
+    }
+
+
+def test_check_names_the_failing_pair(c5_file, c5_colorings, capsys):
+    assert main(["check", c5_file, c5_colorings[1]]) == 5
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check",
+        "failing_pair": [0, 2],
+        "palette_size": 1,
+        "verified": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("coloring 2\n0 1 1\n1 2 x\n", "line 3: fields must be integers"),
+        ("colouring 2\n0 1 1\n", "line 1: expected header 'coloring t', t a whole number"),
+        ("coloring 2\n0 1 1\n1 2 2\n", "line 1: color map must cover exactly the graph's edges"),
+    ],
+)
+def test_check_bad_coloring_file_is_usage(text, message, c5_file, tmp_path, capsys):
+    path = tmp_path / "bad.coloring"
+    path.write_text(text)
+    assert main(["check", c5_file, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_hostile_header_fails_at_the_header_in_bounded_memory(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def run_limited(text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        return subprocess.run(
+            [sys.executable, "-m", "cfcgraph.cli", "analyze", "--format", "text", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    proc = run_limited("100000000 1\n0 1\n")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: line 1: vertex_count must be at most {MAX_VERTEX_COUNT}, got 100000000\n"
+    )
+    proc = run_limited(f"{MAX_VERTEX_COUNT} 1\n0 1\n")
+    assert proc.returncode == 0, proc.stderr
+    assert f"n: {MAX_VERTEX_COUNT}\n" in proc.stdout
+    assert "connected: False\n" in proc.stdout

@@ -253,3 +253,60 @@ def test_cut_edge_profile_is_linear_in_bridge_run_length():
     elapsed = time.perf_counter() - start
     assert profile.component_orders == (20000,)
     assert elapsed < 2.0, f"{elapsed:.2f} s for a 19999-bridge path"
+
+
+def _assert_decomposition_matches_reference(g):
+    """The whole decomposition against networkx blocks and cut vertices and
+    the remove-and-test bridges, in the documented order: blocks sorted by
+    their edge tuples, tree edges (block index, cut vertex) in block order."""
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(range(g.vertex_count))
+    blocks = sorted(
+        tuple(sorted(cfc.canonical_edge(a, b) for a, b in c))
+        for c in nx.biconnected_component_edges(h)
+    )
+    vertices = [tuple(sorted({x for e in edges for x in e})) for edges in blocks]
+    cut = frozenset(nx.articulation_points(h))
+    d = cfc.block_decomposition(g)
+    assert [b.edges for b in d.blocks] == blocks
+    assert [b.vertices for b in d.blocks] == vertices
+    assert d.cut_vertices == cut
+    assert d.tree_edges == tuple(
+        (i, v) for i, vs in enumerate(vertices) for v in vs if v in cut
+    )
+    assert d.cut_edges == bridge_oracle(g) == cfc.find_cut_edges(g)
+    _assert_profile_matches_oracle(g)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    _assert_decomposition_matches_reference(
+        gen_random_connected(n, rng.uniform(0.15, 0.9), seed=seed)
+    )
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_decomposition_matches_reference_on_glued_blocks(seed):
+    _assert_decomposition_matches_reference(gen_random_glued_blocks(seed))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_structural_pass_rejects_disconnected_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    p = rng.uniform(0.1, 0.6)
+    g = cfc.build_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(range(n))
+    if nx.is_connected(h):
+        return
+    for structural_pass in (cfc.block_decomposition, cfc.find_cut_edges, cfc.cut_edge_profile):
+        with pytest.raises(NotConnectedError):
+            structural_pass(g)

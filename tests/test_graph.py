@@ -8,6 +8,7 @@ from cfcgraph.errors import (
     InvalidVertexError,
     SelfLoopError,
 )
+from cfcgraph.graph import MAX_VERTEX_COUNT, nonadjacent_pairs
 
 
 def test_build_triangle():
@@ -158,3 +159,72 @@ def test_parse_reports_negative_order_at_header_line():
     with pytest.raises(EdgeListParseError) as exc:
         cfc.parse_edge_list("# c\n-1 0\n")
     assert str(exc.value) == "line 2: vertex_count must be nonnegative, got -1"
+
+
+@given(edge_lists())
+def test_adjacency_equals_sorted_neighbour_sets(ne):
+    n, edges = ne
+    g = cfc.build_graph(n, edges)
+    neighbours = [set() for _ in range(n)]
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    assert g.adjacency == tuple(tuple(sorted(s)) for s in neighbours)
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (3, ((0, 2), (0, 1))),  # unsorted
+        (3, ((1, 0),)),  # not canonical
+        (3, ((0, 1), (0, 1))),  # repeated
+        (3, ((1, 1),)),  # self-loop
+        (3, ((0, 3),)),  # endpoint out of range
+        (3, ((-1, 2),)),  # negative endpoint
+    ],
+)
+def test_graph_rejects_edges_that_are_not_sorted_canonical_pairs(n, edges):
+    with pytest.raises(ValueError):
+        cfc.Graph(vertex_count=n, edges=edges)
+
+
+def test_nonadjacent_pairs_in_lexicographic_order():
+    c4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert nonadjacent_pairs(c4) == [(0, 2), (1, 3)]
+    assert nonadjacent_pairs(cfc.build_graph(3, [(0, 1), (1, 2), (0, 2)])) == []
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("3\n0 1\n", 1, "expected header 'n m'"),
+        ("# c\nthree 1\n0 1\n", 2, "header fields must be integers"),
+        ("-1 0\n", 1, "vertex_count must be nonnegative, got -1"),
+        ("3 2\n0 1\n1 2 0\n", 3, "expected edge line 'u v'"),
+        ("3 2\n0 1\n1 x\n", 3, "edge endpoints must be integers"),
+        ("3 2\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
+        ("3 2\n0 1\n\n1 3\n", 4, "edge (1, 3) has an endpoint outside [0, 3)"),
+        ("3 2\n0 1\n-1 2\n", 3, "edge (-1, 2) has an endpoint outside [0, 3)"),
+        ("3 3\n0 1\n1 2\n2 1\n", 4, "repeated edge 2 1"),
+        ("3 3\n0 1\n1 2\n0 1\n", 4, "repeated edge 0 1"),
+        ("3 3\n0 1\n1 2\n", 1, "header declares 3 edges but 2 were given"),
+        ("3 1\n0 1\n1 2\n", 1, "header declares 1 edges but 2 were given"),
+        ("# nothing else\n", 1, "missing header 'n m'"),
+    ],
+)
+def test_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(EdgeListParseError) as exc:
+        cfc.parse_edge_list(text)
+    assert exc.value.line_number == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_parse_bounds_the_header_vertex_count():
+    with pytest.raises(EdgeListParseError) as exc:
+        cfc.parse_edge_list(f"# c\n{MAX_VERTEX_COUNT + 1} 1\n0 1\n")
+    assert str(exc.value) == (
+        f"line 2: vertex_count must be at most {MAX_VERTEX_COUNT}, got {MAX_VERTEX_COUNT + 1}"
+    )
+    g = cfc.parse_edge_list("3 1\n0 1\n")
+    assert g.vertex_count == 3 and g.edges == ((0, 1),)
+    assert not cfc.is_connected(g)
