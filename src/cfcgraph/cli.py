@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
         "command": "check",
         "verified": verdict.is_conflict_free_connected,
         "palette_size": coloring.palette_size,
-        "failing_pair": None if verdict.failing_pair is None else list(verdict.failing_pair),
+        "failing_pair": verdict.failing_pair,
     }
     sys.stdout.write(_render(payload, "json"))
     return EXIT_OK if verdict.is_conflict_free_connected else EXIT_COUNTEREXAMPLE
