@@ -13,14 +13,12 @@ from .coloring import (
     construct_two_coloring,
     is_conflict_free_path,
     make_coloring,
-    normalize_coloring,
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
 from .decomposition import (
     Block,
     BlockDecomposition,
-    BlockMatching,
     BridgeComponent,
     CutEdgeProfile,
     block_decomposition,
@@ -41,7 +39,6 @@ from .graph import (
     min_nonadjacent_degree_sum,
     parse_edge_list,
     read_edge_list,
-    write_edge_list,
 )
 from .solver import (
     CfcResult,

@@ -30,6 +30,7 @@ from .errors import (
     CompleteGraphError,
     EdgeListParseError,
     HypothesisViolatedError,
+    NotConnectedError,
     ParamOutOfRangeError,
 )
 from .families import FAMILIES
@@ -75,7 +76,13 @@ def cmd_analyze(args) -> int:
     if args.format == "dot":
         _write_output(_graph_dot(g), args.out)
         return EXIT_OK
-    connected = is_connected(g)
+    # The one structural pass is also the connectivity check.
+    decomp, connected = None, True
+    if g.vertex_count >= 2:
+        try:
+            decomp = block_decomposition(g)
+        except NotConnectedError:
+            connected = False
     payload: Dict = {
         "command": "analyze",
         "n": g.vertex_count,
@@ -84,8 +91,7 @@ def cmd_analyze(args) -> int:
         "connected": connected,
         "complete": is_complete(g),
     }
-    if connected and g.vertex_count >= 2:
-        decomp = block_decomposition(g)
+    if decomp is not None:
         profile = decomp.profile
         payload.update(
             {

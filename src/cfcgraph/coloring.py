@@ -110,80 +110,12 @@ def enumerate_simple_paths(g: Graph, source: int, target: int) -> Iterator[Tuple
             on_path[path.pop()] = False
 
 
-def conflict_free_path_from_map(
-    g: Graph, cmap: Dict[Edge, int], source: int, target: int
-) -> Optional[Tuple[int, ...]]:
-    """First conflict-free source-target path in depth-first order under the
-    edge-color map ``cmap``, or None after the pair's whole simple-path space
-    is exhausted.
-
-    Color multiplicities are maintained incrementally, so each step is O(1).
-    """
-    counts: Dict[int, int] = {}
-    singles = 0  # number of colors currently used exactly once
-
-    def add(c):
-        nonlocal singles
-        k = counts.get(c, 0) + 1
-        counts[c] = k
-        if k == 1:
-            singles += 1
-        elif k == 2:
-            singles -= 1
-
-    def remove(c):
-        nonlocal singles
-        k = counts[c] - 1
-        counts[c] = k
-        if k == 0:
-            singles -= 1
-        elif k == 1:
-            singles += 1
-
-    path = [source]
-    on_path = [False] * g.vertex_count
-    on_path[source] = True
-    stack = [iter(g.adjacency[source])]
-    while stack:
-        it = stack[-1]
-        advanced = False
-        for w in it:
-            if on_path[w]:
-                continue
-            c = cmap[canonical_edge(path[-1], w)]
-            if w == target:
-                add(c)
-                if singles > 0:
-                    return tuple(path) + (target,)
-                remove(c)
-                continue
-            add(c)
-            path.append(w)
-            on_path[w] = True
-            stack.append(iter(g.adjacency[w]))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            last = path.pop()
-            on_path[last] = False
-            if path:
-                remove(cmap[canonical_edge(path[-1], last)])
-    return None
-
-
 def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     """Decide whether every vertex pair is joined by a conflict-free path.
 
     Exact for any number of colors, in O(m (n + m)) time plus the pair
-    bookkeeping.  It rests on Menger's theorem: a u-v path uses color c
-    exactly once, on edge ab, iff G - E_c (G without the edges of color c)
-    has two vertex-disjoint paths from {u, v} to {a, b}.  Adjacent pairs are
-    served by their own edge.  For each edge ab, color classes smallest
-    first, one lowpoint DFS of G - E_c plus a vertex s adjacent to a and b
-    labels every vertex reached with the vertex of s's blocks under which it
-    hangs; the pairs reached with different labels are served by ab.  The
-    sweep stops as soon as every pair is served.
+    bookkeeping (see ``_serve_pairs``).  Adjacent pairs are served by their
+    own edge.
 
     ``failing_pair`` is the lexicographically first unserved pair.  On
     success ``witness_paths`` maps every pair (u < v) to a conflict-free
@@ -192,11 +124,40 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     g = coloring.graph
     if not is_connected(g):
         raise NotConnectedError("verification requires a connected graph")
+    served, unserved = _serve_pairs(g, coloring.colors, nonadjacent_pairs(g))
+    if unserved:
+        return CfcVerdict(
+            is_conflict_free_connected=False, witness_paths=None, failing_pair=unserved[0]
+        )
+    return CfcVerdict(
+        is_conflict_free_connected=True,
+        witness_paths=WitnessPaths(coloring, served),
+        failing_pair=None,
+    )
+
+
+def _serve_pairs(
+    g: Graph, colors: Sequence[int], pairs: List[Edge]
+) -> Tuple[Dict[Edge, Tuple[int, int, int]], List[Edge]]:
+    """Split ``pairs`` into those joined by a conflict-free path under
+    ``colors`` (aligned with ``g.edges``) and the rest.
+
+    Returns ``(served, unserved)``: ``served`` maps each served pair to its
+    serving edge ab and that edge's color c as ``(c, a, b)``; ``unserved``
+    keeps the given order.  It rests on Menger's theorem: a u-v path uses
+    color c exactly once, on edge ab, iff G - E_c (G without the edges of
+    color c) has two vertex-disjoint paths from {u, v} to {a, b}.  For each
+    edge ab, color classes smallest first, one lowpoint DFS of G - E_c plus
+    a vertex s adjacent to a and b labels every vertex reached with the
+    vertex of s's blocks under which it hangs; the pairs reached with
+    different labels are served by ab.  The sweep stops as soon as every
+    pair is served.
+    """
     n = g.vertex_count
-    unserved = nonadjacent_pairs(g)
-    served: Dict[Tuple[int, int], Tuple[int, int, int]] = {}  # pair -> (c, a, b)
+    unserved = pairs
+    served: Dict[Edge, Tuple[int, int, int]] = {}
     classes: Dict[int, List[Edge]] = {}
-    for e, c in zip(g.edges, coloring.colors):
+    for e, c in zip(g.edges, colors):
         classes.setdefault(c, []).append(e)
 
     # One set of DFS arrays for every edge: discovery times keep rising from
@@ -211,7 +172,7 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     for c, members in sorted(classes.items(), key=lambda item: (len(item[1]), item[0])):
         if not unserved:
             break
-        adj = _adjacency_without(coloring, c)
+        adj = _adjacency_without(g, colors, c)
         adj.append([])
         for a, b in members:
             adj[a].append(s)
@@ -255,21 +216,13 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
             unserved = rest
             if not unserved:
                 break
-    if unserved:
-        return CfcVerdict(
-            is_conflict_free_connected=False, witness_paths=None, failing_pair=unserved[0]
-        )
-    return CfcVerdict(
-        is_conflict_free_connected=True,
-        witness_paths=WitnessPaths(coloring, served),
-        failing_pair=None,
-    )
+    return served, unserved
 
 
-def _adjacency_without(coloring: EdgeColoring, color: int) -> List[List[int]]:
+def _adjacency_without(g: Graph, colors: Sequence[int], color: int) -> List[List[int]]:
     """Adjacency lists of G - E_color."""
-    adj: List[List[int]] = [[] for _ in range(coloring.graph.vertex_count)]
-    for (x, y), c in zip(coloring.graph.edges, coloring.colors):
+    adj: List[List[int]] = [[] for _ in range(g.vertex_count)]
+    for (x, y), c in zip(g.edges, colors):
         if c != color:
             adj[x].append(y)
             adj[y].append(x)
@@ -305,7 +258,8 @@ class WitnessPaths(Mapping):
         if pair in self._coloring.graph.edge_set:
             return pair
         c, a, b = self._served[pair]
-        to_u, to_v = _two_disjoint_paths(_adjacency_without(self._coloring, c), pair, (a, b))
+        g, colors = self._coloring.graph, self._coloring.colors
+        to_u, to_v = _two_disjoint_paths(_adjacency_without(g, colors, c), pair, (a, b))
         return tuple(to_u) + tuple(reversed(to_v))
 
 
@@ -389,8 +343,6 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
     component is colored 1 / 1,2 / 1,2,1 along its path depending on order;
     every other edge gets color 1.
     """
-    if not is_connected(g):
-        raise NotConnectedError("construction requires a connected graph")
     if is_complete(g):
         raise CompleteGraphError("complete graphs need only one color")
     if d is None:
@@ -403,7 +355,7 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
         )
 
     color_map = {e: 1 for e in g.edges}
-    for e in select_block_matching(d).chosen_edges:
+    for e in select_block_matching(d):
         color_map[e] = 2
     largest = profile.largest
     if largest is not None and largest.order >= 3:
@@ -412,17 +364,6 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
         a, b = largest.path_sequence[1:3]
         color_map[canonical_edge(a, b)] = 2
     return make_coloring(g, color_map)
-
-
-def normalize_coloring(coloring: EdgeColoring) -> EdgeColoring:
-    """Renumber colors to 1..t by first occurrence in canonical edge order."""
-    mapping: Dict[int, int] = {}
-    out = []
-    for c in coloring.colors:
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-        out.append(mapping[c])
-    return EdgeColoring(graph=coloring.graph, colors=tuple(out))
 
 
 def format_coloring(coloring: EdgeColoring) -> str:

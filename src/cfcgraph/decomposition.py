@@ -70,10 +70,6 @@ class CutEdgeProfile:
     max_component_edges: int
 
     @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
     def largest(self) -> Optional[BridgeComponent]:
         return self.components[-1] if self.components else None
 
@@ -82,11 +78,6 @@ class CutEdgeProfile:
         """Lemma 2.2's necessary condition for cfc = 2: C(G) is a linear
         forest whose every component has at most three edges."""
         return self.is_linear_forest and self.max_component_edges <= 3
-
-
-@dataclass(frozen=True)
-class BlockMatching:
-    chosen_edges: Tuple[Edge, ...]
 
 
 def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
@@ -250,8 +241,9 @@ def _bridge_profile(bridges: FrozenSet[Edge]) -> CutEdgeProfile:
     )
 
 
-def select_block_matching(d: BlockDecomposition) -> BlockMatching:
-    """Choose one edge per nontrivial block so the choices form a matching.
+def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
+    """Choose one edge per nontrivial block so the choices form a matching;
+    returns them sorted.
 
     The block-cut tree is rooted at the lowest-index cut vertex (or at the
     unique block when there is none); each nontrivial block avoids the cut
@@ -260,53 +252,31 @@ def select_block_matching(d: BlockDecomposition) -> BlockMatching:
     (the root-side one) may pick an edge touching it, so the result is a
     matching.  Lowest canonical-order choice keeps the output deterministic.
     """
-    nontrivial = [i for i, b in enumerate(d.blocks) if not b.is_trivial]
-    if not nontrivial:
-        return BlockMatching(chosen_edges=())
+    blocks_at: Dict[int, List[int]] = {}
+    cuts_of: Dict[int, List[int]] = {}
+    for bi, v in d.tree_edges:
+        blocks_at.setdefault(v, []).append(bi)
+        cuts_of.setdefault(bi, []).append(v)
+    # Root-side cut vertex per block, from one walk down the tree: a cut
+    # vertex is entered from its parent block, a block from its parent cut
+    # vertex, and neither walks back to where it came from.
+    attachment: Dict[int, int] = {}
+    stack = [(min(d.cut_vertices), -1)] if d.cut_vertices else []
+    while stack:
+        x, from_block = stack.pop()
+        for bi in blocks_at[x]:
+            if bi != from_block:
+                attachment[bi] = x
+                stack.extend((v, bi) for v in cuts_of[bi] if v != x)
 
-    # Attachment vertex per block: the cut vertex adjacent to the block on
-    # the path toward the root of the block-cut tree.
-    attachment: Dict[int, Optional[int]] = {}
-    if not d.cut_vertices:
-        attachment[0] = None
-    else:
-        root = ("cut", min(d.cut_vertices))
-        block_cuts: Dict[int, List[int]] = {}
-        cut_blocks: Dict[int, List[int]] = {}
-        for bi, v in d.tree_edges:
-            block_cuts.setdefault(bi, []).append(v)
-            cut_blocks.setdefault(v, []).append(bi)
-        visited = {root}
-        frontier = [root]
-        for bi in range(len(d.blocks)):
-            attachment[bi] = None
-        while frontier:
-            node = frontier.pop()
-            kind, x = node
-            if kind == "cut":
-                for bi in cut_blocks.get(x, []):
-                    child = ("block", bi)
-                    if child not in visited:
-                        visited.add(child)
-                        attachment[bi] = x
-                        frontier.append(child)
-            else:
-                for v in block_cuts.get(x, []):
-                    child = ("cut", v)
-                    if child not in visited:
-                        visited.add(child)
-                        frontier.append(child)
-
-    chosen = []
-    for bi in nontrivial:
-        block = d.blocks[bi]
-        avoid = attachment.get(bi)
-        edge = min(e for e in block.edges if avoid not in e)
-        chosen.append(edge)
-    chosen.sort()
+    chosen = sorted(
+        min(e for e in b.edges if attachment.get(bi) not in e)
+        for bi, b in enumerate(d.blocks)
+        if not b.is_trivial
+    )
     # Matching property is guaranteed by construction; check defensively.
     used = set()
     for u, v in chosen:
         assert u not in used and v not in used, "chosen edges are not a matching"
         used.update((u, v))
-    return BlockMatching(chosen_edges=tuple(chosen))
+    return tuple(chosen)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, List, Optional, TextIO, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import (
     EdgeListParseError,
@@ -209,7 +209,3 @@ def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     lines.append(f"{g.vertex_count} {g.edge_count}")
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def write_edge_list(g: Graph, fh: TextIO, comments: Iterable[str] = ()) -> None:
-    fh.write(format_edge_list(g, comments))

@@ -4,9 +4,9 @@ Colorings are enumerated as base-t odometers over canonical edge order with
 the first edge's color fixed to 1 (color-swap symmetry), so the reported
 witness is the lexicographically smallest successful coloring.  One sweep
 serves every t: each color class is an edge bitmask, and a pair check is one
-popcount per class and path; only pairs with more than ``_PATH_CAP_PER_PAIR``
-simple paths are checked by depth-first search.  The budget counts
-(coloring, pair) verification steps, not wall time.
+popcount per class and path; a pair with more than ``_PATH_CAP_PER_PAIR``
+simple paths is checked by the exact verifier's per-edge rule instead.  The
+budget counts (coloring, pair) verification steps, not wall time.
 
 The search starts at t = 3 when the cut-edge profile fails Lemma 2.2's
 necessary shape (``CutEdgeProfile.lemma_2_2_shape``); ``cfc_bracket`` takes
@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .coloring import (
     EdgeColoring,
-    conflict_free_path_from_map,
+    _serve_pairs,
     enumerate_simple_paths,
     two_coloring_hypothesis_holds,
 )
@@ -76,7 +76,7 @@ def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, 
 
     Edge i of the canonical order is bit m-1-i, so the last edge is the
     least significant.  A pair whose path count exceeds the cap gets None and
-    is checked by depth-first search per coloring instead.
+    is checked per coloring by the exact verifier instead.
     """
     m = g.edge_count
     edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
@@ -129,8 +129,7 @@ def _sweep(g: Graph, t: int, pairs, budget: _Budget) -> Optional[Tuple[int, ...]
             budget.spend()
             u, v, masks = pair
             if masks is None:
-                cmap = dict(zip(g.edges, _colors(m, classes)))
-                served = conflict_free_path_from_map(g, cmap, u, v) is not None
+                served = not _serve_pairs(g, _colors(m, classes), [(u, v)])[1]
             else:
                 served = False
                 for pmask, ones in masks:
@@ -175,8 +174,6 @@ def exact_cfc(
     witness coloring.  Intended for desk-scale graphs (roughly m <= 20)."""
     if g.vertex_count < 2:
         raise TrivialGraphError("cfc needs at least two vertices")
-    if not is_connected(g):
-        raise NotConnectedError("cfc is defined for connected graphs")
     if max_colors is None:
         max_colors = g.edge_count
     tracker = _Budget(limit=budget)
@@ -228,8 +225,6 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
     """Cheap lower/upper bounds on cfc without search."""
-    if not is_connected(g):
-        raise NotConnectedError("bracket is defined for connected graphs")
     if is_complete(g):
         return (1, 1)
     profile = cut_edge_profile(g)

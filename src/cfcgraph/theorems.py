@@ -26,7 +26,6 @@ from .decomposition import (
     cut_edge_profile,
 )
 from .errors import (
-    NotConnectedError,
     OracleInfeasibleError,
     ParamOutOfRangeError,
     UnknownTheoremError,
@@ -36,7 +35,6 @@ from .graph import (
     Graph,
     degree_view,
     is_complete,
-    is_connected,
     min_nonadjacent_degree_sum,
 )
 from .solver import exists_two_coloring
@@ -85,11 +83,6 @@ class TheoremReport:
         }
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise NotConnectedError("theorem predicates need a connected graph")
-
-
 def _structure(g: Graph) -> Tuple[Optional[BlockDecomposition], CutEdgeProfile]:
     """A check's one structural pass: g's block decomposition and its C(G).
     The one-vertex graph has no blocks, only an empty C(G)."""
@@ -101,7 +94,6 @@ def _structure(g: Graph) -> Tuple[Optional[BlockDecomposition], CutEdgeProfile]:
 
 def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
     """delta >= (n-k+1)/k on order n >= k^2 forces at most k-2 cut edges."""
-    _require_connected(g)
     if k < 3:
         raise UnknownTheoremError("the cut-edge bound needs k >= 3")
     n = g.vertex_count
@@ -136,7 +128,6 @@ def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
 def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
     """Degree-sum >= (2n-2k+1)/k over nonadjacent pairs forces at most k-2
     cut edges, above an order threshold."""
-    _require_connected(g)
     if k < 5:
         raise UnknownTheoremError("the degree-sum cut-edge bound needs k >= 5")
     n = g.vertex_count
@@ -217,7 +208,6 @@ _THM_4_RANGES = {
 def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> TheoremCheck:
     """The sufficient conditions for cfc = 2, each with its stated order
     range taken literally."""
-    _require_connected(g)
     if which not in _THM_4_RANGES:
         raise UnknownTheoremError(f"{which!r} is not one of the theorems 4.x")
     n = g.vertex_count
@@ -245,7 +235,7 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
 def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """cfc = 2 forces the bridge subgraph to be a linear forest with every
     component of at most three edges."""
-    _require_connected(g)
+    shape = cut_edge_profile(g).lemma_2_2_shape
     feasible = g.edge_count <= ORACLE_EDGE_CAP
     cfc_two = False
     if feasible and g.vertex_count >= 2 and not is_complete(g):
@@ -253,11 +243,9 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
         cfc_two = exists_two_coloring(g, budget=budget).exists
     clauses = {"oracle_feasible": feasible, "cfc_equals_two": cfc_two}
     hyp = feasible and cfc_two
-    concl = None
-    if hyp:
-        concl = cut_edge_profile(g).lemma_2_2_shape
     return TheoremCheck(
-        theorem="2.2", hypothesis_holds=hyp, clauses=clauses, conclusion_holds=concl,
+        theorem="2.2", hypothesis_holds=hyp, clauses=clauses,
+        conclusion_holds=shape if hyp else None,
         mode="oracle" if feasible else None,
     )
 
@@ -265,7 +253,6 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
 def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """All bridge components of order 2 (and at least one bridge) forces
     cfc = 2 on a non-complete graph."""
-    _require_connected(g)
     d, profile = _structure(g)
     clauses = {
         "has_cut_edges": bool(profile.cut_edges),
@@ -276,7 +263,6 @@ def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
 
 def _check_lemma_2_4(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """2-edge-connected non-complete forces cfc = 2."""
-    _require_connected(g)
     d, _ = _structure(g)
     clauses = {"two_edge_connected": d is not None and not d.cut_edges}
     return _cfc_two_check("2.4", g, d, clauses, budget)

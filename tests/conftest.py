@@ -3,8 +3,10 @@ import itertools
 import os
 from collections import Counter
 from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 import cfcgraph as cfc
+from cfcgraph.graph import Edge, Graph, canonical_edge
 
 # CLI tests run `python -m cfcgraph.cli` in a subprocess; like pytest's
 # `pythonpath` setting for the tests themselves, let it import the package
@@ -40,6 +42,68 @@ def simple_paths_between(g, source, target):
                 visited.remove(w)
 
     yield from rec(source, {source}, [source])
+
+
+def conflict_free_path_from_map(
+    g: Graph, cmap: Dict[Edge, int], source: int, target: int
+) -> Optional[Tuple[int, ...]]:
+    """First conflict-free source-target path in depth-first order under the
+    edge-color map ``cmap``, or None after the pair's whole simple-path space
+    is exhausted.
+
+    Color multiplicities are maintained incrementally, so each step is O(1).
+    """
+    counts: Dict[int, int] = {}
+    singles = 0  # number of colors currently used exactly once
+
+    def add(c):
+        nonlocal singles
+        k = counts.get(c, 0) + 1
+        counts[c] = k
+        if k == 1:
+            singles += 1
+        elif k == 2:
+            singles -= 1
+
+    def remove(c):
+        nonlocal singles
+        k = counts[c] - 1
+        counts[c] = k
+        if k == 0:
+            singles -= 1
+        elif k == 1:
+            singles += 1
+
+    path = [source]
+    on_path = [False] * g.vertex_count
+    on_path[source] = True
+    stack = [iter(g.adjacency[source])]
+    while stack:
+        it = stack[-1]
+        advanced = False
+        for w in it:
+            if on_path[w]:
+                continue
+            c = cmap[canonical_edge(path[-1], w)]
+            if w == target:
+                add(c)
+                if singles > 0:
+                    return tuple(path) + (target,)
+                remove(c)
+                continue
+            add(c)
+            path.append(w)
+            on_path[w] = True
+            stack.append(iter(g.adjacency[w]))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            last = path.pop()
+            on_path[last] = False
+            if path:
+                remove(cmap[canonical_edge(path[-1], last)])
+    return None
 
 
 def coloring_is_conflict_free_connected(g, colors):

@@ -54,6 +54,18 @@ def test_analyze_text_format(c5_file, capsys):
     assert "connected: True" in out
 
 
+@pytest.mark.parametrize(
+    "text,connected", [("5 3\n0 1\n1 2\n3 4\n", False), ("1 0\n", True)]
+)
+def test_analyze_without_blocks_reports_no_bridge_keys(text, connected, tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["command", "complete", "connected", "m", "min_degree", "n"]
+    assert payload["connected"] is connected
+
+
 def test_analyze_dot_format(c5_file, capsys):
     assert main(["analyze", "--format", "dot", c5_file]) == 0
     out = capsys.readouterr().out

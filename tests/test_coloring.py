@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
-from cfcgraph.coloring import conflict_free_path_from_map, format_coloring, parse_coloring
+from cfcgraph.coloring import format_coloring, parse_coloring
 from cfcgraph.errors import (
     CompleteGraphError,
     EdgeListParseError,
@@ -15,7 +15,7 @@ from cfcgraph.errors import (
 )
 from cfcgraph.families import gen_H, gen_path, gen_random_connected, gen_random_glued_blocks
 
-from conftest import coloring_is_conflict_free_connected
+from conftest import coloring_is_conflict_free_connected, conflict_free_path_from_map
 
 
 def colored(g, colors):
@@ -98,15 +98,6 @@ def test_construct_two_coloring_rejects():
     k4 = cfc.build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     with pytest.raises(CompleteGraphError):
         cfc.construct_two_coloring(k4)
-
-
-def test_normalize_coloring():
-    p4 = gen_path(4)
-    assert cfc.normalize_coloring(colored(p4, (5, 5, 9))).colors == (1, 1, 2)
-    already = colored(p4, (1, 2, 1))
-    assert cfc.normalize_coloring(already).colors == already.colors
-    p5 = gen_path(5)
-    assert cfc.normalize_coloring(colored(p5, (3, 1, 3, 2))).colors == (1, 2, 1, 3)
 
 
 def test_coloring_format_round_trip():

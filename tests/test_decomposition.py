@@ -79,7 +79,7 @@ def test_block_decomposition_rejects_trivial_graph():
 def test_cut_edge_profile_examples():
     c4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     profile = cfc.cut_edge_profile(c4)
-    assert profile.component_count == 0
+    assert profile.components == ()
     assert profile.is_linear_forest
     assert profile.max_component_edges == 0
 
@@ -94,8 +94,8 @@ def test_cut_edge_profile_examples():
 def test_select_block_matching_single_block():
     c5 = cfc.build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     matching = cfc.select_block_matching(cfc.block_decomposition(c5))
-    assert len(matching.chosen_edges) == 1
-    assert matching.chosen_edges[0] in c5.edge_set
+    assert len(matching) == 1
+    assert matching[0] in c5.edge_set
 
 
 def _assert_matching(edges):
@@ -109,10 +109,10 @@ def _assert_matching(edges):
 def test_select_block_matching_families(g, expected):
     d = cfc.block_decomposition(g)
     matching = cfc.select_block_matching(d)
-    assert len(matching.chosen_edges) == expected
-    _assert_matching(matching.chosen_edges)
+    assert len(matching) == expected
+    _assert_matching(matching)
     nontrivial = [b for b in d.blocks if not b.is_trivial]
-    for e in matching.chosen_edges:
+    for e in matching:
         assert any(e in b.edges for b in nontrivial)
 
 
@@ -163,7 +163,7 @@ def test_decomposition_invariants(seed):
     assert sum(1 for b in d.blocks if b.is_trivial) == len(d.cut_edges)
     assert d.cut_edges == cfc.find_cut_edges(g)
     # matching property of the selection
-    _assert_matching(cfc.select_block_matching(d).chosen_edges)
+    _assert_matching(cfc.select_block_matching(d))
     # linear forest iff max degree <= 2 within the bridge subgraph
     profile = cfc.cut_edge_profile(g)
     degree_in_c = {}
@@ -310,3 +310,41 @@ def test_structural_pass_rejects_disconnected_graphs(seed):
     for structural_pass in (cfc.block_decomposition, cfc.find_cut_edges, cfc.cut_edge_profile):
         with pytest.raises(NotConnectedError):
             structural_pass(g)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return cfc.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _matching_by_rooting_rule(g, d):
+    """Each nontrivial block's least edge avoiding its vertex nearest (by
+    networkx distance) to the least cut vertex; with no cut vertex, the one
+    block's least edge."""
+    if not d.cut_vertices:
+        return tuple(sorted(b.edges[0] for b in d.blocks if not b.is_trivial))
+    h = nx.Graph(list(g.edges))
+    dist = nx.single_source_shortest_path_length(h, min(d.cut_vertices))
+    chosen = []
+    for b in d.blocks:
+        if not b.is_trivial:
+            nearest = min(b.vertices, key=dist.__getitem__)
+            chosen.append(min(e for e in b.edges if nearest not in e))
+    return tuple(sorted(chosen))
+
+
+def test_block_matching_follows_rooting_rule():
+    rng = random.Random(7)
+    graphs = [
+        gen_random_connected(rng.randint(2, 14), rng.uniform(0.1, 0.7), seed=rng.randrange(10**6))
+        for _ in range(150)
+    ]
+    graphs += [_relabelled(gen_random_glued_blocks(seed), rng) for seed in range(150)]
+    with_cut = 0
+    for g in graphs:
+        d = cfc.block_decomposition(g)
+        with_cut += bool(d.cut_vertices)
+        assert cfc.select_block_matching(d) == _matching_by_rooting_rule(g, d)
+    # both branches of the rule are exercised
+    assert 0 < with_cut < len(graphs)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,3 +156,15 @@ def test_capped_pairs_search_like_masked_pairs(monkeypatch):
         assert got.value == want.value
         assert got.optimal_coloring.colors == want.optimal_coloring.colors
         assert got.stats == want.stats
+
+
+def test_capped_pair_is_refuted_without_path_search():
+    # K12 minus one edge: the missing edge's pair has far more simple paths
+    # than the cap, and refuting the all-1 coloring must not enumerate them.
+    g = cfc.build_graph(12, [e for e in gen_complete(12).edges if e != (0, 1)])
+    start = time.perf_counter()
+    result = cfc.exact_cfc(g)
+    elapsed = time.perf_counter() - start
+    assert result.value == 2
+    assert result.stats == cfc.SearchStats(colorings_examined=2, verification_steps=2)
+    assert elapsed < 2.0, f"{elapsed:.2f} s for K12 minus one edge"

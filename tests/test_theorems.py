@@ -177,3 +177,22 @@ def test_harness_config_defaults_and_overrides():
     assert harness_config("4.5", k=4, n_min=34).n_min == 34
     with pytest.raises(UnknownTheoremError):
         harness_config("9.9")
+
+
+def test_checks_reject_disconnected_graphs():
+    from cfcgraph.errors import NotConnectedError
+    from cfcgraph.theorems import ORACLE_EDGE_CAP, THEOREM_IDS
+
+    two_triangles = cfc.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    isolated_zero = cfc.build_graph(4, [(1, 2), (2, 3)])
+    # Past the oracle cap, so Lemma 2.2 runs no sweep and only its
+    # structural pass can see the graph is disconnected.
+    k7_and_edge = cfc.build_graph(9, list(fam.gen_complete(7).edges) + [(7, 8)])
+    assert k7_and_edge.edge_count > ORACLE_EDGE_CAP
+    for g in (two_triangles, isolated_zero, k7_and_edge):
+        for call in (cfc.exact_cfc, cfc.cfc_bracket, cfc.construct_two_coloring):
+            with pytest.raises(NotConnectedError):
+                call(g)
+        for theorem in THEOREM_IDS:
+            with pytest.raises(NotConnectedError):
+                check_theorem(g, theorem)
