@@ -22,9 +22,6 @@ from .decomposition import (
     BridgeComponent,
     CutEdgeProfile,
     block_decomposition,
-    count_cut_edges,
-    cut_edge_profile,
-    find_cut_edges,
     select_block_matching,
 )
 from .graph import (

@@ -23,7 +23,7 @@ from .coloring import (
     parse_coloring,
     verify_conflict_free_connected,
 )
-from .decomposition import block_decomposition, count_cut_edges
+from .decomposition import block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CfcError,
@@ -34,7 +34,7 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .families import FAMILIES
-from .graph import Graph, degree_view, format_edge_list, is_complete, is_connected, read_edge_list
+from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list
 from .solver import exact_cfc
 from .theorems import THEOREMS_WITH_K, check_sharpness, harness_config, run_harness
 
@@ -77,21 +77,20 @@ def cmd_analyze(args) -> int:
         _write_output(_graph_dot(g), args.out)
         return EXIT_OK
     # The one structural pass is also the connectivity check.
-    decomp, connected = None, True
-    if g.vertex_count >= 2:
-        try:
-            decomp = block_decomposition(g)
-        except NotConnectedError:
-            connected = False
+    try:
+        decomp = block_decomposition(g)
+    except NotConnectedError:
+        decomp = None
     payload: Dict = {
         "command": "analyze",
         "n": g.vertex_count,
         "m": g.edge_count,
         "min_degree": degree_view(g).min_degree,
-        "connected": connected,
+        "connected": decomp is not None,
         "complete": is_complete(g),
     }
-    if decomp is not None:
+    # The one-vertex graph has no blocks and reports no structure.
+    if decomp is not None and decomp.blocks:
         profile = decomp.profile
         payload.update(
             {
@@ -193,7 +192,7 @@ def cmd_gen(args) -> int:
     comments = [
         f"family {family} params {' '.join(str(x) for x in args.params)}",
         f"n={g.vertex_count} m={g.edge_count} delta={degree_view(g).min_degree} "
-        f"cut_edges={count_cut_edges(g) if is_connected(g) else 'n/a'}",
+        f"cut_edges={len(block_decomposition(g).cut_edges)}",
     ]
     _write_output(format_edge_list(g, comments), args.out)
     return EXIT_OK

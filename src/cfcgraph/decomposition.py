@@ -2,16 +2,16 @@
 subgraph C(G) with its linear-forest classification, and the per-block
 matching selection used by the two-coloring construction.
 
-``block_decomposition`` is the one structural pass: one lowpoint DFS gives
-every field, C(G) included.  ``find_cut_edges``, ``count_cut_edges`` and
-``cut_edge_profile`` run the same DFS for callers that need no more.
+``block_decomposition`` is the one structural pass and the only entry point:
+one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
+and C(G) off it as ``d.cut_edges`` and ``d.profile``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import EmptyGraphError, NotConnectedError, TrivialGraphError
+from .errors import EmptyGraphError, NotConnectedError
 from .graph import Edge, Graph, canonical_edge
 
 
@@ -145,9 +145,8 @@ def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Blocks, cut vertices, cut edges, block-cut tree and the cut-edge
-    profile of a connected graph, all from one lowpoint pass."""
-    if g.vertex_count <= 1:
-        raise TrivialGraphError("block decomposition needs at least two vertices")
+    profile of a connected graph, all from one lowpoint pass.  The one-vertex
+    graph has no blocks and an empty profile."""
     raw_blocks, cut = _biconnected(g)
     blocks = []
     for edge_list in raw_blocks:
@@ -169,22 +168,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         tree_edges=tree_edges,
         profile=_bridge_profile(cut_edges),
     )
-
-
-def find_cut_edges(g: Graph) -> FrozenSet[Edge]:
-    """All bridges of a connected graph."""
-    raw_blocks, _ = _biconnected(g)
-    return frozenset(b[0] for b in raw_blocks if len(b) == 1)
-
-
-def count_cut_edges(g: Graph) -> int:
-    return len(find_cut_edges(g))
-
-
-def cut_edge_profile(g: Graph) -> CutEdgeProfile:
-    """The subgraph C(G) induced by the cut edges of a connected graph, with
-    per-component path orientation."""
-    return _bridge_profile(find_cut_edges(g))
 
 
 def _bridge_profile(bridges: FrozenSet[Edge]) -> CutEdgeProfile:

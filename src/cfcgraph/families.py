@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .errors import ParamOutOfRangeError, RetriesExhaustedError
 from .graph import Graph, build_graph, is_complete, is_connected
-from .decomposition import find_cut_edges
+from .decomposition import block_decomposition
 
 
 def _clique_edges(vertices: List[int]) -> List[Tuple[int, int]]:
@@ -221,7 +221,7 @@ def gen_random_bridgeless(
             if rng.random() < edge_probability
         ]
         g = build_graph(n, edges)
-        if is_connected(g) and not is_complete(g) and not find_cut_edges(g):
+        if is_connected(g) and not is_complete(g) and not block_decomposition(g).cut_edges:
             return g
     raise RetriesExhaustedError(
         f"no 2-edge-connected non-complete sample for n={n}, p={edge_probability}"

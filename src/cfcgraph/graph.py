@@ -71,12 +71,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edge_set
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class VertexDegreeView:

@@ -8,13 +8,14 @@ popcount per class and path; a pair with more than ``_PATH_CAP_PER_PAIR``
 simple paths is checked by the exact verifier's per-edge rule instead.  The
 budget counts (coloring, pair) verification steps, not wall time.
 
-The search starts at t = 3 when the cut-edge profile fails Lemma 2.2's
-necessary shape (``CutEdgeProfile.lemma_2_2_shape``); ``cfc_bracket`` takes
-its bounds from the same profile.
+``exact_cfc`` starts its search at the lower bound of ``cfc_bracket``, which
+is 3 when the cut-edge profile fails Lemma 2.2's necessary shape
+(``CutEdgeProfile.lemma_2_2_shape``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .coloring import (
@@ -23,7 +24,7 @@ from .coloring import (
     enumerate_simple_paths,
     two_coloring_hypothesis_holds,
 )
-from .decomposition import cut_edge_profile
+from .decomposition import block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
@@ -54,21 +55,6 @@ class TwoColoringSearch:
     exists: bool
     witness: Optional[EdgeColoring]
     stats: SearchStats
-
-
-class _BudgetSignal(Exception):
-    pass
-
-
-@dataclass
-class _Budget:
-    limit: Optional[int]
-    stats: SearchStats = field(default_factory=SearchStats)
-
-    def spend(self) -> None:
-        self.stats.verification_steps += 1
-        if self.limit is not None and self.stats.verification_steps > self.limit:
-            raise _BudgetSignal()
 
 
 def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, int]]]]]:
@@ -108,9 +94,13 @@ def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
     return tuple(colors)
 
 
-def _sweep(g: Graph, t: int, pairs, budget: _Budget) -> Optional[Tuple[int, ...]]:
+def _sweep(
+    g: Graph, t: int, pairs, stats: SearchStats, budget: Optional[int]
+) -> Optional[Tuple[int, ...]]:
     """Sweep all t-colorings with the first edge fixed to color 1, checking
-    the pairs of ``_pair_path_masks``.
+    the pairs of ``_pair_path_masks``.  Each pair check is one verification
+    step, added to ``stats``; the step past ``budget`` raises
+    BudgetExhaustedError.
 
     Color c >= 2 is the edge bitmask ``classes[c - 2]``; color 1 on a path
     is its length minus the other colors' counts.  The last failing pair
@@ -121,12 +111,15 @@ def _sweep(g: Graph, t: int, pairs, budget: _Budget) -> Optional[Tuple[int, ...]
     classes = [0] * (t - 1)
     lower_classes = tuple(range(t - 3, -1, -1))
     first_edge = 1 << (m - 1)
-    stats = budget.stats
+    steps = stats.verification_steps
+    limit = math.inf if budget is None else budget
     while True:
         stats.colorings_examined += 1
         pos = 0
         for pair in order:
-            budget.spend()
+            steps += 1
+            if steps > limit:
+                raise BudgetExhaustedError(t, m, steps)
             u, v, masks = pair
             if masks is None:
                 served = not _serve_pairs(g, _colors(m, classes), [(u, v)])[1]
@@ -150,12 +143,14 @@ def _sweep(g: Graph, t: int, pairs, budget: _Budget) -> Optional[Tuple[int, ...]
                 break
             pos += 1
         else:
+            stats.verification_steps = steps
             return _colors(m, classes)
         # Odometer increment: the trailing edges at color t wrap to color 1
         # and the edge before them moves up one color.
         top = classes[-1]
         bit = (top + 1) & ~top
         if bit == first_edge:
+            stats.verification_steps = steps
             return None
         classes[-1] = top & (top + 1)
         for c in lower_classes:
@@ -176,29 +171,17 @@ def exact_cfc(
         raise TrivialGraphError("cfc needs at least two vertices")
     if max_colors is None:
         max_colors = g.edge_count
-    tracker = _Budget(limit=budget)
-
-    def finish(value: int, colors: Tuple[int, ...]) -> CfcResult:
-        return CfcResult(
-            value=value,
-            optimal_coloring=EdgeColoring(graph=g, colors=colors),
-            stats=tracker.stats,
-        )
-
-    if is_complete(g):
+    stats = SearchStats()
+    lower = cfc_bracket(g)[0]
+    if lower == 1:
         if max_colors < 1:
             raise NoColoringWithinMaxError("no coloring with zero colors")
-        return finish(1, (1,) * g.edge_count)
-
-    lower = 2 if cut_edge_profile(g).lemma_2_2_shape else 3
+        return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
     pairs = _pair_path_masks(g)
     for t in range(lower, max_colors + 1):
-        try:
-            colors = _sweep(g, t, pairs, tracker)
-        except _BudgetSignal:
-            raise BudgetExhaustedError(t, g.edge_count, tracker.stats.verification_steps)
+        colors = _sweep(g, t, pairs, stats, budget)
         if colors is not None:
-            return finish(t, colors)
+            return CfcResult(t, EdgeColoring(graph=g, colors=colors), stats)
     raise NoColoringWithinMaxError(
         f"no conflict-free connection coloring with at most {max_colors} colors"
     )
@@ -214,20 +197,17 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
         raise NotConnectedError("requires a connected graph")
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
-    tracker = _Budget(limit=budget)
-    try:
-        colors = _sweep(g, 2, _pair_path_masks(g), tracker)
-    except _BudgetSignal:
-        raise BudgetExhaustedError(2, g.edge_count, tracker.stats.verification_steps)
+    stats = SearchStats()
+    colors = _sweep(g, 2, _pair_path_masks(g), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
-    return TwoColoringSearch(exists=colors is not None, witness=witness, stats=tracker.stats)
+    return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
     """Cheap lower/upper bounds on cfc without search."""
     if is_complete(g):
         return (1, 1)
-    profile = cut_edge_profile(g)
+    profile = block_decomposition(g).profile
     lower = 2 if profile.lemma_2_2_shape else 3
     if two_coloring_hypothesis_holds(profile):
         upper = 2

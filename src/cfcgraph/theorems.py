@@ -11,20 +11,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .coloring import (
     construct_two_coloring,
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
-from .decomposition import (
-    BlockDecomposition,
-    CutEdgeProfile,
-    block_decomposition,
-    count_cut_edges,
-    cut_edge_profile,
-)
+from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     OracleInfeasibleError,
     ParamOutOfRangeError,
@@ -83,15 +77,6 @@ class TheoremReport:
         }
 
 
-def _structure(g: Graph) -> Tuple[Optional[BlockDecomposition], CutEdgeProfile]:
-    """A check's one structural pass: g's block decomposition and its C(G).
-    The one-vertex graph has no blocks, only an empty C(G)."""
-    if g.vertex_count < 2:
-        return None, cut_edge_profile(g)
-    d = block_decomposition(g)
-    return d, d.profile
-
-
 def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
     """delta >= (n-k+1)/k on order n >= k^2 forces at most k-2 cut edges."""
     if k < 3:
@@ -103,7 +88,7 @@ def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
         "min_degree_bound": k * delta >= n - k + 1,
     }
     hyp = all(clauses.values())
-    cut_edges = count_cut_edges(g)
+    cut_edges = len(block_decomposition(g).cut_edges)
     return TheoremCheck(
         theorem="3.1",
         hypothesis_holds=hyp,
@@ -139,7 +124,7 @@ def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
         "degree_sum_bound": s is None or k * s >= 2 * n - 2 * k + 1,
     }
     hyp = all(clauses.values())
-    cut_edges = count_cut_edges(g)
+    cut_edges = len(block_decomposition(g).cut_edges)
     details = {
         "k": k,
         "cut_edges": cut_edges,
@@ -158,7 +143,7 @@ def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
 def _cfc_two_check(
     theorem: str,
     g: Graph,
-    d: Optional[BlockDecomposition],
+    d: BlockDecomposition,
     clauses: Dict[str, bool],
     budget: Optional[int],
     details: Optional[Dict[str, object]] = None,
@@ -213,10 +198,10 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     n = g.vertex_count
     lo, hi = _THM_4_RANGES[which]
     delta = degree_view(g).min_degree
-    d, profile = _structure(g)
+    d = block_decomposition(g)
     clauses = {"order_range": n >= lo and (hi is None or n <= hi)}
     if which in ("4.1", "4.2", "4.3", "4.5"):
-        clauses["linear_forest"] = profile.is_linear_forest
+        clauses["linear_forest"] = d.profile.is_linear_forest
     if which == "4.1":
         clauses["min_degree_bound"] = 5 * delta >= n - 4
     elif which == "4.2":
@@ -228,17 +213,17 @@ def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> Theorem
     else:
         s = min_nonadjacent_degree_sum(g)
         clauses["degree_sum_bound"] = s is None or 5 * s >= 2 * n - 9
-    details = {"min_degree": delta, "component_orders": list(profile.component_orders)}
+    details = {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
     return _cfc_two_check(which, g, d, clauses, budget, details)
 
 
 def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """cfc = 2 forces the bridge subgraph to be a linear forest with every
     component of at most three edges."""
-    shape = cut_edge_profile(g).lemma_2_2_shape
+    shape = block_decomposition(g).profile.lemma_2_2_shape
     feasible = g.edge_count <= ORACLE_EDGE_CAP
     cfc_two = False
-    if feasible and g.vertex_count >= 2 and not is_complete(g):
+    if feasible and not is_complete(g):
         # By the sweep alone: a search that assumed the lemma's shape could never refute it.
         cfc_two = exists_two_coloring(g, budget=budget).exists
     clauses = {"oracle_feasible": feasible, "cfc_equals_two": cfc_two}
@@ -253,18 +238,19 @@ def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
 def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """All bridge components of order 2 (and at least one bridge) forces
     cfc = 2 on a non-complete graph."""
-    d, profile = _structure(g)
+    d = block_decomposition(g)
     clauses = {
-        "has_cut_edges": bool(profile.cut_edges),
-        "all_components_order_2": all(o == 2 for o in profile.component_orders),
+        "has_cut_edges": bool(d.cut_edges),
+        "all_components_order_2": all(o == 2 for o in d.profile.component_orders),
     }
     return _cfc_two_check("2.3", g, d, clauses, budget)
 
 
 def _check_lemma_2_4(g: Graph, budget: Optional[int]) -> TheoremCheck:
     """2-edge-connected non-complete forces cfc = 2."""
-    d, _ = _structure(g)
-    clauses = {"two_edge_connected": d is not None and not d.cut_edges}
+    d = block_decomposition(g)
+    # The one-vertex graph has no block, so it is not 2-edge-connected.
+    clauses = {"two_edge_connected": bool(d.blocks) and not d.cut_edges}
     return _cfc_two_check("2.4", g, d, clauses, budget)
 
 
@@ -437,7 +423,7 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     delta = degree_view(g).min_degree
     margin_ok = margin(g, n, delta)
 
-    if not cut_edge_profile(g).lemma_2_2_shape:
+    if not block_decomposition(g).profile.lemma_2_2_shape:
         refutation = "shape"
         cfc_at_least_3 = True
     elif g.edge_count <= ORACLE_EDGE_CAP:

@@ -104,23 +104,23 @@ def test_acceptance_06_extremal_metrics(report):
             n = g.vertex_count
             ok &= n == k * t
             ok &= k * cfc.degree_view(g).min_degree == n - k
-            ok &= cfc.count_cut_edges(g) == k - 1
+            ok &= len(cfc.block_decomposition(g).cut_edges) == k - 1
     for k in range(3, 7):
         g = fam.gen_R(k)
         n = g.vertex_count
         ok &= n == k * k - 1
         ok &= k * cfc.degree_view(g).min_degree == n - k + 1
-        ok &= cfc.count_cut_edges(g) == k - 1
+        ok &= len(cfc.block_decomposition(g).cut_edges) == k - 1
     for t in range(3, 7):
         g = fam.gen_S(t)
         n = g.vertex_count
         ok &= n == 5 * t
         ok &= 5 * cfc.degree_view(g).min_degree == n - 5
-        ok &= cfc.cut_edge_profile(g).component_orders == (3, 3)
+        ok &= cfc.block_decomposition(g).profile.component_orders == (3, 3)
     for k in (5, 6):
         g = fam.gen_D(k)
         ok &= g.vertex_count == k * k + k - 1
-        ok &= cfc.count_cut_edges(g) == k - 1
+        ok &= len(cfc.block_decomposition(g).cut_edges) == k - 1
         ok &= cfc.min_nonadjacent_degree_sum(g) >= 2 * k
     report("06 extremal family closed forms hold exactly", ok)
 
@@ -148,7 +148,7 @@ def test_acceptance_08_necessary_condition_sweep(report):
         if cfc.exact_cfc(g).value != 2:
             continue
         cfc_two_count += 1
-        profile = cfc.cut_edge_profile(g)
+        profile = cfc.block_decomposition(g).profile
         if not (profile.is_linear_forest and profile.max_component_edges <= 3):
             violations += 1
     ok = violations == 0 and cfc_two_count > 0
@@ -164,7 +164,7 @@ def test_acceptance_09_bridge_oracle_equivalence(report):
         rng = random.Random(seed)
         n = rng.randint(2, 8)
         g = fam.gen_random_connected(n, rng.uniform(0.25, 0.9), seed=seed)
-        if cfc.find_cut_edges(g) != bridge_oracle(g):
+        if cfc.block_decomposition(g).cut_edges != bridge_oracle(g):
             mismatches += 1
     report("09 bridge finder matches remove-and-test oracle on 500 graphs", mismatches == 0)
 

@@ -73,7 +73,7 @@ def test_construct_two_coloring_order_four_bridge_path():
         8,
         [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)],
     )
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     assert profile.component_orders == (4,)
     coloring = cfc.construct_two_coloring(g)
     cmap = coloring.as_dict()

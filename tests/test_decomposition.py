@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
-from cfcgraph.errors import NotConnectedError, TrivialGraphError
+from cfcgraph.errors import EmptyGraphError, NotConnectedError
 from cfcgraph.families import (
     gen_H,
     gen_path,
@@ -25,26 +25,26 @@ def triangle():
 
 
 def test_find_cut_edges_examples():
-    assert cfc.find_cut_edges(triangle()) == frozenset()
+    assert cfc.block_decomposition(triangle()).cut_edges == frozenset()
     p4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert cfc.find_cut_edges(p4) == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert cfc.block_decomposition(p4).cut_edges == frozenset({(0, 1), (1, 2), (2, 3)})
     # the two path edges of the k=3, t=3 clique chain
-    assert cfc.find_cut_edges(gen_H(3, 3)) == frozenset({(0, 1), (1, 2)})
+    assert cfc.block_decomposition(gen_H(3, 3)).cut_edges == frozenset({(0, 1), (1, 2)})
 
 
 def test_find_cut_edges_requires_connected():
     g = cfc.build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
-        cfc.find_cut_edges(g)
+        cfc.block_decomposition(g)
 
 
 def test_count_cut_edges():
     k5 = cfc.build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    assert cfc.count_cut_edges(k5) == 0
+    assert len(cfc.block_decomposition(k5).cut_edges) == 0
     from cfcgraph.families import gen_D
 
-    assert cfc.count_cut_edges(gen_D(5)) == 4
-    assert cfc.count_cut_edges(gen_R(3)) == 2
+    assert len(cfc.block_decomposition(gen_D(5)).cut_edges) == 4
+    assert len(cfc.block_decomposition(gen_R(3)).cut_edges) == 2
 
 
 def test_block_decomposition_triangle():
@@ -71,24 +71,27 @@ def test_block_decomposition_r3_witness():
     assert d.cut_edges == frozenset({(3, 4), (4, 5)})
 
 
-def test_block_decomposition_rejects_trivial_graph():
-    with pytest.raises(TrivialGraphError):
-        cfc.block_decomposition(cfc.build_graph(1, []))
+def test_block_decomposition_of_one_vertex_and_empty_graphs():
+    d = cfc.block_decomposition(cfc.build_graph(1, []))
+    assert d.blocks == () and d.tree_edges == ()
+    assert d.cut_vertices == frozenset() and d.cut_edges == frozenset()
+    with pytest.raises(EmptyGraphError):
+        cfc.block_decomposition(cfc.build_graph(0, []))
 
 
 def test_cut_edge_profile_examples():
     c4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    profile = cfc.cut_edge_profile(c4)
+    profile = cfc.block_decomposition(c4).profile
     assert profile.components == ()
     assert profile.is_linear_forest
     assert profile.max_component_edges == 0
 
-    s = cfc.cut_edge_profile(gen_S(3))
+    s = cfc.block_decomposition(gen_S(3)).profile
     assert s.component_orders == (3, 3)
     assert [c.path_sequence for c in s.components] == [(0, 1, 2), (3, 4, 5)]
 
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not cfc.cut_edge_profile(star).is_linear_forest
+    assert not cfc.block_decomposition(star).profile.is_linear_forest
 
 
 def test_select_block_matching_single_block():
@@ -124,7 +127,7 @@ def test_bridges_match_remove_and_test_oracle(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 8)
     g = gen_random_connected(n, rng.uniform(0.3, 0.9), seed=seed)
-    assert cfc.find_cut_edges(g) == bridge_oracle(g)
+    assert cfc.block_decomposition(g).cut_edges == bridge_oracle(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -161,11 +164,11 @@ def test_decomposition_invariants(seed):
     assert len(seen) == len(set(seen))
     # trivial blocks are exactly the cut edges
     assert sum(1 for b in d.blocks if b.is_trivial) == len(d.cut_edges)
-    assert d.cut_edges == cfc.find_cut_edges(g)
+    assert d.cut_edges == bridge_oracle(g)
     # matching property of the selection
     _assert_matching(cfc.select_block_matching(d))
     # linear forest iff max degree <= 2 within the bridge subgraph
-    profile = cfc.cut_edge_profile(g)
+    profile = d.profile
     degree_in_c = {}
     for u, v in profile.cut_edges:
         degree_in_c[u] = degree_in_c.get(u, 0) + 1
@@ -207,7 +210,6 @@ def _bridge_subgraph_oracle(g):
 
 def _assert_profile_matches_oracle(g):
     profile = cfc.block_decomposition(g).profile
-    assert profile == cfc.cut_edge_profile(g)
     bridges, components = _bridge_subgraph_oracle(g)
     assert profile.cut_edges == bridges
     assert [(c.vertices, c.edges, c.path_sequence) for c in profile.components] == components
@@ -231,15 +233,15 @@ def test_single_pass_profile_matches_oracle_on_glued_blocks(seed):
 
 
 def test_profile_of_one_vertex_graph_is_empty():
-    profile = cfc.cut_edge_profile(cfc.build_graph(1, []))
+    profile = cfc.block_decomposition(cfc.build_graph(1, [])).profile
     assert profile.cut_edges == frozenset() and profile.components == ()
     assert profile.lemma_2_2_shape
 
 
 def test_lemma_2_2_shape():
-    assert cfc.cut_edge_profile(gen_S(3)).lemma_2_2_shape
+    assert cfc.block_decomposition(gen_S(3)).profile.lemma_2_2_shape
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not cfc.cut_edge_profile(star).lemma_2_2_shape
+    assert not cfc.block_decomposition(star).profile.lemma_2_2_shape
     # a linear forest, but with a bridge run of four edges
     run = cfc.block_decomposition(gen_remark4_H(5)).profile
     assert run.is_linear_forest and run.max_component_edges == 4
@@ -249,7 +251,7 @@ def test_lemma_2_2_shape():
 def test_cut_edge_profile_is_linear_in_bridge_run_length():
     g = gen_path(20000)
     start = time.perf_counter()
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     elapsed = time.perf_counter() - start
     assert profile.component_orders == (20000,)
     assert elapsed < 2.0, f"{elapsed:.2f} s for a 19999-bridge path"
@@ -274,7 +276,7 @@ def _assert_decomposition_matches_reference(g):
     assert d.tree_edges == tuple(
         (i, v) for i, vs in enumerate(vertices) for v in vs if v in cut
     )
-    assert d.cut_edges == bridge_oracle(g) == cfc.find_cut_edges(g)
+    assert d.cut_edges == bridge_oracle(g)
     _assert_profile_matches_oracle(g)
 
 
@@ -307,9 +309,8 @@ def test_structural_pass_rejects_disconnected_graphs(seed):
     h.add_nodes_from(range(n))
     if nx.is_connected(h):
         return
-    for structural_pass in (cfc.block_decomposition, cfc.find_cut_edges, cfc.cut_edge_profile):
-        with pytest.raises(NotConnectedError):
-            structural_pass(g)
+    with pytest.raises(NotConnectedError):
+        cfc.block_decomposition(g)
 
 
 def _relabelled(g, rng):

@@ -12,7 +12,7 @@ def test_h_family_metrics(k, t):
     n = g.vertex_count
     assert n == k * t
     assert k * cfc.degree_view(g).min_degree == n - k
-    assert cfc.count_cut_edges(g) == k - 1
+    assert len(cfc.block_decomposition(g).cut_edges) == k - 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -21,12 +21,12 @@ def test_r_family_metrics(k):
     n = g.vertex_count
     assert n == k * k - 1
     assert k * cfc.degree_view(g).min_degree == n - k + 1
-    assert cfc.count_cut_edges(g) == k - 1
+    assert len(cfc.block_decomposition(g).cut_edges) == k - 1
 
 
 def test_r_family_bridge_components():
     # k >= 4: the matching makes all bridge components single edges
-    profile = cfc.cut_edge_profile(fam.gen_R(5))
+    profile = cfc.block_decomposition(fam.gen_R(5)).profile
     assert all(o == 2 for o in profile.component_orders)
     assert len(profile.component_orders) == 4
 
@@ -37,7 +37,7 @@ def test_s_family_metrics(t):
     n = g.vertex_count
     assert n == 5 * t
     assert 5 * cfc.degree_view(g).min_degree == n - 5
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     assert profile.component_orders == (3, 3)
     assert profile.is_linear_forest
 
@@ -46,13 +46,13 @@ def test_s_family_metrics(t):
 def test_d_family_metrics(k):
     g = fam.gen_D(k)
     assert g.vertex_count == k * k + k - 1
-    assert cfc.count_cut_edges(g) == k - 1
+    assert len(cfc.block_decomposition(g).cut_edges) == k - 1
     assert cfc.min_nonadjacent_degree_sum(g) >= 2 * k
 
 
 def test_h34_has_cfc_two():
     g = fam.gen_H(3, 4)
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     # the spine's two adjacent bridges make a single order-3 component
     assert profile.component_orders == (3,)
     coloring = cfc.construct_two_coloring(g)
@@ -63,7 +63,7 @@ def test_remark4_h():
     g = fam.gen_remark4_H(5)
     assert (g.vertex_count, g.edge_count) == (9, 10)
     assert cfc.degree_view(g).min_degree == 2
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     # the connecting path's bridges form one component too long for cfc = 2
     assert profile.max_component_edges == 4
 
@@ -77,7 +77,7 @@ def test_remark4_g():
 def test_remark6_h():
     g = fam.gen_remark6_H(16)
     assert 4 * cfc.degree_view(g).min_degree == g.vertex_count - 4
-    assert not cfc.cut_edge_profile(g).is_linear_forest
+    assert not cfc.block_decomposition(g).profile.is_linear_forest
 
 
 def test_remark6_g():
@@ -85,14 +85,14 @@ def test_remark6_g():
     n = g.vertex_count
     assert n == 15
     assert 4 * cfc.degree_view(g).min_degree >= n - 3
-    assert not cfc.cut_edge_profile(g).is_linear_forest
+    assert not cfc.block_decomposition(g).profile.is_linear_forest
 
 
 def test_remark7_g():
     g = fam.gen_remark7_G(11)
     s = cfc.min_nonadjacent_degree_sum(g)
     assert 5 * s >= 2 * g.vertex_count - 9
-    profile = cfc.cut_edge_profile(g)
+    profile = cfc.block_decomposition(g).profile
     assert profile.component_orders == (5,)
     assert profile.max_component_edges == 4
     # middle path vertices keep degree 2
@@ -137,7 +137,7 @@ def test_degree_filtered_samples_respect_cut_edge_bound():
         g = fam.gen_random_connected(9, 0.6, seed=seed)
         if 3 * cfc.degree_view(g).min_degree >= g.vertex_count - 2:
             found += 1
-            assert cfc.count_cut_edges(g) <= 1
+            assert len(cfc.block_decomposition(g).cut_edges) <= 1
     assert found > 0
 
 
@@ -149,4 +149,4 @@ def test_glued_blocks_satisfy_two_coloring_hypothesis():
         assert g.vertex_count <= 40
         assert cfc.is_connected(g)
         assert not cfc.is_complete(g)
-        assert two_coloring_hypothesis_holds(cfc.cut_edge_profile(g))
+        assert two_coloring_hypothesis_holds(cfc.block_decomposition(g).profile)

@@ -138,7 +138,7 @@ def test_exact_cfc_matches_brute_oracle(seed):
 
 
 def test_capped_pairs_search_like_masked_pairs(monkeypatch):
-    # Cap 0 sends every pair to the depth-first check; the search order,
+    # Cap 0 sends every pair to the verifier's per-edge rule; the search order,
     # witness and counters must not change, at any palette size.
     from cfcgraph import solver
 

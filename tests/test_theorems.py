@@ -196,3 +196,39 @@ def test_checks_reject_disconnected_graphs():
         for theorem in THEOREM_IDS:
             with pytest.raises(NotConnectedError):
                 check_theorem(g, theorem)
+
+
+def test_checks_on_the_one_vertex_graph():
+    # K1 has no blocks: it is complete and not 2-edge-connected, so every
+    # hypothesis fails, with each clause pinned here.
+    from cfcgraph.theorems import THEOREM_IDS, TheoremCheck
+
+    no_bridges = {"min_degree": 0, "component_orders": []}
+    expected = {
+        "2.2": ({"oracle_feasible": True, "cfc_equals_two": False}, "oracle", {}),
+        "2.3": ({"has_cut_edges": False, "all_components_order_2": True,
+                 "non_complete": False}, None, {}),
+        "2.4": ({"two_edge_connected": False, "non_complete": False}, None, {}),
+        "3.1": ({"order_at_least_k_squared": False, "min_degree_bound": True}, None,
+                {"k": 3, "cut_edges": 0}),
+        "3.4": ({"order_threshold": False, "degree_sum_bound": True}, None,
+                {"k": 5, "cut_edges": 0, "order_thresholds": {"displayed": 33, "derived": 32},
+                 "between_thresholds": False}),
+        "4.1": ({"order_range": False, "linear_forest": True, "min_degree_bound": True,
+                 "non_complete": False}, None, no_bridges),
+        "4.2": ({"order_range": False, "linear_forest": True, "min_degree_bound": False,
+                 "non_complete": False}, None, no_bridges),
+        "4.3": ({"order_range": False, "linear_forest": True, "min_degree_bound": False,
+                 "non_complete": False}, None, no_bridges),
+        "4.4": ({"order_range": False, "min_degree_bound": True, "non_complete": False},
+                None, no_bridges),
+        "4.5": ({"order_range": False, "linear_forest": True, "degree_sum_bound": True,
+                 "non_complete": False}, None, no_bridges),
+    }
+    assert set(expected) == set(THEOREM_IDS)
+    k1 = cfc.build_graph(1, [])
+    for theorem in THEOREM_IDS:
+        clauses, mode, details = expected[theorem]
+        assert check_theorem(k1, theorem) == TheoremCheck(
+            theorem, False, clauses, None, mode=mode, details=details
+        ), theorem
