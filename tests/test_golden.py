@@ -1,9 +1,12 @@
 """Byte-for-byte CLI output against recorded references.
 
 ``golden/cases.json`` holds, per invocation, the argv, exit code, stdout and
-stderr recorded before the decomposition layer became a single structural
-pass; ``golden/inputs`` holds the edge lists it read.  A mismatch means the
-CLI's output changed.  Regenerate the references only for an intended
+stderr; ``golden/inputs`` holds the edge lists it read.  The first 18 cases
+(``analyze``, ``color2``, ``cfc``, ``gen``, and ``verify`` of 4.5, 2.2 and
+``sharpness:S``) were recorded before the decomposition layer became a single
+structural pass.  The ``verify`` cases of 2.3, 2.4, 3.1, 3.4 (also with
+``--k 6``), 4.1, 4.2, 4.3 and 4.4 were recorded before the theorem checks were
+folded into one table.  A mismatch means the CLI's output changed.  Regenerate the references only for an intended
 output change, never to make a refactor pass.
 """
 import json
