@@ -51,9 +51,6 @@ from .theorems import (
     TheoremReport,
     check_sharpness,
     check_theorem,
-    check_thm_3_1,
-    check_thm_3_4,
-    check_thm_4_x,
     harness_config,
     run_harness,
 )

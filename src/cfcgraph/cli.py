@@ -307,21 +307,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = globals()["cmd_" + args.subcommand]
     try:
         return command(args)
-    except EdgeListParseError as exc:
+    except (CfcError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (HypothesisViolatedError, CompleteGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CfcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, (HypothesisViolatedError, CompleteGraphError)):
+            return EXIT_HYPOTHESIS
+        return EXIT_BUDGET if isinstance(exc, BudgetExhaustedError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

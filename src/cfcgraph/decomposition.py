@@ -31,8 +31,6 @@ class Block:
 class BlockDecomposition:
     blocks: Tuple[Block, ...]
     cut_vertices: FrozenSet[int]
-    # Bipartite tree edges (block_index, cut_vertex).
-    tree_edges: Tuple[Tuple[int, int], ...]
     profile: CutEdgeProfile
 
     @property
@@ -144,9 +142,9 @@ def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, cut edges, block-cut tree and the cut-edge
-    profile of a connected graph, all from one lowpoint pass.  The one-vertex
-    graph has no blocks and an empty profile."""
+    """Blocks, cut vertices, cut edges and the cut-edge profile of a
+    connected graph, all from one lowpoint pass.  The one-vertex graph has
+    no blocks and an empty profile."""
     raw_blocks, cut = _biconnected(g)
     blocks = []
     for edge_list in raw_blocks:
@@ -159,13 +157,9 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     # Blocks are edge-disjoint, so their first edges alone fix the order.
     blocks.sort(key=lambda b: b.edges[0])
     cut_edges = frozenset(b.edges[0] for b in blocks if b.is_trivial)
-    tree_edges = tuple(
-        (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut
-    )
     return BlockDecomposition(
         blocks=tuple(blocks),
         cut_vertices=frozenset(cut),
-        tree_edges=tree_edges,
         profile=_bridge_profile(cut_edges),
     )
 
@@ -237,9 +231,11 @@ def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
     """
     blocks_at: Dict[int, List[int]] = {}
     cuts_of: Dict[int, List[int]] = {}
-    for bi, v in d.tree_edges:
-        blocks_at.setdefault(v, []).append(bi)
-        cuts_of.setdefault(bi, []).append(v)
+    for bi, b in enumerate(d.blocks):
+        for v in b.vertices:
+            if v in d.cut_vertices:
+                blocks_at.setdefault(v, []).append(bi)
+                cuts_of.setdefault(bi, []).append(v)
     # Root-side cut vertex per block, from one walk down the tree: a cut
     # vertex is entered from its parent block, a block from its parent cut
     # vertex, and neither walks back to where it came from.

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .coloring import (
     construct_two_coloring,
@@ -77,27 +77,6 @@ class TheoremReport:
         }
 
 
-def check_thm_3_1(g: Graph, k: int) -> TheoremCheck:
-    """delta >= (n-k+1)/k on order n >= k^2 forces at most k-2 cut edges."""
-    if k < 3:
-        raise UnknownTheoremError("the cut-edge bound needs k >= 3")
-    n = g.vertex_count
-    delta = degree_view(g).min_degree
-    clauses = {
-        "order_at_least_k_squared": n >= k * k,
-        "min_degree_bound": k * delta >= n - k + 1,
-    }
-    hyp = all(clauses.values())
-    cut_edges = len(block_decomposition(g).cut_edges)
-    return TheoremCheck(
-        theorem="3.1",
-        hypothesis_holds=hyp,
-        clauses=clauses,
-        conclusion_holds=cut_edges <= k - 2 if hyp else None,
-        details={"k": k, "cut_edges": cut_edges},
-    )
-
-
 def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
     """The two candidate order thresholds (the displayed one and the one the
     derivation actually ends with), as ceilings of exact rationals."""
@@ -110,48 +89,53 @@ def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
     }
 
 
-def check_thm_3_4(g: Graph, k: int) -> TheoremCheck:
-    """Degree-sum >= (2n-2k+1)/k over nonadjacent pairs forces at most k-2
-    cut edges, above an order threshold."""
-    if k < 5:
-        raise UnknownTheoremError("the degree-sum cut-edge bound needs k >= 5")
+def _degree_sum_bound(g: Graph, k: int) -> bool:
+    """Every nonadjacent pair has degree sum >= (2n-2k+1)/k; vacuously true
+    for complete graphs."""
+    s = min_nonadjacent_degree_sum(g)
+    return s is None or k * s >= 2 * g.vertex_count - 2 * k + 1
+
+
+def _thm_3_1_clauses(g: Graph, d: BlockDecomposition, k: int):
+    """delta >= (n-k+1)/k on order n >= k^2."""
+    n = g.vertex_count
+    clauses = {
+        "order_at_least_k_squared": n >= k * k,
+        "min_degree_bound": k * degree_view(g).min_degree >= n - k + 1,
+    }
+    return clauses, {"k": k, "cut_edges": len(d.cut_edges)}
+
+
+def _thm_3_4_clauses(g: Graph, d: BlockDecomposition, k: int):
+    """Degree sum >= (2n-2k+1)/k over nonadjacent pairs, above an order
+    threshold."""
     n = g.vertex_count
     thresholds = thm_3_4_order_thresholds(k)
-    s = min_nonadjacent_degree_sum(g)
     clauses = {
         "order_threshold": n >= thresholds["displayed"],
-        # Vacuously true for complete graphs.
-        "degree_sum_bound": s is None or k * s >= 2 * n - 2 * k + 1,
+        "degree_sum_bound": _degree_sum_bound(g, k),
     }
-    hyp = all(clauses.values())
-    cut_edges = len(block_decomposition(g).cut_edges)
     details = {
         "k": k,
-        "cut_edges": cut_edges,
+        "cut_edges": len(d.cut_edges),
         "order_thresholds": thresholds,
         "between_thresholds": thresholds["derived"] <= n < thresholds["displayed"],
     }
-    return TheoremCheck(
-        theorem="3.4",
-        hypothesis_holds=hyp,
-        clauses=clauses,
-        conclusion_holds=cut_edges <= k - 2 if hyp else None,
-        details=details,
-    )
+    return clauses, details
 
 
-def _cfc_two_check(
-    theorem: str,
-    g: Graph,
-    d: BlockDecomposition,
-    clauses: Dict[str, bool],
-    budget: Optional[int],
-    details: Optional[Dict[str, object]] = None,
-) -> TheoremCheck:
-    """Check a sufficient condition for cfc = 2 given by ``clauses``, plus
-    non-completeness (cfc = 1 exactly on complete graphs).  When it holds,
-    certify cfc(g) == 2, constructively from g's block decomposition ``d``
-    when the two-coloring hypothesis holds (any size), otherwise by
+def _cut_edge_bound(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
+    """Conclusion of 3.1 and 3.4: at most k-2 cut edges."""
+    hyp = all(clauses.values())
+    concl = len(d.cut_edges) <= k - 2 if hyp else None
+    return TheoremCheck(theorem, hyp, clauses, concl, details=details)
+
+
+def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
+    """Conclusion cfc = 2 of a sufficient condition given by ``clauses``,
+    plus non-completeness (cfc = 1 exactly on complete graphs).  When it
+    holds, certify cfc(g) == 2, constructively from g's block decomposition
+    ``d`` when the two-coloring hypothesis holds (any size), otherwise by
     exhaustive search on small graphs."""
     clauses["non_complete"] = not is_complete(g)
     hyp = all(clauses.values())
@@ -171,129 +155,117 @@ def _cfc_two_check(
         # Lemma 2.2's shape is necessary for cfc = 2.
         mode = "oracle"
         concl = d.profile.lemma_2_2_shape and exists_two_coloring(g, budget=budget).exists
+    return TheoremCheck(theorem, hyp, clauses, concl, mode=mode, details=details)
+
+
+def _lemma_2_2_shape(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
+    """Conclusion of Lemma 2.2: cfc = 2 forces C(G) to be a linear forest
+    with every component of at most three edges.  The hypothesis cfc = 2 is
+    decided by the sweep alone: a search that assumed the lemma's shape
+    could never refute it."""
+    feasible = clauses["oracle_feasible"]
+    clauses["cfc_equals_two"] = (
+        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget).exists
+    )
+    hyp = all(clauses.values())
+    concl = d.profile.lemma_2_2_shape if hyp else None
     return TheoremCheck(
-        theorem=theorem,
-        hypothesis_holds=hyp,
-        clauses=clauses,
-        conclusion_holds=concl,
-        mode=mode,
-        details=details or {},
+        theorem, hyp, clauses, concl, mode="oracle" if feasible else None, details=details
     )
 
 
-_THM_4_RANGES = {
-    "4.1": (25, None),
-    "4.2": (9, 24),
-    "4.3": (4, 8),
-    "4.4": (16, None),
-    "4.5": (33, None),
-}
+class _KRule(NamedTuple):
+    least: int  # the least k, also the default
+    bound: str  # names the result when k is too small
+    base_order: Callable[[int], int]  # the least order the harness samples for k
 
 
-def check_thm_4_x(g: Graph, which: str, budget: Optional[int] = None) -> TheoremCheck:
-    """The sufficient conditions for cfc = 2, each with its stated order
-    range taken literally."""
-    if which not in _THM_4_RANGES:
-        raise UnknownTheoremError(f"{which!r} is not one of the theorems 4.x")
-    n = g.vertex_count
-    lo, hi = _THM_4_RANGES[which]
-    delta = degree_view(g).min_degree
-    d = block_decomposition(g)
-    clauses = {"order_range": n >= lo and (hi is None or n <= hi)}
-    if which in ("4.1", "4.2", "4.3", "4.5"):
-        clauses["linear_forest"] = d.profile.is_linear_forest
-    if which == "4.1":
-        clauses["min_degree_bound"] = 5 * delta >= n - 4
-    elif which == "4.2":
-        clauses["min_degree_bound"] = delta >= 3 and 5 * delta >= n - 4
-    elif which == "4.3":
-        clauses["min_degree_bound"] = delta >= 2
-    elif which == "4.4":
-        clauses["min_degree_bound"] = 4 * delta >= n - 3
-    else:
-        s = min_nonadjacent_degree_sum(g)
-        clauses["degree_sum_bound"] = s is None or 5 * s >= 2 * n - 9
-    details = {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
-    return _cfc_two_check(which, g, d, clauses, budget, details)
+@dataclass(frozen=True)
+class _Theorem:
+    """One result of the paper.  ``clauses(g, d, k)``, d g's block
+    decomposition, gives the hypothesis as ``(clauses, details)``;
+    ``conclusion`` adds its own clause where it has one and decides the
+    conclusion.  The harness samples orders in [n_min, n_max] and edge
+    probabilities in [p_min, p_max] (``ranges``), or for a cut-edge bound
+    orders base..base+5, base ``k.base_order(k)``, with p in [0.5, 0.9]."""
+
+    clauses: Callable[..., Tuple[Dict[str, bool], Dict[str, object]]]
+    conclusion: Callable[..., TheoremCheck]
+    ranges: Optional[Tuple[int, int, float, float]] = None
+    k: Optional[_KRule] = None
 
 
-def _check_lemma_2_2(g: Graph, budget: Optional[int]) -> TheoremCheck:
-    """cfc = 2 forces the bridge subgraph to be a linear forest with every
-    component of at most three edges."""
-    shape = block_decomposition(g).profile.lemma_2_2_shape
-    feasible = g.edge_count <= ORACLE_EDGE_CAP
-    cfc_two = False
-    if feasible and not is_complete(g):
-        # By the sweep alone: a search that assumed the lemma's shape could never refute it.
-        cfc_two = exists_two_coloring(g, budget=budget).exists
-    clauses = {"oracle_feasible": feasible, "cfc_equals_two": cfc_two}
-    hyp = feasible and cfc_two
-    return TheoremCheck(
-        theorem="2.2", hypothesis_holds=hyp, clauses=clauses,
-        conclusion_holds=shape if hyp else None,
-        mode="oracle" if feasible else None,
-    )
+def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ranges) -> _Theorem:
+    """A sufficient condition 4.x for cfc = 2: its stated order range [lo, hi]
+    taken literally, C(G) a linear forest when ``linear_forest``, and the
+    degree clause ``name``, ``holds(g, n, delta)``."""
+
+    def clauses(g: Graph, d: BlockDecomposition, k: Optional[int]):
+        n = g.vertex_count
+        delta = degree_view(g).min_degree
+        result = {"order_range": n >= lo and (hi is None or n <= hi)}
+        if linear_forest:
+            result["linear_forest"] = d.profile.is_linear_forest
+        result[name] = holds(g, n, delta)
+        return result, {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
+
+    return _Theorem(clauses, _cfc_two_check, ranges)
 
 
-def _check_lemma_2_3(g: Graph, budget: Optional[int]) -> TheoremCheck:
-    """All bridge components of order 2 (and at least one bridge) forces
-    cfc = 2 on a non-complete graph."""
-    d = block_decomposition(g)
-    clauses = {
+_THEOREMS = {
+    "2.2": _Theorem(lambda g, d, k: ({"oracle_feasible": g.edge_count <= ORACLE_EDGE_CAP}, {}),
+                    _lemma_2_2_shape, (4, 7, 0.3, 0.9)),
+    # At least one bridge, and every bridge component of order 2.
+    "2.3": _Theorem(lambda g, d, k: ({
         "has_cut_edges": bool(d.cut_edges),
         "all_components_order_2": all(o == 2 for o in d.profile.component_orders),
-    }
-    return _cfc_two_check("2.3", g, d, clauses, budget)
-
-
-def _check_lemma_2_4(g: Graph, budget: Optional[int]) -> TheoremCheck:
-    """2-edge-connected non-complete forces cfc = 2."""
-    d = block_decomposition(g)
-    # The one-vertex graph has no block, so it is not 2-edge-connected.
-    clauses = {"two_edge_connected": bool(d.blocks) and not d.cut_edges}
-    return _cfc_two_check("2.4", g, d, clauses, budget)
-
-
-# The theorem ids.  The harness samples orders in [n_min, n_max] and edge
-# probabilities in [p_min, p_max]; None marks the cut-edge bounds, which
-# sample orders base..base+5 with p in [0.5, 0.9] (_K_BOUNDS).
-_HARNESS_RANGES = {
-    "2.2": (4, 7, 0.3, 0.9),
-    "2.3": (5, 9, 0.25, 0.55),
-    "2.4": (4, 9, 0.4, 0.9),
-    "3.1": None,
-    "3.4": None,
-    "4.1": (25, 30, 0.5, 0.9),
-    "4.2": (9, 16, 0.4, 0.9),
-    "4.3": (4, 8, 0.4, 0.9),
-    "4.4": (16, 20, 0.5, 0.9),
-    "4.5": (33, 36, 0.5, 0.9),
+    }, {}), _cfc_two_check, (5, 9, 0.25, 0.55)),
+    # 2-edge-connected; the one-vertex graph has no block, so it is not.
+    "2.4": _Theorem(lambda g, d, k: ({"two_edge_connected": bool(d.blocks) and not d.cut_edges}, {}),
+                    _cfc_two_check, (4, 9, 0.4, 0.9)),
+    # Base order k^2, the least order 3.1's order clause admits.
+    "3.1": _Theorem(_thm_3_1_clauses, _cut_edge_bound,
+                    k=_KRule(3, "cut-edge bound", lambda k: k * k)),
+    # Base order k^2 + k, the floor of 3.4's order threshold.  The threshold
+    # is above it only at k = 5 (33 displayed, 32 derived), so there the
+    # sampled orders 30-32 always fail order_threshold.
+    "3.4": _Theorem(_thm_3_4_clauses, _cut_edge_bound,
+                    k=_KRule(5, "degree-sum cut-edge bound", lambda k: k * k + k)),
+    "4.1": _thm_4(25, None, True, "min_degree_bound", lambda g, n, delta: 5 * delta >= n - 4,
+                  (25, 30, 0.5, 0.9)),
+    "4.2": _thm_4(9, 24, True, "min_degree_bound",
+                  lambda g, n, delta: delta >= 3 and 5 * delta >= n - 4, (9, 16, 0.4, 0.9)),
+    "4.3": _thm_4(4, 8, True, "min_degree_bound", lambda g, n, delta: delta >= 2,
+                  (4, 8, 0.4, 0.9)),
+    "4.4": _thm_4(16, None, False, "min_degree_bound", lambda g, n, delta: 4 * delta >= n - 3,
+                  (16, 20, 0.5, 0.9)),
+    "4.5": _thm_4(33, None, True, "degree_sum_bound", lambda g, n, delta: _degree_sum_bound(g, 5),
+                  (33, 36, 0.5, 0.9)),
 }
-THEOREM_IDS = tuple(_HARNESS_RANGES)
-# The cut-edge bounds: default k, and base order k^2 (3.1) or k^2 + k (3.4),
-# the least order their order clause admits.
-_K_BOUNDS = {"3.1": (3, lambda k: k * k), "3.4": (5, lambda k: k * k + k)}
-THEOREMS_WITH_K = tuple(_K_BOUNDS)
+THEOREM_IDS = tuple(_THEOREMS)
+THEOREMS_WITH_K = tuple(t for t, row in _THEOREMS.items() if row.k is not None)
 
 
-def _require_theorem_id(theorem: str) -> None:
-    if theorem not in _HARNESS_RANGES:
+def _theorem_row(theorem: str) -> _Theorem:
+    if theorem not in _THEOREMS:
         raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
+    return _THEOREMS[theorem]
 
 
 def check_theorem(
     g: Graph, theorem: str, k: Optional[int] = None, budget: Optional[int] = None
 ) -> TheoremCheck:
-    """Dispatch a single-graph theorem check by id; 3.1 and 3.4 take ``k``,
-    with their default when it is None."""
-    _require_theorem_id(theorem)
-    if theorem in _THM_4_RANGES:
-        return check_thm_4_x(g, theorem, budget=budget)
-    if theorem in _K_BOUNDS:
-        k = _K_BOUNDS[theorem][0] if k is None else k
-        return check_thm_3_1(g, k) if theorem == "3.1" else check_thm_3_4(g, k)
-    lemmas = {"2.2": _check_lemma_2_2, "2.3": _check_lemma_2_3, "2.4": _check_lemma_2_4}
-    return lemmas[theorem](g, budget)
+    """Evaluate one theorem on ``g`` from one block decomposition: its
+    hypothesis clauses, then its conclusion.  3.1 and 3.4 take ``k``, their
+    least k when it is None; the other theorems ignore it."""
+    row = _theorem_row(theorem)
+    if row.k is not None:
+        k = row.k.least if k is None else k
+        if k < row.k.least:
+            raise UnknownTheoremError(f"the {row.k.bound} needs k >= {row.k.least}")
+    d = block_decomposition(g)
+    clauses, details = row.clauses(g, d, k)
+    return row.conclusion(theorem, g, d, k, budget, clauses, details)
 
 
 @dataclass(frozen=True)
@@ -316,12 +288,11 @@ def harness_config(
     """The harness sampling for ``theorem``: its default ranges, or for 3.1
     and 3.4 orders from the base order of ``k`` up; ``n_min``/``n_max``
     override the order range."""
-    _require_theorem_id(theorem)
-    ranges = _HARNESS_RANGES[theorem]
-    if ranges is None:
-        default_k, base_order = _K_BOUNDS[theorem]
-        k = default_k if k is None else k
-        base = base_order(k)
+    row = _theorem_row(theorem)
+    ranges = row.ranges
+    if row.k is not None:
+        k = row.k.least if k is None else k
+        base = row.k.base_order(k)
         ranges = (base, base + 5, 0.5, 0.9)
     lo, hi, p_min, p_max = ranges
     lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)

@@ -422,6 +422,17 @@ def test_check_bad_coloring_file_is_usage(text, message, c5_file, tmp_path, caps
     assert captured.err == f"error: {message}\n"
 
 
+def test_check_on_a_disconnected_graph_is_usage(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("4 2\n0 1\n2 3\n")
+    coloring = tmp_path / "g.coloring"
+    coloring.write_text("coloring 2\n0 1 1\n2 3 2\n")
+    assert main(["check", str(graph), str(coloring)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verification requires a connected graph\n"
+
+
 def test_hostile_header_fails_at_the_header_in_bounded_memory(tmp_path):
     resource = pytest.importorskip("resource")
     limit = 1 << 30

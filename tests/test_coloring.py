@@ -9,9 +9,11 @@ from cfcgraph.coloring import format_coloring, parse_coloring
 from cfcgraph.errors import (
     CompleteGraphError,
     EdgeListParseError,
+    EmptyGraphError,
     HypothesisViolatedError,
     NonPositiveError,
     NotAPathError,
+    NotConnectedError,
 )
 from cfcgraph.families import gen_H, gen_path, gen_random_connected, gen_random_glued_blocks
 
@@ -57,6 +59,22 @@ def test_verify_c4_monochromatic_fails_on_opposite_pair():
     verdict = cfc.verify_conflict_free_connected(colored(c4, (1, 1, 1, 1)))
     assert not verdict.is_conflict_free_connected
     assert verdict.failing_pair == (0, 2)
+
+
+def test_verifier_rejects_empty_and_disconnected_graphs():
+    with pytest.raises(EmptyGraphError):
+        cfc.verify_conflict_free_connected(colored(cfc.build_graph(0, []), []))
+    two_triangles = cfc.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    isolated_vertex = cfc.build_graph(4, [(0, 1), (1, 2)])
+    for g, colors in (
+        (two_triangles, [1, 2, 1, 2, 1, 2]),
+        (isolated_vertex, [1, 2]),
+        (cfc.build_graph(2, []), []),
+    ):
+        with pytest.raises(NotConnectedError, match="^verification requires a connected graph$"):
+            cfc.verify_conflict_free_connected(colored(g, colors))
+    verdict = cfc.verify_conflict_free_connected(colored(cfc.build_graph(1, []), []))
+    assert verdict.is_conflict_free_connected and len(verdict.witness_paths) == 0
 
 
 def test_construct_two_coloring_c5():

@@ -73,7 +73,7 @@ def test_block_decomposition_r3_witness():
 
 def test_block_decomposition_of_one_vertex_and_empty_graphs():
     d = cfc.block_decomposition(cfc.build_graph(1, []))
-    assert d.blocks == () and d.tree_edges == ()
+    assert d.blocks == ()
     assert d.cut_vertices == frozenset() and d.cut_edges == frozenset()
     with pytest.raises(EmptyGraphError):
         cfc.block_decomposition(cfc.build_graph(0, []))
@@ -260,7 +260,7 @@ def test_cut_edge_profile_is_linear_in_bridge_run_length():
 def _assert_decomposition_matches_reference(g):
     """The whole decomposition against networkx blocks and cut vertices and
     the remove-and-test bridges, in the documented order: blocks sorted by
-    their edge tuples, tree edges (block index, cut vertex) in block order."""
+    their edge tuples."""
     h = nx.Graph(list(g.edges))
     h.add_nodes_from(range(g.vertex_count))
     blocks = sorted(
@@ -273,9 +273,6 @@ def _assert_decomposition_matches_reference(g):
     assert [b.edges for b in d.blocks] == blocks
     assert [b.vertices for b in d.blocks] == vertices
     assert d.cut_vertices == cut
-    assert d.tree_edges == tuple(
-        (i, v) for i, vs in enumerate(vertices) for v in vs if v in cut
-    )
     assert d.cut_edges == bridge_oracle(g)
     _assert_profile_matches_oracle(g)
 

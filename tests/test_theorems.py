@@ -7,9 +7,6 @@ from cfcgraph.theorems import (
     HarnessConfig,
     check_sharpness,
     check_theorem,
-    check_thm_3_1,
-    check_thm_3_4,
-    check_thm_4_x,
     harness_config,
     run_harness,
     thm_3_4_order_thresholds,
@@ -17,24 +14,24 @@ from cfcgraph.theorems import (
 
 
 def test_thm_3_1_r3_below_order_threshold():
-    report = check_thm_3_1(fam.gen_R(3), k=3)
+    report = check_theorem(fam.gen_R(3), "3.1", k=3)
     assert not report.clauses["order_at_least_k_squared"]
     assert not report.hypothesis_holds
 
 
 def test_thm_3_1_h33_fails_degree_clause():
-    report = check_thm_3_1(fam.gen_H(3, 3), k=3)
+    report = check_theorem(fam.gen_H(3, 3), "3.1", k=3)
     assert not report.clauses["min_degree_bound"]
 
 
 def test_thm_3_1_k9_holds():
-    report = check_thm_3_1(fam.gen_complete(9), k=3)
+    report = check_theorem(fam.gen_complete(9), "3.1", k=3)
     assert report.hypothesis_holds
     assert report.conclusion_holds
 
 
 def test_thm_3_4_d5_below_order_threshold():
-    report = check_thm_3_4(fam.gen_D(5), k=5)
+    report = check_theorem(fam.gen_D(5), "3.4", k=5)
     assert not report.clauses["order_threshold"]
     assert not report.hypothesis_holds
 
@@ -43,12 +40,12 @@ def test_thm_3_4_h57_fails_degree_sum():
     # min nonadjacent degree sum is 2(t-1) = 12, required (2*35-9)/5 = 12.2
     g = fam.gen_H(5, 7)
     assert cfc.min_nonadjacent_degree_sum(g) == 12
-    report = check_thm_3_4(g, k=5)
+    report = check_theorem(g, "3.4", k=5)
     assert not report.clauses["degree_sum_bound"]
 
 
 def test_thm_3_4_complete_graph_vacuous_degree_clause():
-    report = check_thm_3_4(fam.gen_complete(40), k=5)
+    report = check_theorem(fam.gen_complete(40), "3.4", k=5)
     assert report.hypothesis_holds
     assert report.conclusion_holds
 
@@ -56,28 +53,28 @@ def test_thm_3_4_complete_graph_vacuous_degree_clause():
 def test_thm_3_4_records_both_thresholds():
     thresholds = thm_3_4_order_thresholds(5)
     assert thresholds["displayed"] >= thresholds["derived"] >= 30
-    report = check_thm_3_4(fam.gen_complete(40), k=5)
+    report = check_theorem(fam.gen_complete(40), "3.4", k=5)
     assert report.details["order_thresholds"] == thresholds
 
 
 def test_thm_4_4_constructive_mode():
     # 2-edge-connected non-complete with a high minimum degree
     g = fam.gen_random_bridgeless(17, 0.85, seed=3)
-    report = check_thm_4_x(g, "4.4")
+    report = check_theorem(g, "4.4")
     if report.hypothesis_holds:
         assert report.mode == "constructive"
         assert report.conclusion_holds
 
 
 def test_thm_4_3_path_fails_min_degree():
-    report = check_thm_4_x(fam.gen_path(6), "4.3")
+    report = check_theorem(fam.gen_path(6), "4.3")
     assert not report.clauses["min_degree_bound"]
     assert report.conclusion_holds is None
 
 
 def test_thm_4_1_s5_misses_degree_bound():
     g = fam.gen_S(5)
-    report = check_thm_4_x(g, "4.1")
+    report = check_theorem(g, "4.1")
     assert report.clauses["order_range"]
     assert not report.clauses["min_degree_bound"]
 
@@ -85,6 +82,18 @@ def test_thm_4_1_s5_misses_degree_bound():
 def test_unknown_theorem():
     with pytest.raises(UnknownTheoremError):
         check_theorem(fam.gen_path(4), "9.9")
+
+
+@pytest.mark.parametrize(
+    "theorem,k,message",
+    [("3.1", 2, "the cut-edge bound needs k >= 3"),
+     ("3.4", 4, "the degree-sum cut-edge bound needs k >= 5")],
+)
+def test_cut_edge_bounds_reject_small_k_first(theorem, k, message):
+    # k is checked before the graph, so a disconnected one gets the same error.
+    for g in (fam.gen_path(4), cfc.build_graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(UnknownTheoremError, match=f"^{message}$"):
+            check_theorem(g, theorem, k=k)
 
 
 def test_harness_thm_3_1_no_counterexamples():
