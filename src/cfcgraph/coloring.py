@@ -84,32 +84,6 @@ def is_conflict_free_path(coloring: EdgeColoring, path: Sequence[int]) -> bool:
     return any(k == 1 for k in counts.values())
 
 
-def enumerate_simple_paths(g: Graph, source: int, target: int) -> Iterator[Tuple[int, ...]]:
-    """Depth-first enumeration of simple source-target paths, neighbors in
-    ascending index order."""
-    path = [source]
-    on_path = [False] * g.vertex_count
-    on_path[source] = True
-    stack = [iter(g.adjacency[source])]
-    while stack:
-        it = stack[-1]
-        advanced = False
-        for w in it:
-            if on_path[w]:
-                continue
-            if w == target:
-                yield tuple(path) + (target,)
-                continue
-            path.append(w)
-            on_path[w] = True
-            stack.append(iter(g.adjacency[w]))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            on_path[path.pop()] = False
-
-
 def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     """Decide whether every vertex pair is joined by a conflict-free path.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Tuple
 
-from .errors import ParamOutOfRangeError, RetriesExhaustedError
+from .errors import NotConnectedError, ParamOutOfRangeError, RetriesExhaustedError
 from .graph import Graph, build_graph, is_complete, is_connected
 from .decomposition import block_decomposition
 
@@ -221,8 +221,13 @@ def gen_random_bridgeless(
             if rng.random() < edge_probability
         ]
         g = build_graph(n, edges)
-        if is_connected(g) and not is_complete(g) and not block_decomposition(g).cut_edges:
-            return g
+        if is_complete(g):
+            continue
+        try:
+            if not block_decomposition(g).cut_edges:
+                return g
+        except NotConnectedError:
+            pass
     raise RetriesExhaustedError(
         f"no 2-edge-connected non-complete sample for n={n}, p={edge_probability}"
     )

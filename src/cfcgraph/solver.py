@@ -4,9 +4,14 @@ Colorings are enumerated as base-t odometers over canonical edge order with
 the first edge's color fixed to 1 (color-swap symmetry), so the reported
 witness is the lexicographically smallest successful coloring.  One sweep
 serves every t: each color class is an edge bitmask, and a pair check is one
-popcount per class and path; a pair with more than ``_PATH_CAP_PER_PAIR``
-simple paths is checked by the exact verifier's per-edge rule instead.  The
-budget counts (coloring, pair) verification steps, not wall time.
+popcount per class and path.  A pair's simple paths are generated lazily, as
+edge bitmasks, by its own depth-first search: the sweep tries the paths it
+has already pulled and pulls more only when none of them serves the pair.
+Whether a pair is served does not depend on the order its paths are tried,
+so the witness and the step counts do not either.  A pair whose path count
+exceeds ``_PATH_CAP_PER_PAIR`` is checked by the exact verifier's per-edge
+rule from the step that pulls the path past the cap.  The budget counts
+(coloring, pair) verification steps, not wall time.
 
 ``exact_cfc`` starts its search at the lower bound of ``cfc_bracket``, which
 is 3 when the cut-edge profile fails Lemma 2.2's necessary shape
@@ -16,14 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Tuple
 
-from .coloring import (
-    EdgeColoring,
-    _serve_pairs,
-    enumerate_simple_paths,
-    two_coloring_hypothesis_holds,
-)
+from .coloring import EdgeColoring, _serve_pairs, two_coloring_hypothesis_holds
 from .decomposition import block_decomposition
 from .errors import (
     BudgetExhaustedError,
@@ -32,7 +33,7 @@ from .errors import (
     NotConnectedError,
     TrivialGraphError,
 )
-from .graph import Graph, canonical_edge, is_complete, is_connected, nonadjacent_pairs
+from .graph import Graph, is_complete, is_connected, nonadjacent_pairs
 
 _PATH_CAP_PER_PAIR = 4096
 
@@ -57,30 +58,70 @@ class TwoColoringSearch:
     stats: SearchStats
 
 
-def _pair_path_masks(g: Graph) -> List[Tuple[int, int, Optional[List[Tuple[int, int]]]]]:
-    """Per nonadjacent pair: all simple paths as (edge bitmask, length).
+def _simple_paths(
+    incident: List[List[Tuple[int, int]]], source: int, target: int
+) -> Iterator[Tuple[int, int]]:
+    """Depth-first simple source-target paths, neighbors in ascending order,
+    each as (edge bitmask, length); the mask is carried down the search.
+
+    ``incident[x]`` lists x's (neighbor, edge bit) in ascending neighbor order.
+    """
+    on_path = [False] * len(incident)
+    on_path[source] = True
+    path = [source]
+    prefix = [0]
+    stack = [iter(incident[source])]
+    while stack:
+        for w, bit in stack[-1]:
+            if on_path[w]:
+                continue
+            if w == target:
+                yield prefix[-1] | bit, len(stack)
+                continue
+            on_path[w] = True
+            path.append(w)
+            prefix.append(prefix[-1] | bit)
+            stack.append(iter(incident[w]))
+            break
+        else:
+            stack.pop()
+            prefix.pop()
+            on_path[path.pop()] = False
+
+
+def _pull(
+    masks: List[Tuple[int, int]], paths: Iterator[Tuple[int, int]]
+) -> Iterator[Tuple[int, int]]:
+    """Yield the next paths, appending each to ``masks``; stop after
+    appending the path past the cap, without yielding it."""
+    for entry in paths:
+        masks.append(entry)
+        if len(masks) > _PATH_CAP_PER_PAIR:
+            return
+        yield entry
+
+
+def _pairs(g: Graph) -> List[list]:
+    """Per nonadjacent pair: ``[u, v, masks, pull]``, the paths pulled so far
+    and the generator that pulls more; no path is generated until the sweep
+    reads it.  The sweep drops ``pull`` once it is spent, and ``masks`` too
+    when the pair has more paths than the cap.
 
     Edge i of the canonical order is bit m-1-i, so the last edge is the
-    least significant.  A pair whose path count exceeds the cap gets None and
-    is checked per coloring by the exact verifier instead.
+    least significant.
     """
     m = g.edge_count
-    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
+    incident: List[List[Tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    # The canonical edges are sorted, so each list is in ascending order.
+    for i, (a, b) in enumerate(g.edges):
+        bit = 1 << (m - 1 - i)
+        incident[a].append((b, bit))
+        incident[b].append((a, bit))
     out = []
     # Adjacent pairs are always conflict-free connected via their single edge.
     for u, v in nonadjacent_pairs(g):
         masks: List[Tuple[int, int]] = []
-        capped = False
-        for p in enumerate_simple_paths(g, u, v):
-            mask = 0
-            for a, b in zip(p, p[1:]):
-                mask |= edge_bit[canonical_edge(a, b)]
-            masks.append((mask, len(p) - 1))
-            if len(masks) > _PATH_CAP_PER_PAIR:
-                capped = True
-                break
-        masks.sort(key=lambda t: t[1])
-        out.append((u, v, None if capped else masks))
+        out.append([u, v, masks, _pull(masks, _simple_paths(incident, u, v))])
     return out
 
 
@@ -98,9 +139,9 @@ def _sweep(
     g: Graph, t: int, pairs, stats: SearchStats, budget: Optional[int]
 ) -> Optional[Tuple[int, ...]]:
     """Sweep all t-colorings with the first edge fixed to color 1, checking
-    the pairs of ``_pair_path_masks``.  Each pair check is one verification
-    step, added to ``stats``; the step past ``budget`` raises
-    BudgetExhaustedError.
+    the pairs of ``_pairs``.  Each pair check is one verification step,
+    added to ``stats``, however many paths it reads or pulls; the step past
+    ``budget`` raises BudgetExhaustedError.
 
     Color c >= 2 is the edge bitmask ``classes[c - 2]``; color 1 on a path
     is its length minus the other colors' counts.  The last failing pair
@@ -120,12 +161,11 @@ def _sweep(
             steps += 1
             if steps > limit:
                 raise BudgetExhaustedError(t, m, steps)
-            u, v, masks = pair
-            if masks is None:
-                served = not _serve_pairs(g, _colors(m, classes), [(u, v)])[1]
-            else:
-                served = False
-                for pmask, ones in masks:
+            u, v, masks, pull = pair
+            served = False
+            if masks is not None:
+                # The pulled masks first; more paths only if none serves.
+                for pmask, ones in masks if pull is None else chain(masks, pull):
                     for cm in classes:
                         k = (cm & pmask).bit_count()
                         if k == 1:
@@ -136,6 +176,13 @@ def _sweep(
                             continue
                     served = True
                     break
+                else:
+                    if pull is not None:  # every path pulled, or the cap reached
+                        pair[3] = None
+                        if len(masks) > _PATH_CAP_PER_PAIR:
+                            masks = pair[2] = None
+            if masks is None:
+                served = not _serve_pairs(g, _colors(m, classes), [(u, v)])[1]
             if not served:
                 if pos:
                     del order[pos]
@@ -177,7 +224,7 @@ def exact_cfc(
         if max_colors < 1:
             raise NoColoringWithinMaxError("no coloring with zero colors")
         return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
-    pairs = _pair_path_masks(g)
+    pairs = _pairs(g)
     for t in range(lower, max_colors + 1):
         colors = _sweep(g, t, pairs, stats, budget)
         if colors is not None:
@@ -198,7 +245,7 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
     stats = SearchStats()
-    colors = _sweep(g, 2, _pair_path_masks(g), stats, budget)
+    colors = _sweep(g, 2, _pairs(g), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 

@@ -14,13 +14,15 @@ from cfcgraph.errors import (
 from cfcgraph.families import (
     gen_complete,
     gen_cycle,
+    gen_H,
     gen_path,
     gen_random_connected,
     gen_remark4_H,
     gen_S,
 )
+from cfcgraph.graph import nonadjacent_pairs
 
-from conftest import cfc_brute, has_two_coloring_brute
+from conftest import cfc_brute, has_two_coloring_brute, simple_paths_between
 
 
 def test_exact_cfc_k4():
@@ -70,6 +72,50 @@ def test_exists_two_coloring_c5():
 def test_exists_two_coloring_rejects_complete():
     with pytest.raises(CompleteGraphError):
         cfc.exists_two_coloring(gen_complete(4))
+
+
+def test_exists_two_coloring_rejects_disconnected():
+    with pytest.raises(NotConnectedError):
+        cfc.exists_two_coloring(cfc.build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+
+
+def test_exists_two_coloring_generates_only_the_paths_it_reads():
+    # The 4-cube has tens of thousands of simple paths between its
+    # nonadjacent pairs; the sweep needs two colorings and 89 pair steps.
+    edges = [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1]
+    g = cfc.build_graph(16, edges)
+    start = time.perf_counter()
+    search = cfc.exists_two_coloring(g)
+    elapsed = time.perf_counter() - start
+    assert search.exists
+    assert search.stats == cfc.SearchStats(colorings_examined=2, verification_steps=89)
+    assert elapsed < 0.5, f"{elapsed:.2f} s for the 4-cube"
+
+
+def test_pair_paths_match_reference_enumeration():
+    # Each pair's generator yields every simple path once, as (edge bitmask,
+    # length) with edge i of the canonical order at bit m-1-i.
+    from cfcgraph import solver
+
+    rng = random.Random(7)
+    graphs = [
+        gen_random_connected(rng.randint(3, 8), rng.uniform(0.2, 0.9), seed=rng.randrange(10_000))
+        for _ in range(40)
+    ]
+    graphs += [gen_S(3), gen_remark4_H(5), gen_H(3, 3)]
+    for g in graphs:
+        m = g.edge_count
+        bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
+        pairs = solver._pairs(g)
+        assert [(u, v) for u, v, _, _ in pairs] == list(nonadjacent_pairs(g))
+        for u, v, masks, pull in pairs:
+            expected = sorted(
+                (sum(bit[cfc.canonical_edge(a, b)] for a, b in zip(p, p[1:])), len(p) - 1)
+                for p in simple_paths_between(g, u, v)
+            )
+            assert masks == []
+            assert sorted(pull) == expected, (g.edges, u, v)
+            assert sorted(masks) == expected
 
 
 def test_exists_two_coloring_remark4_refutation():
@@ -151,6 +197,27 @@ def test_capped_pairs_search_like_masked_pairs(monkeypatch):
     expected = [cfc.exact_cfc(g) for g in graphs]
     assert {r.value for r in expected} >= {2, 3, 4}
     monkeypatch.setattr(solver, "_PATH_CAP_PER_PAIR", 0)
+    for g, want in zip(graphs, expected):
+        got = cfc.exact_cfc(g)
+        assert got.value == want.value
+        assert got.optimal_coloring.colors == want.optimal_coloring.colors
+        assert got.stats == want.stats
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_pairs_reaching_the_cap_mid_sweep_search_alike(monkeypatch, cap):
+    # A pair switches to the per-edge rule at the step that pulls its path
+    # past the cap, after its pulled paths failed; nothing else may change.
+    from cfcgraph import solver
+
+    rng = random.Random(5)
+    graphs = [
+        gen_random_connected(n, rng.uniform(0.4, 0.9), seed=rng.randrange(10_000))
+        for n in (4, 5, 6) * 4
+    ]
+    graphs += [gen_cycle(6), gen_remark4_H(5)]
+    expected = [cfc.exact_cfc(g) for g in graphs]
+    monkeypatch.setattr(solver, "_PATH_CAP_PER_PAIR", cap)
     for g, want in zip(graphs, expected):
         got = cfc.exact_cfc(g)
         assert got.value == want.value

@@ -36,6 +36,21 @@ def test_every_hook_names_a_public_layer_function():
         assert f"{layer}.{name}" not in tracer.UNWRAPPED, hook
 
 
+def test_public_generator_functions_are_unwrapped():
+    # A span wrapper returns as soon as a generator is created, so it would
+    # time the creation and none of the work done while the caller iterates.
+    tracer = _load_tracer()
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        for attr, fn in vars(module).items():
+            if attr.startswith("_") or not inspect.isgeneratorfunction(fn):
+                continue
+            package, _, owner = fn.__module__.rpartition(".")
+            if package != tracer.PACKAGE:
+                continue
+            assert f"{owner}.{fn.__name__}" in tracer.UNWRAPPED, f"{layer}.{attr}"
+
+
 def test_harness_checks_through_the_module_attribute(monkeypatch):
     # The tracer replaces module attributes, so the harness must look
     # check_theorem up there on every trial.
