@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import cfcgraph as cfc
@@ -150,3 +152,40 @@ def test_glued_blocks_satisfy_two_coloring_hypothesis():
         assert cfc.is_connected(g)
         assert not cfc.is_complete(g)
         assert two_coloring_hypothesis_holds(cfc.block_decomposition(g).profile)
+
+
+# Every extremal generator's exact vertex numbering over a parameter grid,
+# one SHA-256 per family over repr((params, vertex_count, edges)) in grid
+# order, recorded before the generators shared one clique-gluing builder.
+# The metric tests above would pass a renumbered graph; these would not.
+EXTREMAL_GRIDS = {
+    "H": [(k, t) for k in range(3, 12) for t in range(3, 12)],
+    "R": [(k,) for k in range(3, 14)],
+    "S": [(t,) for t in range(3, 20)],
+    "D": [(k,) for k in range(5, 14)],
+    "remark4-H": [(t,) for t in range(5, 30)],
+    "remark4-G": [(n,) for n in range(15, 76, 5)],
+    "remark6-H": [(n,) for n in range(12, 77, 4)],
+    "remark6-G": [()],
+    "remark7-G": [(n,) for n in range(11, 33, 3)],
+}
+EXTREMAL_DIGESTS = {
+    "H": "40d7adaecaa77e6d308390651bb7835808be7f44c577525f66682e7ae1dc85be",
+    "R": "ce3b128e03bb2330835f9176af2a8c80559a86f961a3d3f0e522e1ba33b49783",
+    "S": "cbfeb78ce12be77caaf445e6d889136c157e72047446c8f45ec627c44d7132d4",
+    "D": "aab260ac53a437644588674b78ecdf9a8026773a68c58c48b11239cbff22e724",
+    "remark4-H": "39cf945813beeb7a89abb1e3f4150e0101a0f3f41f880f95a11f34111915ab21",
+    "remark4-G": "13df28077e85d40287464840176869bcac7ddd0e7ac0925cbae8f6d19418fbfe",
+    "remark6-H": "a5124c5ed078a572b7e34c52385cbccc5702457c5652887a216f2a9f2051a23d",
+    "remark6-G": "4c6908f9fe6f278ad146bc4675617b6ded73ba621c0dda6bfa328f93d1e336b1",
+    "remark7-G": "081c638f38cd612517911b4e7367fd315b45b5c00fd38e794be26e0d4caefe4a",
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXTREMAL_GRIDS))
+def test_extremal_generators_keep_their_edge_lists(family):
+    digest = hashlib.sha256()
+    for params in EXTREMAL_GRIDS[family]:
+        g = fam.FAMILIES[family](*params)
+        digest.update(repr((params, g.vertex_count, g.edges)).encode())
+    assert digest.hexdigest() == EXTREMAL_DIGESTS[family]

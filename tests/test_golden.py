@@ -6,8 +6,13 @@ stderr; ``golden/inputs`` holds the edge lists it read.  The first 18 cases
 ``sharpness:S``) were recorded before the decomposition layer became a single
 structural pass.  The ``verify`` cases of 2.3, 2.4, 3.1, 3.4 (also with
 ``--k 6``), 4.1, 4.2, 4.3 and 4.4 were recorded before the theorem checks were
-folded into one table.  A mismatch means the CLI's output changed.  Regenerate the references only for an intended
-output change, never to make a refactor pass.
+folded into one table.  The ``gen`` cases of every other family (``R 3``,
+``R 4``, ``S 3``, ``D 5``, ``remark4-H 5``, ``remark4-G 15``, ``remark6-H 12``,
+``remark6-G``, ``remark7-G 11``, ``path 5``, ``cycle 5``, ``complete 4`` and
+``random 8 60 5``) were recorded before the extremal generators shared one
+clique-gluing builder.  A mismatch means the CLI's output changed.
+Regenerate the references only for an intended output change, never to make
+a refactor pass.
 """
 import json
 from pathlib import Path
