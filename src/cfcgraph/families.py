@@ -4,11 +4,13 @@ corpus generators for the verification harness.
 Cliques are attached by vertex identification: the spine/hub vertex is a
 vertex of its clique.  Numbering convention: structural spine first, then
 clique fill-ins in block order, so labels are stable for golden tests.
+``_glued`` implements it; each extremal generator but remark4-H is one
+call naming its spine, its cut edges and its cliques.
 """
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import NotConnectedError, ParamOutOfRangeError, RetriesExhaustedError
 from .graph import Graph, build_graph, is_complete, is_connected
@@ -17,6 +19,23 @@ from .decomposition import block_decomposition
 
 def _clique_edges(vertices: List[int]) -> List[Tuple[int, int]]:
     return [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+
+
+def _glued(
+    spine: int,
+    edges: List[Tuple[int, int]],
+    cliques: Iterable[Tuple[Sequence[int], int]],
+) -> Graph:
+    """Spine vertices 0..spine-1 joined by ``edges``, which may also name
+    clique vertices and are extended in place.  Each ``(attached, order)``
+    of ``cliques`` adds a K_order made of the ``attached`` spine vertices
+    and fresh fill vertices, numbered on from every vertex before them."""
+    n = spine
+    for attached, order in cliques:
+        fill = order - len(attached)
+        edges.extend(_clique_edges([*attached, *range(n, n + fill)]))
+        n += fill
+    return build_graph(n, edges)
 
 
 def gen_path(n: int) -> Graph:
@@ -44,13 +63,7 @@ def gen_H(k: int, t: int) -> Graph:
     """
     if k < 3 or t < 3:
         raise ParamOutOfRangeError("H family needs k >= 3 and t >= 3")
-    edges = [(i, i + 1) for i in range(k - 1)]
-    nxt = k
-    for i in range(k):
-        fill = list(range(nxt, nxt + t - 1))
-        nxt += t - 1
-        edges.extend(_clique_edges([i] + fill))
-    return build_graph(k * t, edges)
+    return _glued(k, [(i, i + 1) for i in range(k - 1)], (((i,), t) for i in range(k)))
 
 
 def gen_R(k: int) -> Graph:
@@ -64,18 +77,10 @@ def gen_R(k: int) -> Graph:
     if k < 3:
         raise ParamOutOfRangeError("R family needs k >= 3")
     if k == 3:
-        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)]
-        edges.extend(_clique_edges([5, 6, 7]))
-        return build_graph(8, edges)
-    central = list(range(k - 1))
-    edges = _clique_edges(central)
-    nxt = k - 1
-    for j in range(k - 1):
-        outer = list(range(nxt, nxt + k))
-        nxt += k
-        edges.extend(_clique_edges(outer))
-        edges.append((j, outer[0]))
-    return build_graph(k * k - 1, edges)
+        return _glued(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)], [((5,), 3)])
+    # Outer block j starts at vertex k-1 + j*k.
+    bridges = [(j, k - 1 + j * k) for j in range(k - 1)]
+    return _glued(k - 1, bridges, [(range(k - 1), k - 1)] + [((), k)] * (k - 1))
 
 
 def gen_S(t: int) -> Graph:
@@ -87,20 +92,8 @@ def gen_S(t: int) -> Graph:
     """
     if t < 3:
         raise ParamOutOfRangeError("S family needs t >= 3")
-    edges = [(0, 1), (1, 2), (3, 4), (4, 5)]
-    nxt = 6
-    for v in (0, 1):
-        fill = list(range(nxt, nxt + t - 1))
-        nxt += t - 1
-        edges.extend(_clique_edges([v] + fill))
-    fill = list(range(nxt, nxt + t - 2))
-    nxt += t - 2
-    edges.extend(_clique_edges([2, 3] + fill))
-    for v in (4, 5):
-        fill = list(range(nxt, nxt + t - 1))
-        nxt += t - 1
-        edges.extend(_clique_edges([v] + fill))
-    return build_graph(5 * t, edges)
+    cliques = [((0,), t), ((1,), t), ((2, 3), t), ((4,), t), ((5,), t)]
+    return _glued(6, [(0, 1), (1, 2), (3, 4), (4, 5)], cliques)
 
 
 def gen_D(k: int) -> Graph:
@@ -110,14 +103,9 @@ def gen_D(k: int) -> Graph:
     """
     if k < 5:
         raise ParamOutOfRangeError("D family needs k >= 5")
-    edges = []
-    nxt = 1
-    for _ in range(k - 1):
-        block = list(range(nxt, nxt + k + 2))
-        nxt += k + 2
-        edges.extend(_clique_edges(block))
-        edges.append((0, block[0]))
-    return build_graph(k * k + k - 1, edges)
+    # Block j starts at vertex 1 + j*(k+2).
+    bridges = [(0, 1 + j * (k + 2)) for j in range(k - 1)]
+    return _glued(1, bridges, [((), k + 2)] * (k - 1))
 
 
 def gen_remark4_H(t: int) -> Graph:
@@ -136,11 +124,7 @@ def gen_remark4_G(n: int) -> Graph:
     if n % 5 != 0 or n // 5 < 3:
         raise ParamOutOfRangeError("remark4-G needs n divisible by 5 with n/5 >= 3")
     q = n // 5
-    edges = []
-    for i in range(5):
-        edges.extend(_clique_edges(list(range(i * q, (i + 1) * q))))
-    edges.extend((i * q, (i + 1) * q) for i in range(4))
-    return build_graph(n, edges)
+    return _glued(0, [(i * q, (i + 1) * q) for i in range(4)], [((), q)] * 5)
 
 
 def gen_remark6_H(n: int) -> Graph:
@@ -149,22 +133,13 @@ def gen_remark6_H(n: int) -> Graph:
     if n % 4 != 0 or n // 4 < 3:
         raise ParamOutOfRangeError("remark6-H needs n divisible by 4 with n/4 >= 3")
     q = n // 4
-    edges = []
-    for i in range(4):
-        edges.extend(_clique_edges(list(range(i * q, (i + 1) * q))))
-    edges.extend(((0, q), (0, 2 * q), (0, 3 * q)))
-    return build_graph(n, edges)
+    return _glued(0, [(0, q), (0, 2 * q), (0, 3 * q)], [((), q)] * 4)
 
 
 def gen_remark6_G() -> Graph:
     """Cliques of orders 1, 4, 5, 5; the single vertex is joined to one
     marked vertex of each other clique.  n = 15."""
-    edges = []
-    edges.extend(_clique_edges([1, 2, 3, 4]))
-    edges.extend(_clique_edges([5, 6, 7, 8, 9]))
-    edges.extend(_clique_edges([10, 11, 12, 13, 14]))
-    edges.extend(((0, 1), (0, 5), (0, 10)))
-    return build_graph(15, edges)
+    return _glued(1, [(0, 1), (0, 5), (0, 10)], [((), 4), ((), 5), ((), 5)])
 
 
 def gen_remark7_G(n: int) -> Graph:
@@ -173,13 +148,7 @@ def gen_remark7_G(n: int) -> Graph:
     if n % 3 != 2 or n > 32 or (n - 2) // 3 < 3:
         raise ParamOutOfRangeError("remark7-G needs n = 2 mod 3, (n-2)/3 >= 3, n <= 32")
     q = (n - 2) // 3
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    nxt = 5
-    for v in (0, 3, 4):
-        fill = list(range(nxt, nxt + q - 1))
-        nxt += q - 1
-        edges.extend(_clique_edges([v] + fill))
-    return build_graph(n, edges)
+    return _glued(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [((v,), q) for v in (0, 3, 4)])
 
 
 def gen_random_connected(

@@ -136,7 +136,7 @@ def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
     plus non-completeness (cfc = 1 exactly on complete graphs).  When it
     holds, certify cfc(g) == 2, constructively from g's block decomposition
     ``d`` when the two-coloring hypothesis holds (any size), otherwise by
-    exhaustive search on small graphs."""
+    the oracle: a shape refutation at any size; the sweep on small graphs."""
     clauses["non_complete"] = not is_complete(g)
     hyp = all(clauses.values())
     mode = None
@@ -147,14 +147,15 @@ def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
             construct_two_coloring(g, d)
         ).is_conflict_free_connected
     elif hyp:
-        if g.edge_count > ORACLE_EDGE_CAP:
+        # Lemma 2.2's shape is necessary for cfc = 2.
+        mode = "oracle"
+        concl = d.profile.lemma_2_2_shape
+        if concl and g.edge_count > ORACLE_EDGE_CAP:
             raise OracleInfeasibleError(
                 f"graph with {g.edge_count} edges exceeds the oracle cap and the "
                 "constructive route's hypothesis fails"
             )
-        # Lemma 2.2's shape is necessary for cfc = 2.
-        mode = "oracle"
-        concl = d.profile.lemma_2_2_shape and exists_two_coloring(g, budget=budget).exists
+        concl = concl and exists_two_coloring(g, budget=budget).exists
     return TheoremCheck(theorem, hyp, clauses, concl, mode=mode, details=details)
 
 
@@ -348,12 +349,6 @@ def _remark5_margin(g: Graph, n: int, delta: int) -> bool:
     return delta == 1
 
 
-def _remark7_margin(g: Graph, n: int, delta: int) -> bool:
-    """4.5: the degree-sum bound met, the order below 33."""
-    s = min_nonadjacent_degree_sum(g)
-    return s is not None and 5 * s >= 2 * n - 9 and n <= 32
-
-
 # Sharpness family -> (registry family, its one parameter or None, margin
 # predicate on (g, n, delta)): each misses the bound of the theorem it shows
 # best possible by the margin the predicate asserts.
@@ -369,7 +364,8 @@ SHARPNESS = {
     "remark6-H": ("remark6-H", "n", lambda g, n, delta: 4 * delta == n - 4),
     # 4.4: the bound met, the order one below 16.
     "remark6-G": ("remark6-G", None, lambda g, n, delta: 4 * delta >= n - 3 and n == 15),
-    "remark7": ("remark7-G", "n", _remark7_margin),
+    # 4.5: the degree-sum bound met, the order below 33.
+    "remark7": ("remark7-G", "n", lambda g, n, delta: _degree_sum_bound(g, 5) and n <= 32),
 }
 
 

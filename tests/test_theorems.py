@@ -188,6 +188,27 @@ def test_harness_config_defaults_and_overrides():
         harness_config("9.9")
 
 
+def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
+    # No theorem's hypothesis admits such a graph, so the conclusion check is
+    # called with the non-completeness clause alone.  A star past the cap
+    # fails Lemma 2.2's shape, which refutes cfc = 2 without a sweep; a graph
+    # of the right shape past the cap still cannot be swept.
+    from cfcgraph.errors import OracleInfeasibleError
+    from cfcgraph.theorems import ORACLE_EDGE_CAP, _cfc_two_check
+
+    star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
+    assert star.edge_count > ORACLE_EDGE_CAP
+    check = _cfc_two_check("4.4", star, cfc.block_decomposition(star), None, None, {}, {})
+    assert (check.hypothesis_holds, check.conclusion_holds, check.mode) == (True, False, "oracle")
+    assert check.is_counterexample
+
+    s4 = fam.gen_S(4)
+    d = cfc.block_decomposition(s4)
+    assert s4.edge_count > ORACLE_EDGE_CAP and d.profile.lemma_2_2_shape
+    with pytest.raises(OracleInfeasibleError):
+        _cfc_two_check("4.4", s4, d, None, None, {}, {})
+
+
 def test_checks_reject_disconnected_graphs():
     from cfcgraph.errors import NotConnectedError
     from cfcgraph.theorems import ORACLE_EDGE_CAP, THEOREM_IDS
