@@ -1,0 +1,103 @@
+"""Byte-level pins of the structural pass and the verifier's per-edge rule.
+
+Both digests were recorded before ``block_decomposition`` and
+``coloring._serve_pairs`` came to share one lowpoint DFS.  The reference
+tests elsewhere compare sets or sorted views; these also pin the order of the
+blocks, of each block's edges and vertices, of C(G)'s components and path
+sequences, and which edge serves each pair.
+"""
+import functools
+import hashlib
+import random
+
+from cfcgraph import (
+    block_decomposition,
+    construct_two_coloring,
+    is_complete,
+    two_coloring_hypothesis_holds,
+)
+from cfcgraph.coloring import _serve_pairs
+from cfcgraph.families import FAMILIES, gen_random_connected, gen_random_glued_blocks
+from cfcgraph.graph import nonadjacent_pairs
+
+# Two parameter sets per extremal family (remark6-G takes none).
+EXTREMAL_PARAMS = {
+    "H": [(3, 3), (5, 4)],
+    "R": [(3,), (5,)],
+    "S": [(3,), (4,)],
+    "D": [(5,), (6,)],
+    "remark4-H": [(5,), (9,)],
+    "remark4-G": [(15,), (25,)],
+    "remark6-H": [(12,), (20,)],
+    "remark6-G": [()],
+    "remark7-G": [(11,), (17,)],
+}
+# Large graphs: the verifier sees a fixed sample of their nonadjacent pairs.
+LARGE = [("path", (2000,)), ("H", (200, 3))]
+LARGE_PAIR_SAMPLE = 400
+
+DECOMPOSITION_DIGEST = "f32949efc236311e4a7f254d200985e56f2aa3469bfc46c7bd84937ce265303d"
+SERVE_PAIRS_DIGEST = "b977757f218144dcc3da30bbe9c010022d620a0cf9fe137d44be56d0121e297a"
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    """(graph, pairs or None for all nonadjacent pairs), in a fixed order."""
+    return tuple(_generate_corpus(random.Random(20261018)))
+
+
+def _generate_corpus(rng):
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = gen_random_connected(n, rng.uniform(0.1, 0.8), seed=rng.randrange(10**6))
+        yield g, None
+    for seed in range(100):
+        yield gen_random_glued_blocks(seed), None
+    for family, grid in sorted(EXTREMAL_PARAMS.items()):
+        for params in grid:
+            yield FAMILIES[family](*params), None
+    for family, params in LARGE:
+        g = FAMILIES[family](*params)
+        yield g, sorted(rng.sample(nonadjacent_pairs(g), LARGE_PAIR_SAMPLE))
+
+
+def _decomposition_record(g):
+    d = block_decomposition(g)
+    p = d.profile
+    return (
+        [(b.edges, b.vertices) for b in d.blocks],
+        sorted(d.cut_vertices),
+        [(c.vertices, c.edges, c.path_sequence) for c in p.components],
+        p.is_linear_forest,
+        p.component_orders,
+        p.max_component_edges,
+    )
+
+
+def test_block_decomposition_digest():
+    digest = hashlib.sha256()
+    for g, _ in _corpus():
+        digest.update(repr(_decomposition_record(g)).encode())
+    assert digest.hexdigest() == DECOMPOSITION_DIGEST
+
+
+def test_serve_pairs_digest():
+    """A random 2- and 3-colouring of every graph, so that verdicts fail as
+    well as hold, and the constructed 2-colouring wherever it applies."""
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    failing = holding = 0
+    for g, pairs in _corpus():
+        if pairs is None:
+            pairs = nonadjacent_pairs(g)
+        colorings = [[rng.randint(1, t) for _ in g.edges] for t in (2, 3)]
+        if not is_complete(g) and two_coloring_hypothesis_holds(block_decomposition(g).profile):
+            colorings.append(construct_two_coloring(g).colors)
+        for colors in colorings:
+            served, unserved = _serve_pairs(g, colors, list(pairs))
+            failing += bool(unserved)
+            holding += not unserved
+            digest.update(repr((sorted(served.items()), unserved)).encode())
+    assert failing and holding
+    assert digest.hexdigest() == SERVE_PAIRS_DIGEST
+
