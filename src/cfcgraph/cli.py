@@ -119,16 +119,17 @@ def cmd_color2(args) -> int:
             fh.write(format_coloring(coloring))
     if args.format == "dot":
         sys.stdout.write(_graph_dot(g, coloring))
-        return EXIT_OK
-    payload = {
-        "command": "color2",
-        "verified": verdict.is_conflict_free_connected,
-        "palette_size": coloring.palette_size,
-        "coloring": [
-            [e[0], e[1], c] for e, c in zip(g.edges, coloring.colors)
-        ],
-    }
-    sys.stdout.write(_render(payload, args.format))
+    else:
+        payload = {
+            "command": "color2",
+            "verified": verdict.is_conflict_free_connected,
+            "palette_size": coloring.palette_size,
+            "coloring": [
+                [e[0], e[1], c] for e, c in zip(g.edges, coloring.colors)
+            ],
+        }
+        sys.stdout.write(_render(payload, args.format))
+    # The exit status is the verdict's, whatever the format.
     return EXIT_OK if verdict.is_conflict_free_connected else EXIT_COUNTEREXAMPLE
 
 

@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .decomposition import (
     BlockDecomposition,
     CutEdgeProfile,
+    _lowpoint,
     block_decomposition,
     select_block_matching,
 )
@@ -123,11 +124,11 @@ def _serve_pairs(
     keeps the given order.  It rests on Menger's theorem: a u-v path uses
     color c exactly once, on edge ab, iff G - E_c (G without the edges of
     color c) has two vertex-disjoint paths from {u, v} to {a, b}.  For each
-    edge ab, color classes smallest first, one lowpoint DFS of G - E_c plus
-    a vertex s adjacent to a and b labels every vertex reached with the
-    vertex of s's blocks under which it hangs; the pairs reached with
-    different labels are served by ab.  The sweep stops as soon as every
-    pair is served.
+    edge ab, color classes smallest first, ``decomposition._lowpoint`` runs
+    on G - E_c plus a vertex s adjacent to a and b; its block heads label
+    every vertex reached with the vertex of s's blocks under which it hangs,
+    and the pairs reached with different labels are served by ab.  The sweep
+    stops as soon as every pair is served.
     """
     n = g.vertex_count
     unserved = pairs
@@ -142,7 +143,7 @@ def _serve_pairs(
     disc = [0] * (n + 1)
     low = [0] * (n + 1)
     parent = [0] * (n + 1)
-    attach = [0] * (n + 1)
+    head = [0] * (n + 1)
     label = [0] * (n + 1)
     clock = 0
     for c, members in sorted(classes.items(), key=lambda item: (len(item[1]), item[0])):
@@ -154,33 +155,14 @@ def _serve_pairs(
             adj[a].append(s)
             adj[b].append(s)
             adj[s] = [a, b]
-            clock += 1
-            start = disc[s] = low[s] = clock
-            order = []
-            stack = [(s, iter(adj[s]))]
-            while stack:
-                x, it = stack[-1]
-                for w in it:
-                    if disc[w] < start:
-                        clock += 1
-                        disc[w] = low[w] = clock
-                        parent[w] = x
-                        order.append(w)
-                        stack.append((w, iter(adj[w])))
-                        break
-                    if disc[w] < low[x]:
-                        low[x] = disc[w]
-                else:
-                    stack.pop()
-                    if stack and low[x] < low[stack[-1][0]]:
-                        low[stack[-1][0]] = low[x]
+            order, clock = _lowpoint(adj, s, disc, low, parent, head, clock)
+            start = disc[s]
             adj[a].pop()
             adj[b].pop()
-            # attach[w]: the vertex nearest s of the block holding the tree
-            # edge into w; it is s exactly for the vertices of s's blocks.
+            # parent[head[w]] is the vertex nearest s of the block holding
+            # the tree edge into w; it is s exactly for s's blocks.
             for w in order:
-                p = parent[w]
-                attach[w] = at = p if low[w] >= disc[p] else attach[p]
+                at = parent[head[w]]
                 label[w] = w if at == s else label[at]
             rest = []
             for pair in unserved:

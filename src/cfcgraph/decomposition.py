@@ -4,12 +4,14 @@ matching selection used by the two-coloring construction.
 
 ``block_decomposition`` is the one structural pass and the only entry point:
 one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
-and C(G) off it as ``d.cut_edges`` and ``d.profile``.
+and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
+marks each vertex with the head of its block; the verifier's per-edge rule in
+``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import EmptyGraphError, NotConnectedError
 from .graph import Edge, Graph, canonical_edge
@@ -78,67 +80,78 @@ class CutEdgeProfile:
         return self.is_linear_forest and self.max_component_edges <= 3
 
 
-def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
-    """Iterative lowpoint DFS: returns (blocks as edge lists, cut vertices).
+def _lowpoint(
+    adj: Sequence[Sequence[int]], root: int, disc: List[int], low: List[int],
+    parent: List[int], head: List[int], clock: int,
+) -> Tuple[List[int], int]:
+    """Iterative lowpoint DFS of ``adj`` from ``root``: returns the vertices
+    reached besides ``root`` in preorder, and the last discovery time used.
 
-    Each block is the slice of the edge stack above its tree edge; a DFS
-    pushes every edge once, so a block lists each of its edges once.
-    Raises NotConnectedError when it reaches fewer than all vertices.
+    Discovery times go on from ``clock``, so one set of arrays serves many
+    runs: a vertex is reached in this run iff ``disc >= disc[root]``.  For
+    each reached w it fills ``disc``, ``parent``, ``low`` (the least
+    discovery time among w's subtree and its neighbours, so at most
+    ``disc[parent[w]]``) and ``head[w]``: the deeper end of the topmost tree
+    edge of the block that holds the tree edge into w, so that
+    ``parent[head[w]]`` is that block's vertex nearest ``root``.
+    """
+    clock += 1
+    start = disc[root] = low[root] = clock
+    order = []
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, it = stack[-1]
+        for w in it:
+            if disc[w] < start:
+                clock += 1
+                disc[w] = low[w] = clock
+                parent[w] = x
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[x]:
+                low[x] = disc[w]
+        else:
+            stack.pop()
+            if stack and low[x] < low[stack[-1][0]]:
+                low[stack[-1][0]] = low[x]
+    # A tree edge pw starts a block iff nothing below w reaches above p.
+    for w in order:
+        p = parent[w]
+        head[w] = w if low[w] >= disc[p] else head[p]
+    return order, clock
+
+
+def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
+    """Blocks as sorted edge lists, ordered by first edge, and cut vertices,
+    from one ``_lowpoint`` run rooted at vertex 0.
+
+    An edge belongs to the block of the tree edge into its deeper end: a back
+    edge closes a cycle through that tree edge.  ``g.edges`` is sorted, so
+    grouping it in order yields sorted blocks ordered by their first edges.
+    A cut vertex is the top vertex of a block, other than the root; the root
+    is one when it tops two or more blocks.  Raises NotConnectedError when
+    the DFS reaches fewer than all vertices.
     """
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("connectivity is undefined for the empty graph")
-    adjacency = g.adjacency
-    disc = [-1] * n
+    disc = [0] * n
     low = [0] * n
-    blocks: List[List[Edge]] = []
-    cut = set()
-    edge_stack: List[Edge] = []
-
-    root = 0
-    counter = 0
-    disc[root] = low[root] = counter
-    counter += 1
-    # Frame: vertex, DFS parent, neighbour iterator, edge-stack height at
-    # the tree edge into the vertex.
-    frames = [(root, -1, iter(adjacency[root]), 0)]
-    root_children = 0
-
-    while frames:
-        u, pu, it, _ = frames[-1]
-        pushed = False
-        for v in it:
-            if v == pu:
-                continue
-            if disc[v] == -1:
-                frames.append((v, u, iter(adjacency[v]), len(edge_stack)))
-                edge_stack.append((u, v) if u < v else (v, u))
-                disc[v] = low[v] = counter
-                counter += 1
-                if u == root:
-                    root_children += 1
-                pushed = True
-                break
-            if disc[v] < disc[u]:
-                edge_stack.append((u, v) if u < v else (v, u))
-                if disc[v] < low[u]:
-                    low[u] = disc[v]
-        if pushed:
-            continue
-        _, p, _, height = frames.pop()
-        if frames:
-            if low[u] < low[p]:
-                low[p] = low[u]
-            if low[u] >= disc[p]:
-                if p != root:
-                    cut.add(p)
-                blocks.append(edge_stack[height:])
-                del edge_stack[height:]
-    if counter != n:
+    parent = [0] * n
+    head = [0] * n
+    order, _ = _lowpoint(g.adjacency, 0, disc, low, parent, head, 0)
+    if len(order) != n - 1:
         raise NotConnectedError("operation requires a connected graph")
-    if root_children >= 2:
-        cut.add(root)
-    return blocks, cut
+    tops = [parent[w] for w in order if head[w] == w]
+    cut = {x for x in tops if x != 0}
+    if tops.count(0) >= 2:
+        cut.add(0)
+    blocks: Dict[int, List[Edge]] = {}
+    for e in g.edges:
+        u, v = e
+        blocks.setdefault(head[u] if disc[u] > disc[v] else head[v], []).append(e)
+    return list(blocks.values()), cut
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -151,11 +164,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         if len(edge_list) == 1:
             blocks.append(Block(edges=tuple(edge_list), vertices=edge_list[0]))
             continue
-        edge_list.sort()
         vertices = tuple(sorted({x for e in edge_list for x in e}))
         blocks.append(Block(edges=tuple(edge_list), vertices=vertices))
-    # Blocks are edge-disjoint, so their first edges alone fix the order.
-    blocks.sort(key=lambda b: b.edges[0])
     cut_edges = frozenset(b.edges[0] for b in blocks if b.is_trivial)
     return BlockDecomposition(
         blocks=tuple(blocks),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from cfcgraph import cli, theorems
 from cfcgraph.cli import build_parser, main
+from cfcgraph.coloring import CfcVerdict
 from cfcgraph.families import FAMILIES
 from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
@@ -109,6 +112,16 @@ def test_color2_hypothesis_violation(tmp_path, capsys):
     assert main(["color2", str(path)]) == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_color2_exit_status_follows_the_verdict_in_every_format(fmt, c5_file, monkeypatch, capsys):
+    rejected = CfcVerdict(
+        is_conflict_free_connected=False, witness_paths=None, failing_pair=(0, 2)
+    )
+    monkeypatch.setattr(cli, "verify_conflict_free_connected", lambda coloring: rejected)
+    assert main(["color2", "--format", fmt, c5_file]) == 5
+    assert capsys.readouterr().out
+
+
 def test_cfc_value(c5_file, capsys):
     assert main(["cfc", c5_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -177,6 +190,49 @@ def test_verify_harness_ok(capsys):
 
 def test_verify_unknown_theorem(capsys):
     assert main(["verify", "9.9"]) == 2
+
+
+def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsys):
+    real_check = theorems.check_theorem
+    graphs = []
+
+    def fail_at_trial_3(g, theorem, **kwargs):
+        check = real_check(g, theorem, **kwargs)
+        graphs.append(g)
+        if len(graphs) == 4:
+            return dataclasses.replace(check, hypothesis_holds=True, conclusion_holds=False)
+        return check
+
+    monkeypatch.setattr(theorems, "check_theorem", fail_at_trial_3)
+    out = tmp_path / "counterexample.edges"
+    assert main(["verify", "2.4", "--trials", "6", "--seed", "1", "--out", str(out)]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert len(graphs) == 6
+    assert payload["conclusion_fail_count"] == 1
+    assert payload["counterexample_trial"] == 3
+    assert payload["counterexample_path"] == str(out)
+    text = out.read_text()
+    assert text.splitlines()[0] == "# counterexample to theorem 2.4 at trial 3"
+    assert parse_edge_list(text) == graphs[3]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "sharpness:remark5", "--t", "4"], "the sharp path example needs order >= 5"),
+        (["verify", "sharpness:nope"], "unknown sharpness family 'nope'"),
+    ],
+)
+def test_verify_error_exits_name_their_cause(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_analyze_of_a_graph_without_vertices_is_usage(tmp_path, capsys):
+    path = tmp_path / "empty.edges"
+    path.write_text("0 0\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: graph must have at least one vertex\n"
 
 
 def test_console_entry_point_runs():

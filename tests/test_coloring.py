@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
+from cfcgraph import coloring as coloring_module
 from cfcgraph.coloring import format_coloring, parse_coloring
 from cfcgraph.errors import (
     CompleteGraphError,
@@ -75,6 +76,24 @@ def test_verifier_rejects_empty_and_disconnected_graphs():
             cfc.verify_conflict_free_connected(colored(g, colors))
     verdict = cfc.verify_conflict_free_connected(colored(cfc.build_graph(1, []), []))
     assert verdict.is_conflict_free_connected and len(verdict.witness_paths) == 0
+
+
+def test_witness_paths_membership_builds_no_path(monkeypatch):
+    g = gen_random_glued_blocks(3, max_vertices=16)
+    verdict = cfc.verify_conflict_free_connected(cfc.construct_two_coloring(g))
+    assert verdict.is_conflict_free_connected
+
+    def no_paths(*args):
+        raise AssertionError("membership built a path")
+
+    monkeypatch.setattr(coloring_module, "_two_disjoint_paths", no_paths)
+    witness = verdict.witness_paths
+    n = g.vertex_count
+    assert any(not g.has_edge(u, v) for u in range(n) for v in range(u + 1, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert (u, v) in witness
+            assert (v, u) not in witness
 
 
 def test_construct_two_coloring_c5():
