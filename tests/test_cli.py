@@ -221,6 +221,9 @@ def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsy
     [
         (["verify", "sharpness:remark5", "--t", "4"], "the sharp path example needs order >= 5"),
         (["verify", "sharpness:nope"], "unknown sharpness family 'nope'"),
+        (["verify", "4.3", "--n-min", "10", "--n-max", "5"], "empty order range: n_min 10 > n_max 5"),
+        (["verify", "4.3", "--n-min", "10"], "empty order range: n_min 10 > n_max 8"),
+        (["verify", "4.3", "--trials", "-3"], "trials must be >= 0, got -3"),
     ],
 )
 def test_verify_error_exits_name_their_cause(argv, message, capsys):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,3 +236,70 @@ def test_capped_pair_is_refuted_without_path_search():
     assert result.value == 2
     assert result.stats == cfc.SearchStats(colorings_examined=2, verification_steps=2)
     assert elapsed < 2.0, f"{elapsed:.2f} s for K12 minus one edge"
+
+
+def _cycles_joined_by_bridge_paths(rng):
+    """Two or three short cycles chained by paths of one to three bridges:
+    bridge components of order 3 and 4 often give Lemma 2.2's shape without
+    the construction's hypothesis, the region only a sweep decides."""
+    edges, n, last = [], 0, None
+    for _ in range(rng.randint(2, 3)):
+        r = rng.randint(3, 4)
+        cycle = list(range(n, n + r))
+        edges += [(cycle[i], cycle[(i + 1) % r]) for i in range(r)]
+        n += r
+        if last is not None:
+            middles = list(range(n, n + rng.randint(0, 2)))
+            n += len(middles)
+            chain = [rng.choice(last), *middles, rng.choice(cycle)]
+            edges += [(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])]
+        last = cycle
+    return cfc.build_graph(n, edges)
+
+
+def test_two_coloring_certificate_agrees_with_the_sweep_and_brute_force():
+    # Connected non-complete graphs with m <= 20, random and chained cycles:
+    # the certificate's answer is the whole sweep's, and the brute-force
+    # oracle's where m is small enough for it; each rung of the ladder is
+    # reached.
+    from cfcgraph.solver import ORACLE_EDGE_CAP, two_coloring_certificate
+
+    rng = random.Random(13)
+    # Bridge components of orders 3, 3 and 2 and still cfc = 2.
+    graphs = [cfc.build_graph(8, [(0, 3), (0, 6), (0, 7), (1, 6), (2, 6), (3, 5), (4, 7), (6, 7)])]
+    for trial in range(120):
+        if trial % 3:
+            n = rng.randint(4, 10)
+            graphs.append(
+                gen_random_connected(n, rng.uniform(0.15, 0.6), seed=rng.randrange(10_000))
+            )
+        else:
+            graphs.append(_cycles_joined_by_bridge_paths(rng))
+    seen = Counter()
+    for g in graphs:
+        if cfc.is_complete(g) or g.edge_count > ORACLE_EDGE_CAP:
+            continue
+        d = cfc.block_decomposition(g)
+        answer, certificate = two_coloring_certificate(g, d, None)
+        seen[certificate, answer] += 1
+        if cfc.two_coloring_hypothesis_holds(d.profile):
+            assert certificate == "constructive"
+        else:
+            assert certificate == ("sweep" if d.profile.lemma_2_2_shape else "shape")
+        assert answer is cfc.exists_two_coloring(g).exists, (g, certificate)
+        if g.edge_count <= 8:
+            assert answer is (cfc_brute(g, tmax=2) == 2), (g, certificate)
+    rungs = {("constructive", True), ("shape", False), ("sweep", True), ("sweep", False)}
+    assert set(seen) == rungs, seen
+
+
+def test_two_coloring_certificate_past_the_sweep_cap():
+    from cfcgraph.solver import ORACLE_EDGE_CAP, two_coloring_certificate
+
+    s3, s4 = gen_S(3), gen_S(4)
+    assert s3.edge_count <= ORACLE_EDGE_CAP < s4.edge_count
+    assert two_coloring_certificate(s3, cfc.block_decomposition(s3), None) == (False, "sweep")
+    # S(4) has Lemma 2.2's shape, so only a sweep could refute it.
+    assert two_coloring_certificate(s4, cfc.block_decomposition(s4), None) == (None, "skipped")
+    star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
+    assert two_coloring_certificate(star, cfc.block_decomposition(star), None) == (False, "shape")

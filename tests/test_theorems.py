@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 import cfcgraph as cfc
+from cfcgraph.cli import main
 from cfcgraph.errors import UnknownTheoremError
 from cfcgraph import families as fam
 from cfcgraph.theorems import (
@@ -145,6 +149,48 @@ def test_sharpness_families_hold(family, params):
     assert result["cfc_at_least_3"] is True
 
 
+# Every sharpness payload over these parameter ranges, in this order; recorded
+# before the sharpness rows came to name the theorem bound they miss.
+# remark4-H stops at t = 15: from t = 16 it no longer misses 4.2's bound by
+# one unit (see the next test).
+SHARPNESS_RANGES = {
+    "S": ("t", range(3, 20)),
+    "remark4-H": ("t", range(5, 16)),
+    "remark4-G": ("n", range(15, 76, 5)),
+    "remark5": ("t", range(5, 40)),
+    "remark6-H": ("n", range(12, 77, 4)),
+    "remark6-G": (None, [None]),
+    "remark7": ("n", range(11, 33, 3)),
+}
+SHARPNESS_DIGEST = "531a2a6ce0784b5123f15c77e160ad95d4a49666c36345bbef484061d874dfdc"
+
+
+def test_sharpness_payloads_digest():
+    digest = hashlib.sha256()
+    for family, (param, values) in SHARPNESS_RANGES.items():
+        for value in values:
+            params = {} if param is None else {param: value}
+            payload = check_sharpness(family, **params)
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == SHARPNESS_DIGEST
+
+
+def test_remark4_h_misses_theorem_4_2_by_more_than_one_unit_from_order_20(capsys):
+    # remark4-H(t) has order t + 4 and minimum degree 2.  Theorem 4.2 asks for
+    # delta >= 3 and 5*delta >= n - 4, so from n = 20 (t = 16) a minimum
+    # degree of 3 is still short and the example shows nothing about 4.2.
+    for t in range(16, 40):
+        result = check_sharpness("remark4-H", t=t)
+        assert (result["min_degree"], result["n"]) == (2, t + 4)
+        assert (result["margin_ok"], result["cfc_at_least_3"], result["holds"]) == (
+            False,
+            True,
+            False,
+        )
+    assert main(["verify", "sharpness:remark4-H", "--t", "16"]) == 5
+    assert json.loads(capsys.readouterr().out)["holds"] is False
+
+
 def test_sharpness_refutation_modes():
     assert check_sharpness("S", t=3)["refutation"] == "sweep"
     assert check_sharpness("remark4-H", t=5)["refutation"] == "shape"
@@ -186,6 +232,13 @@ def test_harness_config_defaults_and_overrides():
     assert harness_config("4.5", k=4, n_min=34).n_min == 34
     with pytest.raises(UnknownTheoremError):
         harness_config("9.9")
+
+
+def test_thm_3_4_default_harness_samples_only_admissible_orders():
+    # At the default k = 5 the displayed order threshold (33) is above
+    # k^2 + k = 30; every sampled order must reach it.
+    report = run_harness("3.4", trials=200, seed=0, config=harness_config("3.4"))
+    assert report.clause_breakdown["order_threshold"] == 200
 
 
 def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
