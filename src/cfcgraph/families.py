@@ -151,6 +151,11 @@ def gen_remark7_G(n: int) -> Graph:
     return _glued(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [((v,), q) for v in (0, 3, 4)])
 
 
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p): one ``rng.random()`` draw per pair u < v, in lexicographic order."""
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def gen_random_connected(
     n: int, edge_probability: float, seed: int, max_retries: int = 2000
 ) -> Graph:
@@ -161,13 +166,7 @@ def gen_random_connected(
         raise ParamOutOfRangeError("edge probability must be in (0, 1]")
     rng = random.Random(seed)
     for _ in range(max_retries):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_probability
-        ]
-        g = build_graph(n, edges)
+        g = _gnp(n, edge_probability, rng)
         if is_connected(g):
             return g
     raise RetriesExhaustedError(
@@ -183,13 +182,7 @@ def gen_random_bridgeless(
         raise ParamOutOfRangeError("bridgeless non-complete sampling needs n >= 4")
     rng = random.Random(seed)
     for _ in range(max_retries):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_probability
-        ]
-        g = build_graph(n, edges)
+        g = _gnp(n, edge_probability, rng)
         if is_complete(g):
             continue
         try:

@@ -19,9 +19,10 @@ from .errors import (
 Edge = Tuple[int, int]
 
 # Largest vertex count an edge-list file may declare.  Every vertex, even an
-# isolated one, costs memory (adjacency, traversal arrays: about 100 MB for
-# `analyze` at this order), so a larger header is refused before anything
-# is allocated.
+# isolated one, costs memory, so a larger header is refused before anything
+# is allocated.  Peak RSS of `analyze` at this order (child ru_maxrss, Python
+# 3.11): 97 MB for a one-edge header, 1.05 GB (about 1 KB a vertex) for the
+# path, of which parsing reaches 495 MB and parsing plus decomposition 913 MB.
 MAX_VERTEX_COUNT = 1 << 20
 
 

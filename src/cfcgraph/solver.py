@@ -15,7 +15,8 @@ rule from the step that pulls the path past the cap.  The budget counts
 
 ``exact_cfc`` starts its search at the lower bound of ``cfc_bracket``, which
 is 3 when the cut-edge profile fails Lemma 2.2's necessary shape
-(``CutEdgeProfile.lemma_2_2_shape``).
+(``CutEdgeProfile.lemma_2_2_shape``).  ``two_coloring_certificate`` decides
+cfc = 2 by the construction, else by Lemma 2.2's shape, else by the sweep.
 """
 from __future__ import annotations
 
@@ -24,8 +25,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, List, Optional, Tuple
 
-from .coloring import EdgeColoring, _serve_pairs, two_coloring_hypothesis_holds
-from .decomposition import block_decomposition
+from .coloring import (
+    EdgeColoring,
+    _serve_pairs,
+    construct_two_coloring,
+    two_coloring_hypothesis_holds,
+    verify_conflict_free_connected,
+)
+from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
@@ -248,6 +255,26 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
     colors = _sweep(g, 2, _pairs(g), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
+
+
+ORACLE_EDGE_CAP = 20  # the most edges two_coloring_certificate sweeps
+
+
+def two_coloring_certificate(
+    g: Graph, d: BlockDecomposition, budget: Optional[int] = None
+) -> Tuple[Optional[bool], str]:
+    """``(answer, certificate)``: does the connected non-complete ``g``, with
+    block decomposition ``d``, have a conflict-free 2-coloring?  "constructive":
+    the construction's coloring, verified; "shape": False, C(g) fails Lemma
+    2.2's shape; "sweep": ``exists_two_coloring``; "skipped": None, past the cap."""
+    if two_coloring_hypothesis_holds(d.profile):
+        coloring = construct_two_coloring(g, d)
+        return verify_conflict_free_connected(coloring).is_conflict_free_connected, "constructive"
+    if not d.profile.lemma_2_2_shape:
+        return False, "shape"
+    if g.edge_count > ORACLE_EDGE_CAP:
+        return None, "skipped"
+    return exists_two_coloring(g, budget=budget).exists, "sweep"
 
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:

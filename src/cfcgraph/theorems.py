@@ -3,7 +3,8 @@ results, a seeded randomized counterexample hunt, and sharpness certification
 for the extremal families.
 
 All threshold comparisons use exact integer/rational arithmetic, e.g.
-"delta >= (n-4)/5" is tested as 5*delta >= n-4.
+"delta >= (n-4)/5" is tested as 5*delta >= n-4.  Each bound is written once,
+in its theorem's row, which the sharpness checks read too.
 """
 from __future__ import annotations
 
@@ -13,11 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from .coloring import (
-    construct_two_coloring,
-    two_coloring_hypothesis_holds,
-    verify_conflict_free_connected,
-)
 from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     OracleInfeasibleError,
@@ -31,9 +27,7 @@ from .graph import (
     is_complete,
     min_nonadjacent_degree_sum,
 )
-from .solver import exists_two_coloring
-
-ORACLE_EDGE_CAP = 20
+from .solver import ORACLE_EDGE_CAP, exists_two_coloring, two_coloring_certificate
 
 
 @dataclass(frozen=True)
@@ -134,28 +128,20 @@ def _cut_edge_bound(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
 def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
     """Conclusion cfc = 2 of a sufficient condition given by ``clauses``,
     plus non-completeness (cfc = 1 exactly on complete graphs).  When it
-    holds, certify cfc(g) == 2, constructively from g's block decomposition
-    ``d`` when the two-coloring hypothesis holds (any size), otherwise by
-    the oracle: a shape refutation at any size; the sweep on small graphs."""
+    holds, decide cfc(g) == 2 by ``two_coloring_certificate`` from g's block
+    decomposition ``d``: mode "constructive" for the construction, "oracle"
+    for a shape refutation or a sweep."""
     clauses["non_complete"] = not is_complete(g)
     hyp = all(clauses.values())
-    mode = None
-    concl = None
-    if hyp and two_coloring_hypothesis_holds(d.profile):
-        mode = "constructive"
-        concl = verify_conflict_free_connected(
-            construct_two_coloring(g, d)
-        ).is_conflict_free_connected
-    elif hyp:
-        # Lemma 2.2's shape is necessary for cfc = 2.
-        mode = "oracle"
-        concl = d.profile.lemma_2_2_shape
-        if concl and g.edge_count > ORACLE_EDGE_CAP:
-            raise OracleInfeasibleError(
-                f"graph with {g.edge_count} edges exceeds the oracle cap and the "
-                "constructive route's hypothesis fails"
-            )
-        concl = concl and exists_two_coloring(g, budget=budget).exists
+    if not hyp:
+        return TheoremCheck(theorem, hyp, clauses, None, details=details)
+    concl, certificate = two_coloring_certificate(g, d, budget)
+    if concl is None:
+        raise OracleInfeasibleError(
+            f"graph with {g.edge_count} edges exceeds the oracle cap and the "
+            "constructive route's hypothesis fails"
+        )
+    mode = "constructive" if certificate == "constructive" else "oracle"
     return TheoremCheck(theorem, hyp, clauses, concl, mode=mode, details=details)
 
 
@@ -194,6 +180,7 @@ class _Theorem:
     conclusion: Callable[..., TheoremCheck]
     ranges: Optional[Tuple[int, int, float, float]] = None
     k: Optional[_KRule] = None
+    degree: Optional[Callable[[Graph, int, int], bool]] = None  # 4.x: on (g, n, delta)
 
 
 def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ranges) -> _Theorem:
@@ -210,7 +197,7 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
         result[name] = holds(g, n, delta)
         return result, {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
 
-    return _Theorem(clauses, _cfc_two_check, ranges)
+    return _Theorem(clauses, _cfc_two_check, ranges, degree=holds)
 
 
 _THEOREMS = {
@@ -227,11 +214,10 @@ _THEOREMS = {
     # Base order k^2, the least order 3.1's order clause admits.
     "3.1": _Theorem(_thm_3_1_clauses, _cut_edge_bound,
                     k=_KRule(3, "cut-edge bound", lambda k: k * k)),
-    # Base order k^2 + k, the floor of 3.4's order threshold.  The threshold
-    # is above it only at k = 5 (33 displayed, 32 derived), so there the
-    # sampled orders 30-32 always fail order_threshold.
+    # Base order: the displayed threshold, the least order 3.4's order clause admits.
     "3.4": _Theorem(_thm_3_4_clauses, _cut_edge_bound,
-                    k=_KRule(5, "degree-sum cut-edge bound", lambda k: k * k + k)),
+                    k=_KRule(5, "degree-sum cut-edge bound",
+                             lambda k: thm_3_4_order_thresholds(k)["displayed"])),
     "4.1": _thm_4(25, None, True, "min_degree_bound", lambda g, n, delta: 5 * delta >= n - 4,
                   (25, 30, 0.5, 0.9)),
     "4.2": _thm_4(9, 24, True, "min_degree_bound",
@@ -288,7 +274,7 @@ def harness_config(
 ) -> HarnessConfig:
     """The harness sampling for ``theorem``: its default ranges, or for 3.1
     and 3.4 orders from the base order of ``k`` up; ``n_min``/``n_max``
-    override the order range."""
+    override the order range, which must not end up empty."""
     row = _theorem_row(theorem)
     ranges = row.ranges
     if row.k is not None:
@@ -297,6 +283,8 @@ def harness_config(
         ranges = (base, base + 5, 0.5, 0.9)
     lo, hi, p_min, p_max = ranges
     lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
+    if lo > hi:
+        raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
     return HarnessConfig(lo, hi, p_min, p_max, k=k, budget=budget)
 
 
@@ -310,6 +298,8 @@ def run_harness(
 ) -> TheoremReport:
     """Sample random connected graphs, filter on the theorem's hypothesis,
     and assert its conclusion.  Reproducible from (theorem, seed, trials)."""
+    if trials < 0:
+        raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")
     hypothesis_pass = 0
     conclusion_fail = 0
     clause_breakdown: Dict[str, int] = {}
@@ -342,63 +332,49 @@ def run_harness(
     )
 
 
-def _remark5_margin(g: Graph, n: int, delta: int) -> bool:
-    """4.3: delta = 1 on a path of order n >= 5, whose cfc is ceil(log2 n) >= 3."""
-    if n < 5:
-        raise ParamOutOfRangeError("the sharp path example needs order >= 5")
-    return delta == 1
-
-
-# Sharpness family -> (registry family, its one parameter or None, margin
-# predicate on (g, n, delta)): each misses the bound of the theorem it shows
-# best possible by the margin the predicate asserts.
+# Sharpness family -> (registry family, its one parameter or None, theorem id,
+# the bound missed): "degree" when the theorem's degree clause fails at the
+# family's minimum degree delta and holds at delta + 1, "order" when
+# order_range is the only one of the theorem's clauses the family fails.
 SHARPNESS = {
-    # 4.1: one unit short of 5*delta >= n-4.
-    "S": ("S", "t", lambda g, n, delta: 5 * delta == n - 5),
-    # 4.2: one short of delta >= 3.
-    "remark4-H": ("remark4-H", "t", lambda g, n, delta: delta == 2),
-    # 4.2: one unit short of 5*delta >= n-4.
-    "remark4-G": ("remark4-G", "n", lambda g, n, delta: 5 * delta == n - 5),
-    "remark5": ("path", "t", _remark5_margin),
-    # 4.4: one unit short of 4*delta >= n-3.
-    "remark6-H": ("remark6-H", "n", lambda g, n, delta: 4 * delta == n - 4),
-    # 4.4: the bound met, the order one below 16.
-    "remark6-G": ("remark6-G", None, lambda g, n, delta: 4 * delta >= n - 3 and n == 15),
-    # 4.5: the degree-sum bound met, the order below 33.
-    "remark7": ("remark7-G", "n", lambda g, n, delta: _degree_sum_bound(g, 5) and n <= 32),
+    "S": ("S", "t", "4.1", "degree"),
+    "remark4-H": ("remark4-H", "t", "4.2", "degree"),
+    "remark4-G": ("remark4-G", "n", "4.2", "degree"),
+    "remark5": ("path", "t", "4.3", "degree"),
+    "remark6-H": ("remark6-H", "n", "4.4", "degree"),
+    "remark6-G": ("remark6-G", None, "4.4", "order"),
+    "remark7": ("remark7-G", "n", "4.5", "order"),
 }
 
 
 def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict[str, object]:
-    """Certify that a sharpness family misses its theorem's bound by exactly
-    the advertised margin and has cfc >= 3.  ``params`` is the family's one
+    """Certify that a sharpness family misses its theorem's bound by one
+    unit (``margin_ok``) and has cfc >= 3.  ``params`` is the family's one
     parameter (``t`` or ``n``), or empty for a family without one.
-
-    The lower bound cfc >= 3 comes from the necessary shape condition when
-    the family violates it, otherwise from an exhaustive 2-coloring sweep
-    (skipped with a note when the instance is beyond desk scale).
+    ``refutation`` names the certificate of ``two_coloring_certificate``.
     """
     if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
-    generator, param, margin = SHARPNESS[family]
+    generator, param, theorem_id, bound = SHARPNESS[family]
     if list(params) != ([param] if param else []):
         takes = f"parameter {param}" if param else "no parameter"
         given = ", ".join(sorted(params)) or "none"
         raise ParamOutOfRangeError(f"sharpness family {family!r} takes {takes}, given {given}")
     g = FAMILIES[generator](*params.values())
     n = g.vertex_count
+    if family == "remark5" and n < 5:
+        # Remark 5's path: delta = 1 and cfc = ceil(log2 n) >= 3 from n = 5.
+        raise ParamOutOfRangeError("the sharp path example needs order >= 5")
+    d = block_decomposition(g)
     delta = degree_view(g).min_degree
-    margin_ok = margin(g, n, delta)
-
-    if not block_decomposition(g).profile.lemma_2_2_shape:
-        refutation = "shape"
-        cfc_at_least_3 = True
-    elif g.edge_count <= ORACLE_EDGE_CAP:
-        refutation = "sweep"
-        cfc_at_least_3 = not exists_two_coloring(g, budget=budget).exists
+    theorem = _THEOREMS[theorem_id]
+    if bound == "degree":
+        margin_ok = not theorem.degree(g, n, delta) and theorem.degree(g, n, delta + 1)
     else:
-        refutation = "skipped"
-        cfc_at_least_3 = None
+        failed = [name for name, ok in theorem.clauses(g, d, None)[0].items() if not ok]
+        margin_ok = failed == ["order_range"]
+    two_colorable, refutation = two_coloring_certificate(g, d, budget)
+    cfc_at_least_3 = None if two_colorable is None else not two_colorable
     return {
         "family": family,
         "params": dict(sorted(params.items())),

@@ -383,7 +383,7 @@ def test_readme_lists_match_the_registries():
     assert [item.split()[0] for item in sharp] == list(SHARPNESS)
     for item in sharp:
         name, *param = item.split()
-        _, expected, _ = SHARPNESS[name]
+        _, expected, _, _ = SHARPNESS[name]
         assert param == ([expected] if expected else []), item
 
 

@@ -10,7 +10,10 @@ folded into one table.  The ``gen`` cases of every other family (``R 3``,
 ``R 4``, ``S 3``, ``D 5``, ``remark4-H 5``, ``remark4-G 15``, ``remark6-H 12``,
 ``remark6-G``, ``remark7-G 11``, ``path 5``, ``cycle 5``, ``complete 4`` and
 ``random 8 60 5``) were recorded before the extremal generators shared one
-clique-gluing builder.  A mismatch means the CLI's output changed.
+clique-gluing builder.  ``verify 3.4 --trials 5`` was re-recorded when the
+3.4 harness came to sample from the displayed order threshold at k = 5 (33,
+not k^2 + k = 30): all five trials now pass ``order_threshold``.  A mismatch
+means the CLI's output changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.
 """

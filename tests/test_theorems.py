@@ -6,7 +6,7 @@ import pytest
 import cfcgraph as cfc
 from cfcgraph.cli import main
 from cfcgraph.errors import UnknownTheoremError
-from cfcgraph import families as fam
+from cfcgraph import families as fam, theorems
 from cfcgraph.theorems import (
     HarnessConfig,
     check_sharpness,
@@ -189,6 +189,13 @@ def test_remark4_h_misses_theorem_4_2_by_more_than_one_unit_from_order_20(capsys
         )
     assert main(["verify", "sharpness:remark4-H", "--t", "16"]) == 5
     assert json.loads(capsys.readouterr().out)["holds"] is False
+
+
+def test_order_sharpness_needs_order_range_to_be_the_only_failing_clause(monkeypatch):
+    # remark6-G's bridges form a 3-star, so against 4.1 it fails
+    # linear_forest as well as order_range: not a miss of the order bound.
+    monkeypatch.setitem(theorems.SHARPNESS, "remark6-G", ("remark6-G", None, "4.1", "order"))
+    assert check_sharpness("remark6-G")["margin_ok"] is False
 
 
 def test_sharpness_refutation_modes():
