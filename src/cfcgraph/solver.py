@@ -10,8 +10,22 @@ has already pulled and pulls more only when none of them serves the pair.
 Whether a pair is served does not depend on the order its paths are tried,
 so the witness and the step counts do not either.  A pair whose path count
 exceeds ``_PATH_CAP_PER_PAIR`` is checked by the exact verifier's per-edge
-rule from the step that pulls the path past the cap.  The budget counts
-(coloring, pair) verification steps, not wall time.
+rule from the step that pulls the path past the cap.
+
+The sweep backjumps.  The edges on a pair's simple paths are the edges of the
+blocks its DFS tree path crosses, and b, the least significant of them, is
+read off the lowpoint DFS that ``block_decomposition`` ran, so a search walks
+the graph once: ``exact_cfc`` takes the DFS from its bracket, the theorem
+checks hand ``exists_two_coloring`` theirs, and without one it runs its own,
+which is also its connectivity check.  Every coloring that agrees with a
+failing one from b up fails at the same pair, so the sweep moves every edge
+below b to color t and increments from there.  Only failing colorings are
+skipped, so the witness and the value are those of the plain sweep, capped
+pairs included (b depends only on the graph and the pair).
+``colorings_examined`` is the odometer rank of the last coloring decided,
+checked or skipped: the witness's rank plus one, or t ** (m - 1) for a sweep
+that finds none.  ``verification_steps`` counts only the pair checks made,
+and the budget counts those steps, not wall time.
 
 ``exact_cfc`` starts its search at the lower bound of ``cfc_bracket``, which
 is 3 when the cut-edge profile fails Lemma 2.2's necessary shape
@@ -32,15 +46,16 @@ from .coloring import (
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
-from .decomposition import BlockDecomposition, block_decomposition
+from .decomposition import BlockDecomposition, _dfs_tree, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
     NoColoringWithinMaxError,
     NotConnectedError,
+    ParamOutOfRangeError,
     TrivialGraphError,
 )
-from .graph import Graph, is_complete, is_connected, nonadjacent_pairs
+from .graph import Graph, is_complete, nonadjacent_pairs
 
 _PATH_CAP_PER_PAIR = 4096
 
@@ -132,6 +147,51 @@ def _pairs(g: Graph) -> List[list]:
     return out
 
 
+class _Jumps(dict):
+    """The backjump target of each nonadjacent pair u < v: ``jumps[u, v]`` is
+    the least significant bit among the edges that lie on some simple u-v
+    path, read off ``dfs``, the ``disc``, ``parent`` and ``head`` arrays of a
+    lowpoint DFS of g (``decomposition._dfs_tree``).
+
+    Those edges are the edges of the blocks that the DFS tree path from u to
+    v crosses: each crossed block is entered and left at distinct vertices,
+    and in a 2-connected block every edge lies on a path between any two of
+    its vertices.  The tree edge into w lies in block ``head[w]``, and an
+    edge in the block of the tree edge into its deeper end.  So a pair, the
+    first time it is read, walks its tree path up to the meeting point,
+    collecting blocks, and then takes the last edge in canonical order that
+    lies in one of them.
+    """
+
+    def __init__(self, g: Graph, dfs: Tuple[List[int], List[int], List[int]]):
+        super().__init__()
+        self.edges = g.edges
+        self.dfs = dfs
+
+    def __missing__(self, pair: Tuple[int, int]) -> int:
+        u, v = pair
+        disc, parent, head = self.dfs
+        crossed = set()
+        # A vertex discovered later than the other is no ancestor of it, so
+        # it is below the meeting point and steps up.
+        while u != v:
+            if disc[u] > disc[v]:
+                crossed.add(head[u])
+                u = parent[u]
+            else:
+                crossed.add(head[v])
+                v = parent[v]
+        edges = self.edges
+        i = len(edges) - 1
+        while True:
+            a, b = edges[i]
+            if (head[a] if disc[a] > disc[b] else head[b]) in crossed:
+                break
+            i -= 1
+        self[pair] = least = 1 << (len(edges) - 1 - i)
+        return least
+
+
 def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
     """Per-edge colors from the masks of colors 2..t (color 1 is the rest)."""
     colors = [1] * m
@@ -143,16 +203,24 @@ def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
 
 
 def _sweep(
-    g: Graph, t: int, pairs, stats: SearchStats, budget: Optional[int]
+    g: Graph, t: int, pairs, jumps: _Jumps, stats: SearchStats,
+    budget: Optional[int],
 ) -> Optional[Tuple[int, ...]]:
-    """Sweep all t-colorings with the first edge fixed to color 1, checking
-    the pairs of ``_pairs``.  Each pair check is one verification step,
-    added to ``stats``, however many paths it reads or pulls; the step past
-    ``budget`` raises BudgetExhaustedError.
+    """Sweep the t-colorings with the first edge fixed to color 1 in odometer
+    order, checking the pairs of ``_pairs``.  Each pair check is one
+    verification step, added to ``stats``, however many paths it reads or
+    pulls; the step past ``budget`` raises BudgetExhaustedError.
 
     Color c >= 2 is the edge bitmask ``classes[c - 2]``; color 1 on a path
     is its length minus the other colors' counts.  The last failing pair
     moves to the front, which rejects most colorings in a single check.
+
+    A failing pair fails under every coloring that agrees with this one on
+    the pair's paths, hence on every edge from ``jumps[u, v]``, the least
+    significant bit on them, up.  The sweep skips those colorings, so the
+    first success is the same, and ``colorings_examined`` counts by odometer
+    rank: the rank of the success plus one, or every rank, t ** (m - 1),
+    when none succeeds.
     """
     m = g.edge_count
     order = list(pairs)
@@ -162,7 +230,6 @@ def _sweep(
     steps = stats.verification_steps
     limit = math.inf if budget is None else budget
     while True:
-        stats.colorings_examined += 1
         pos = 0
         for pair in order:
             steps += 1
@@ -198,13 +265,26 @@ def _sweep(
             pos += 1
         else:
             stats.verification_steps = steps
-            return _colors(m, classes)
+            colors = _colors(m, classes)
+            rank = 0
+            for c in colors:
+                rank = rank * t + c - 1
+            stats.colorings_examined += rank + 1
+            return colors
+        # Backjump: the edges below the failing pair's jump bit go to color
+        # t, so the increment below passes every coloring that differs from
+        # this one only there.
+        skip = jumps[u, v] - 1
+        for c in lower_classes:
+            classes[c] &= ~skip
+        classes[-1] |= skip
         # Odometer increment: the trailing edges at color t wrap to color 1
         # and the edge before them moves up one color.
         top = classes[-1]
         bit = (top + 1) & ~top
         if bit == first_edge:
             stats.verification_steps = steps
+            stats.colorings_examined += t ** (m - 1)
             return None
         classes[-1] = top & (top + 1)
         for c in lower_classes:
@@ -216,6 +296,12 @@ def _sweep(
             classes[0] |= bit
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    """A budget is a number of verification steps; None means unlimited."""
+    if budget is not None and budget < 0:
+        raise ParamOutOfRangeError(f"budget must be >= 0, got {budget}")
+
+
 def exact_cfc(
     g: Graph, max_colors: Optional[int] = None, budget: Optional[int] = None
 ) -> CfcResult:
@@ -223,17 +309,19 @@ def exact_cfc(
     witness coloring.  Intended for desk-scale graphs (roughly m <= 20)."""
     if g.vertex_count < 2:
         raise TrivialGraphError("cfc needs at least two vertices")
+    _check_budget(budget)
     if max_colors is None:
         max_colors = g.edge_count
     stats = SearchStats()
-    lower = cfc_bracket(g)[0]
+    lower, _, d = _bracket(g)
     if lower == 1:
         if max_colors < 1:
             raise NoColoringWithinMaxError("no coloring with zero colors")
         return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
     pairs = _pairs(g)
+    jumps = _Jumps(g, d._dfs)
     for t in range(lower, max_colors + 1):
-        colors = _sweep(g, t, pairs, stats, budget)
+        colors = _sweep(g, t, pairs, jumps, stats, budget)
         if colors is not None:
             return CfcResult(t, EdgeColoring(graph=g, colors=colors), stats)
     raise NoColoringWithinMaxError(
@@ -241,18 +329,28 @@ def exact_cfc(
     )
 
 
-def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSearch:
+def exists_two_coloring(
+    g: Graph, budget: Optional[int] = None, d: Optional[BlockDecomposition] = None
+) -> TwoColoringSearch:
     """Exhaustive 2-colorability check modulo fixing the first edge's color.
 
     Always runs the sweep; analytic lower bounds live in cfc_bracket so a
-    False here is an explicit refutation certificate.
+    False here is an explicit refutation certificate.  ``d``, g's block
+    decomposition when the caller has one, lends the sweep its DFS;
+    without it the sweep runs its own, which is also the connectivity check.
     """
-    if not is_connected(g):
-        raise NotConnectedError("requires a connected graph")
+    _check_budget(budget)
+    if d is None:
+        order, dfs = _dfs_tree(g)
+        if len(order) != g.vertex_count - 1:
+            raise NotConnectedError("requires a connected graph")
+    else:
+        dfs = d._dfs
+    jumps = _Jumps(g, dfs)
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
     stats = SearchStats()
-    colors = _sweep(g, 2, _pairs(g), stats, budget)
+    colors = _sweep(g, 2, _pairs(g), jumps, stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 
@@ -274,17 +372,20 @@ def two_coloring_certificate(
         return False, "shape"
     if g.edge_count > ORACLE_EDGE_CAP:
         return None, "skipped"
-    return exists_two_coloring(g, budget=budget).exists, "sweep"
+    return exists_two_coloring(g, budget=budget, d=d).exists, "sweep"
 
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
     """Cheap lower/upper bounds on cfc without search."""
+    return _bracket(g)[:2]
+
+
+def _bracket(g: Graph) -> Tuple[int, int, Optional[BlockDecomposition]]:
+    """``cfc_bracket`` and the block decomposition it read, None for a
+    complete graph."""
     if is_complete(g):
-        return (1, 1)
-    profile = block_decomposition(g).profile
-    lower = 2 if profile.lemma_2_2_shape else 3
-    if two_coloring_hypothesis_holds(profile):
-        upper = 2
-    else:
-        upper = g.edge_count
-    return (lower, upper)
+        return 1, 1, None
+    d = block_decomposition(g)
+    lower = 2 if d.profile.lemma_2_2_shape else 3
+    upper = 2 if two_coloring_hypothesis_holds(d.profile) else g.edge_count
+    return lower, upper, d

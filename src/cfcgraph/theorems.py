@@ -27,7 +27,7 @@ from .graph import (
     is_complete,
     min_nonadjacent_degree_sum,
 )
-from .solver import ORACLE_EDGE_CAP, exists_two_coloring, two_coloring_certificate
+from .solver import ORACLE_EDGE_CAP, _check_budget, exists_two_coloring, two_coloring_certificate
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _lemma_2_2_shape(theorem, g, d, k, budget, clauses, details) -> TheoremCheck
     could never refute it."""
     feasible = clauses["oracle_feasible"]
     clauses["cfc_equals_two"] = (
-        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget).exists
+        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget, d=d).exists
     )
     hyp = all(clauses.values())
     concl = d.profile.lemma_2_2_shape if hyp else None
@@ -274,7 +274,8 @@ def harness_config(
 ) -> HarnessConfig:
     """The harness sampling for ``theorem``: its default ranges, or for 3.1
     and 3.4 orders from the base order of ``k`` up; ``n_min``/``n_max``
-    override the order range, which must not end up empty."""
+    override the order range, which must not end up empty.  A negative
+    ``budget`` is out of range; None means unlimited."""
     row = _theorem_row(theorem)
     ranges = row.ranges
     if row.k is not None:
@@ -285,6 +286,7 @@ def harness_config(
     lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
     if lo > hi:
         raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
+    _check_budget(budget)
     return HarnessConfig(lo, hi, p_min, p_max, k=k, budget=budget)
 
 
@@ -352,9 +354,11 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     unit (``margin_ok``) and has cfc >= 3.  ``params`` is the family's one
     parameter (``t`` or ``n``), or empty for a family without one.
     ``refutation`` names the certificate of ``two_coloring_certificate``.
+    A negative ``budget`` is out of range; None means unlimited.
     """
     if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
+    _check_budget(budget)
     generator, param, theorem_id, bound = SHARPNESS[family]
     if list(params) != ([param] if param else []):
         takes = f"parameter {param}" if param else "no parameter"

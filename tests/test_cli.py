@@ -142,6 +142,15 @@ def test_cfc_budget_exhaustion(tmp_path, capsys):
     assert payload["bracket"][0] >= 2
 
 
+def test_cfc_negative_budget_is_usage(c5_file, capsys):
+    assert main(["cfc", "--budget", "-1", c5_file]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: budget must be >= 0, got -1\n")
+    # A zero budget is a budget: the first step exhausts it.
+    assert main(["cfc", "--budget", "0", c5_file]) == 4
+    assert json.loads(capsys.readouterr().out)["verification_steps"] == 1
+
+
 def test_gen_writes_parseable_edge_list(tmp_path, capsys):
     out_path = tmp_path / "h.edges"
     assert main(["gen", "H", "3", "4", "--out", str(out_path)]) == 0
@@ -224,6 +233,8 @@ def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsy
         (["verify", "4.3", "--n-min", "10", "--n-max", "5"], "empty order range: n_min 10 > n_max 5"),
         (["verify", "4.3", "--n-min", "10"], "empty order range: n_min 10 > n_max 8"),
         (["verify", "4.3", "--trials", "-3"], "trials must be >= 0, got -3"),
+        (["verify", "2.2", "--trials", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
+        (["verify", "sharpness:S", "--t", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_verify_error_exits_name_their_cause(argv, message, capsys):

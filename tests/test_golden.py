@@ -12,7 +12,11 @@ folded into one table.  The ``gen`` cases of every other family (``R 3``,
 ``random 8 60 5``) were recorded before the extremal generators shared one
 clique-gluing builder.  ``verify 3.4 --trials 5`` was re-recorded when the
 3.4 harness came to sample from the displayed order threshold at k = 5 (33,
-not k^2 + k = 30): all five trials now pass ``order_threshold``.  A mismatch
+not k^2 + k = 30): all five trials now pass ``order_threshold``.  The
+``verification_steps`` of the four ``cfc`` cases were re-recorded when the
+sweep came to jump past the colorings a failing pair already refutes (H-3-3
+166 -> 36, remark4-H-5 832 -> 100, path-9 7647 -> 1494, glued-blocks-3
+234 -> 107); every other byte of those cases is unchanged.  A mismatch
 means the CLI's output changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.

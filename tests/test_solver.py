@@ -9,7 +9,9 @@ import cfcgraph as cfc
 from cfcgraph.errors import (
     BudgetExhaustedError,
     CompleteGraphError,
+    EmptyGraphError,
     NotConnectedError,
+    ParamOutOfRangeError,
     TrivialGraphError,
 )
 from cfcgraph.families import (
@@ -64,6 +66,22 @@ def test_budget_exhaustion_reports_bracket():
     assert exc.value.upper == gen_S(3).edge_count
 
 
+def test_negative_budget_is_out_of_range():
+    from cfcgraph.theorems import harness_config
+
+    g = gen_cycle(5)
+    for call in (
+        lambda: cfc.exact_cfc(g, budget=-1),
+        lambda: cfc.exists_two_coloring(g, budget=-1),
+        lambda: harness_config("2.2", budget=-1),
+    ):
+        with pytest.raises(ParamOutOfRangeError, match=r"^budget must be >= 0, got -1$"):
+            call()
+    assert cfc.exact_cfc(g, budget=None).value == 2
+    assert cfc.exists_two_coloring(g, budget=None).exists
+    assert harness_config("2.2", budget=None).budget is None
+
+
 def test_exists_two_coloring_c5():
     search = cfc.exists_two_coloring(gen_cycle(5))
     assert search.exists
@@ -76,8 +94,10 @@ def test_exists_two_coloring_rejects_complete():
 
 
 def test_exists_two_coloring_rejects_disconnected():
-    with pytest.raises(NotConnectedError):
+    with pytest.raises(NotConnectedError, match=r"^requires a connected graph$"):
         cfc.exists_two_coloring(cfc.build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+    with pytest.raises(EmptyGraphError):
+        cfc.exists_two_coloring(cfc.build_graph(0, []))
 
 
 def test_exists_two_coloring_generates_only_the_paths_it_reads():
@@ -93,18 +113,23 @@ def test_exists_two_coloring_generates_only_the_paths_it_reads():
     assert elapsed < 0.5, f"{elapsed:.2f} s for the 4-cube"
 
 
-def test_pair_paths_match_reference_enumeration():
-    # Each pair's generator yields every simple path once, as (edge bitmask,
-    # length) with edge i of the canonical order at bit m-1-i.
-    from cfcgraph import solver
-
+def _reference_graphs():
+    """40 random connected graphs, S 3, remark4-H 5 and H 3 3: small enough
+    to list every simple path between every nonadjacent pair."""
     rng = random.Random(7)
     graphs = [
         gen_random_connected(rng.randint(3, 8), rng.uniform(0.2, 0.9), seed=rng.randrange(10_000))
         for _ in range(40)
     ]
-    graphs += [gen_S(3), gen_remark4_H(5), gen_H(3, 3)]
-    for g in graphs:
+    return graphs + [gen_S(3), gen_remark4_H(5), gen_H(3, 3)]
+
+
+def test_pair_paths_match_reference_enumeration():
+    # Each pair's generator yields every simple path once, as (edge bitmask,
+    # length) with edge i of the canonical order at bit m-1-i.
+    from cfcgraph import solver
+
+    for g in _reference_graphs():
         m = g.edge_count
         bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
         pairs = solver._pairs(g)
@@ -117,6 +142,83 @@ def test_pair_paths_match_reference_enumeration():
             assert masks == []
             assert sorted(pull) == expected, (g.edges, u, v)
             assert sorted(masks) == expected
+
+
+def test_jump_is_the_least_bit_on_the_pair_paths():
+    # The backjump target of a pair is the least significant bit of the OR
+    # of its simple-path masks, read off the block structure.
+    from cfcgraph import solver
+
+    for g in _reference_graphs():
+        m = g.edge_count
+        bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
+        jumps = solver._Jumps(g, cfc.block_decomposition(g)._dfs)
+        for u, v in nonadjacent_pairs(g):
+            on_paths = 0
+            for p in simple_paths_between(g, u, v):
+                on_paths |= sum(bit[cfc.canonical_edge(a, b)] for a, b in zip(p, p[1:]))
+            assert jumps[u, v] == on_paths & -on_paths, (g.edges, u, v)
+            assert jumps[u, v] == on_paths & -on_paths  # cached
+
+
+def test_searches_walk_the_graph_once(monkeypatch):
+    # The backjump table reads the lowpoint DFS of the block decomposition:
+    # exact_cfc and the Lemma 2.2 check run one DFS each, and
+    # exists_two_coloring runs none when handed the decomposition.
+    from cfcgraph import decomposition, solver
+    from cfcgraph.theorems import check_theorem
+
+    runs = []
+    real = decomposition._dfs_tree
+
+    def counting(g):
+        runs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(decomposition, "_dfs_tree", counting)
+    monkeypatch.setattr(solver, "_dfs_tree", counting)
+    for g in _reference_graphs():
+        if cfc.is_complete(g):
+            continue
+        del runs[:]
+        d = cfc.block_decomposition(g)
+        with_d = cfc.exists_two_coloring(g, d=d)
+        assert len(runs) == 1
+        assert with_d == cfc.exists_two_coloring(g)
+        cfc.exact_cfc(g)
+        check_theorem(g, "2.2")
+        assert len(runs) == 4
+
+
+def _k4_chain():
+    """Three K4s chained by two-edge bridge paths: n 14, m 22.  Its bridge
+    components have two edges, so only a sweep refutes cfc = 2."""
+    edges, prev = [], None
+    for q in range(0, 15, 5):
+        edges += [(a, b) for a in range(q, q + 4) for b in range(a + 1, q + 4)]
+        if prev is not None:
+            edges += [(prev, q - 1), (q - 1, q)]
+        prev = q + 3
+    return cfc.build_graph(14, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "name,search,expected,seconds",
+    [
+        ("S 3", lambda: cfc.exists_two_coloring(gen_S(3)), (False, 2**18), 0.5),
+        ("S 3", lambda: cfc.exact_cfc(gen_S(3)), (3, 14_643_896), 2.0),
+        ("K4 chain", lambda: cfc.exists_two_coloring(_k4_chain()), (False, 2**21), 3.0),
+    ],
+    ids=["exists-S3", "exact-S3", "exists-K4-chain"],
+)
+def test_refutations_at_scale_jump_past_refuted_colorings(name, search, expected, seconds):
+    # colorings_examined counts every coloring decided, checked or skipped.
+    start = time.perf_counter()
+    result = search()
+    elapsed = time.perf_counter() - start
+    answer = result.value if isinstance(result, cfc.CfcResult) else result.exists
+    assert (answer, result.stats.colorings_examined) == expected
+    assert elapsed < seconds, f"{elapsed:.2f} s for {name}"
 
 
 def test_exists_two_coloring_remark4_refutation():
