@@ -45,9 +45,41 @@ EXIT_BUDGET = 4
 EXIT_COUNTEREXAMPLE = 5
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at the nesting level whose line start is ``pad`` (a newline and the
+    indent).  ints, strs, lists, tuples and dicts with str keys are written
+    here; anything else, such as bool, None, a float or a dict with a key
+    that is not a str, goes through json.dumps."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(
+            [int.__repr__(x) if type(x) is int else _json(x, inner) for x in value]
+        ) + pad + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        ) + pad + "}"
+    # No JSON string holds a raw newline, so this indents only line starts.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _render(payload: Dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "\n") + "\n"
     return "".join(f"{key}: {payload[key]}\n" for key in sorted(payload))
 
 
@@ -100,9 +132,8 @@ def cmd_analyze(args) -> int:
                 "component_orders": list(profile.component_orders),
                 "max_component_edges": profile.max_component_edges,
                 "block_count": len(decomp.blocks),
-                "nontrivial_block_count": sum(
-                    1 for b in decomp.blocks if not b.is_trivial
-                ),
+                # A block is trivial iff it is a single cut edge.
+                "nontrivial_block_count": len(decomp.blocks) - len(profile.cut_edges),
                 "cut_vertices": sorted(decomp.cut_vertices),
             }
         )
@@ -243,7 +274,9 @@ def cmd_verify(args) -> int:
             )
         payload["counterexample_path"] = args.out
     sys.stdout.write(_render(payload, args.format))
-    return EXIT_COUNTEREXAMPLE if report.conclusion_fail_count else EXIT_OK
+    if report.conclusion_fail_count:
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_BUDGET if report.inconclusive_count else EXIT_OK
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,18 +12,23 @@ reads the arrays of the decomposition's own run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import EmptyGraphError, NotConnectedError
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph
 
 
 @dataclass(frozen=True)
 class Block:
-    """One block: its edges (canonical, sorted) and induced vertex set."""
+    """One block: its edges (canonical, sorted).  ``vertices``, the sorted
+    vertex set, is computed on first use."""
 
     edges: Tuple[Edge, ...]
-    vertices: Tuple[int, ...]
+
+    @cached_property
+    def vertices(self) -> Tuple[int, ...]:
+        return tuple(sorted({x for e in self.edges for x in e}))
 
     @property
     def is_trivial(self) -> bool:
@@ -174,18 +179,10 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     connected graph, all from one lowpoint pass.  The one-vertex graph has
     no blocks and an empty profile."""
     raw_blocks, cut, dfs = _biconnected(g)
-    blocks = []
-    for edge_list in raw_blocks:
-        if len(edge_list) == 1:
-            blocks.append(Block(edges=tuple(edge_list), vertices=edge_list[0]))
-            continue
-        vertices = tuple(sorted({x for e in edge_list for x in e}))
-        blocks.append(Block(edges=tuple(edge_list), vertices=vertices))
-    cut_edges = frozenset(b.edges[0] for b in blocks if b.is_trivial)
     return BlockDecomposition(
-        blocks=tuple(blocks),
+        blocks=tuple(map(Block, map(tuple, raw_blocks))),
         cut_vertices=frozenset(cut),
-        profile=_bridge_profile(cut_edges),
+        profile=_bridge_profile(frozenset(e[0] for e in raw_blocks if len(e) == 1)),
         _dfs=dfs,
     )
 
@@ -215,23 +212,25 @@ def _bridge_profile(bridges: FrozenSet[Edge]) -> CutEdgeProfile:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-                    comp_edges.append(canonical_edge(u, w))
+                    comp_edges.append((u, w) if u < w else (w, u))
                     stack.append(w)
-        comp_vertices = tuple(sorted(comp))
-        comp_edges = tuple(sorted(comp_edges))
+        comp.sort()
+        comp_edges.sort()
         path_sequence = None
-        if all(len(adj[v]) <= 2 for v in comp_vertices):
-            cur = min(v for v in comp_vertices if len(adj[v]) == 1)
-            prev = None
-            seq = [cur]
-            while len(seq) < len(comp_vertices):
-                nxt = [w for w in adj[cur] if w != prev][0]
-                seq.append(nxt)
-                prev, cur = cur, nxt
+        if all(len(adj[v]) <= 2 for v in comp):
+            # From the least endpoint, each step leaves by the neighbour it
+            # did not come from.
+            prev = next(v for v in comp if len(adj[v]) == 1)
+            cur = adj[prev][0]
+            seq = [prev, cur]
+            for _ in range(len(comp) - 2):
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                seq.append(cur)
             path_sequence = tuple(seq)
         components.append(
             BridgeComponent(
-                vertices=comp_vertices, edges=comp_edges, path_sequence=path_sequence
+                vertices=tuple(comp), edges=tuple(comp_edges), path_sequence=path_sequence
             )
         )
     components.sort(key=lambda c: (c.order, c.vertices))

@@ -5,8 +5,12 @@ Vertices are dense indices 0..n-1.  Edges are stored in canonical form
 """
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice, repeat
+from operator import eq
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import (
@@ -37,13 +41,13 @@ class Graph:
     ``edges`` is a strictly increasing tuple of canonical (min, max) pairs
     of vertices in [0, vertex_count); any other tuple raises ValueError.
     ``adjacency`` holds sorted neighbor tuples and is derived, so it is
-    excluded from equality and hashing.
+    excluded from equality and hashing.  ``edge_set`` is computed on first
+    use.
     """
 
     vertex_count: int
     edges: Tuple[Edge, ...]
     adjacency: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False, default=())
-    edge_set: frozenset = field(compare=False, repr=False, default=frozenset())
 
     def __post_init__(self):
         # Appending from the sorted canonical edges fills each vertex's
@@ -63,7 +67,10 @@ class Graph:
             adjacency[v].append(u)
             prev = e
         object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
-        object.__setattr__(self, "edge_set", frozenset(self.edges))
+
+    @cached_property
+    def edge_set(self) -> frozenset:
+        return frozenset(self.edges)
 
     @property
     def edge_count(self) -> int:
@@ -125,7 +132,7 @@ def is_complete(g: Graph) -> bool:
 def degree_view(g: Graph) -> VertexDegreeView:
     if g.vertex_count == 0:
         raise EmptyGraphError("degree view is undefined for the empty graph")
-    degrees = tuple(len(a) for a in g.adjacency)
+    degrees = tuple(map(len, g.adjacency))
     return VertexDegreeView(degrees=degrees, min_degree=min(degrees))
 
 
@@ -149,7 +156,87 @@ def parse_edge_list(text: str) -> Graph:
     0-based endpoints, each edge once in either orientation.  Lines starting
     with ``#`` are comments.  A header n above MAX_VERTEX_COUNT is an error
     at the header line, raised before anything of size n is allocated.
+
+    Plain text takes a bulk path (``_parse_plain``); all other text, and
+    plain text that fails a check, goes through the line loop
+    (``_parse_lines``), the only path that reports errors.
     """
+    g = _parse_plain(text)
+    return g if g is not None else _parse_lines(text)
+
+
+# The line breaks of ``str.splitlines`` other than "\n".  Before the header
+# any of them would split a line the bulk path reads as one.
+_OTHER_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_PLAIN_HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*")
+# Deletes ASCII digits and turns a tab into a space: a plain body becomes
+# " \n" per line.  The other table turns it into JSON list items.
+_SEPARATORS = {ord(c): None for c in "0123456789"}
+_SEPARATORS[ord("\t")] = " "
+_TO_JSON_ITEMS = str.maketrans(" \t\n", ",,,")
+
+
+def _parse_plain(text: str) -> Optional[Graph]:
+    """The graph of a plain edge list, read in bulk; None when ``text`` is
+    not plain or fails a check, so the line loop reads it and names the
+    error.
+
+    Plain: the header comes after nothing but blank and comment lines, and
+    every later line is two runs of ASCII digits separated by one space or
+    tab, with "\n" line ends.  The body's tokens become ints in one JSON
+    decode (a token with a leading zero is not JSON, so it goes to the line
+    loop), each edge a canonical key ``u * n + v``; range, self-loops, the
+    declared count and repeats are checked over all keys at once, and the
+    edges are rebuilt from the sorted keys.
+    """
+    pos = 0
+    while True:  # the header line is text[pos:end]
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line = text[pos:end].strip()
+        if line and not line.startswith("#"):
+            break
+        if end == len(text):
+            return None
+        pos = end + 1
+    header = _PLAIN_HEADER.fullmatch(text, pos, end)
+    if header is None or _OTHER_LINE_BREAKS.search(text, 0, end):
+        return None
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError:  # past int's digit limit
+        return None
+    if n > MAX_VERTEX_COUNT:
+        return None
+    body = text[end + 1:len(text) - text.endswith("\n")]
+    if body:
+        seps = body.translate(_SEPARATORS)
+        if seps != " \n" * (len(seps) // 2) + " ":
+            return None
+    try:
+        ends = json.loads("[" + body.translate(_TO_JSON_ITEMS) + "]") if body else []
+    except ValueError:
+        return None
+    del body
+    if len(ends) != 2 * m:
+        return None
+    if ends:
+        us, vs = islice(ends, 0, None, 2), islice(ends, 1, None, 2)
+        if max(ends) >= n or any(map(eq, us, vs)):
+            return None
+    pairs = iter(ends)
+    keys = [u * n + v if u < v else v * n + u for u, v in zip(pairs, pairs)]
+    del ends, pairs
+    keys.sort()
+    if any(map(eq, keys, islice(keys, 1, None))):
+        return None
+    return Graph(vertex_count=n, edges=tuple(map(divmod, keys, repeat(n))))
+
+
+def _parse_lines(text: str) -> Graph:
+    """``parse_edge_list`` line by line, raising EdgeListParseError at the
+    first bad line."""
     n = None  # until the header line
     seen = {}  # u * n + v -> (u, v), u < v
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,6 +257,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(
                     f"vertex_count must be at most {MAX_VERTEX_COUNT}, got {n}", lineno
                 )
+            header_line = lineno
             continue
         if len(parts) != 2:
             raise EdgeListParseError("expected edge line 'u v'", lineno)
@@ -189,7 +277,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError("missing header 'n m'", 1)
     if len(seen) != expected_m:
         raise EdgeListParseError(
-            f"header declares {expected_m} edges but {len(seen)} were given", 1
+            f"header declares {expected_m} edges but {len(seen)} were given", header_line
         )
     return Graph(vertex_count=n, edges=tuple(map(seen.__getitem__, sorted(seen))))
 

@@ -338,6 +338,8 @@ def exists_two_coloring(
     False here is an explicit refutation certificate.  ``d``, g's block
     decomposition when the caller has one, lends the sweep its DFS;
     without it the sweep runs its own, which is also the connectivity check.
+    A ``d`` whose blocks do not partition g's edges raises ValueError; one
+    whose DFS reached fewer vertices than g has leaves g disconnected.
     """
     _check_budget(budget)
     if d is None:
@@ -345,7 +347,13 @@ def exists_two_coloring(
         if len(order) != g.vertex_count - 1:
             raise NotConnectedError("requires a connected graph")
     else:
+        if sorted(chain.from_iterable(b.edges for b in d.blocks)) != list(g.edges):
+            raise ValueError(
+                "d is not a block decomposition of g: its blocks do not partition g's edges"
+            )
         dfs = d._dfs
+        if len(dfs[0]) < g.vertex_count:
+            raise NotConnectedError("requires a connected graph")
     jumps = _Jumps(g, dfs)
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")

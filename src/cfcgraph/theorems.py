@@ -16,6 +16,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
+    BudgetExhaustedError,
     OracleInfeasibleError,
     ParamOutOfRangeError,
     UnknownTheoremError,
@@ -58,9 +59,12 @@ class TheoremReport:
     clause_breakdown: Dict[str, int]
     counterexample: Optional[Graph] = None
     counterexample_trial: Optional[int] = None
+    inconclusive_count: int = 0
 
     def to_payload(self) -> Dict[str, object]:
-        return {
+        """The report as JSON-ready fields; ``inconclusive_count`` only when
+        some trial was inconclusive."""
+        payload = {
             "theorem": self.theorem,
             "trials": self.trials,
             "seed": self.seed,
@@ -69,6 +73,9 @@ class TheoremReport:
             "clause_breakdown": dict(sorted(self.clause_breakdown.items())),
             "counterexample_trial": self.counterexample_trial,
         }
+        if self.inconclusive_count:
+            payload["inconclusive_count"] = self.inconclusive_count
+        return payload
 
 
 def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
@@ -299,11 +306,14 @@ def run_harness(
     theorem: str, trials: int, seed: int, config: HarnessConfig
 ) -> TheoremReport:
     """Sample random connected graphs, filter on the theorem's hypothesis,
-    and assert its conclusion.  Reproducible from (theorem, seed, trials)."""
+    and assert its conclusion.  Reproducible from (theorem, seed, trials).
+    A trial whose search exhausts ``config.budget`` is inconclusive: it is
+    counted in ``inconclusive_count`` and in no other count."""
     if trials < 0:
         raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")
     hypothesis_pass = 0
     conclusion_fail = 0
+    inconclusive = 0
     clause_breakdown: Dict[str, int] = {}
     counterexample = None
     counterexample_trial = None
@@ -312,7 +322,11 @@ def run_harness(
         n = rng.randint(config.n_min, config.n_max)
         p = rng.uniform(config.p_min, config.p_max)
         g = gen_random_connected(n, p, seed=rng.randrange(2**31))
-        check = check_theorem(g, theorem, k=config.k, budget=config.budget)
+        try:
+            check = check_theorem(g, theorem, k=config.k, budget=config.budget)
+        except BudgetExhaustedError:
+            inconclusive += 1
+            continue
         for name, ok in check.clauses.items():
             clause_breakdown[name] = clause_breakdown.get(name, 0) + int(ok)
         if check.hypothesis_holds:
@@ -331,6 +345,7 @@ def run_harness(
         clause_breakdown=clause_breakdown,
         counterexample=counterexample,
         counterexample_trial=counterexample_trial,
+        inconclusive_count=inconclusive,
     )
 
 

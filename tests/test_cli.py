@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfcgraph import cli, theorems
 from cfcgraph.cli import build_parser, main
 from cfcgraph.coloring import CfcVerdict
+from cfcgraph.errors import BudgetExhaustedError
 from cfcgraph.families import FAMILIES
 from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
@@ -195,6 +197,37 @@ def test_verify_harness_ok(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["conclusion_fail_count"] == 0
     assert payload["trials"] == 30
+
+
+def test_verify_counts_budget_exhausted_trials_as_inconclusive(capsys):
+    # At this budget three of the six 2.2 sweeps run out.
+    assert main(["verify", "2.2", "--trials", "6", "--budget", "5"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["inconclusive_count"] == 3
+    assert payload["hypothesis_pass_count"] == 3
+    assert payload["clause_breakdown"] == {"cfc_equals_two": 3, "oracle_feasible": 3}
+    assert main(["verify", "2.2", "--trials", "3", "--budget", "1"]) == 4
+    assert json.loads(capsys.readouterr().out)["inconclusive_count"] == 3
+    # With every trial decided the key is absent.
+    assert main(["verify", "2.2", "--trials", "6", "--budget", "100"]) == 0
+    assert "inconclusive_count" not in json.loads(capsys.readouterr().out)
+
+
+def test_verify_counterexample_outranks_inconclusive(monkeypatch, capsys):
+    real_check = theorems.check_theorem
+    calls = []
+
+    def fail_then_exhaust(g, theorem, **kwargs):
+        calls.append(g)
+        if len(calls) == 1:
+            check = real_check(g, theorem, **kwargs)
+            return dataclasses.replace(check, hypothesis_holds=True, conclusion_holds=False)
+        raise BudgetExhaustedError(2, 3, 1)
+
+    monkeypatch.setattr(theorems, "check_theorem", fail_then_exhaust)
+    assert main(["verify", "2.4", "--trials", "3"]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["conclusion_fail_count"], payload["inconclusive_count"]) == (1, 2)
 
 
 def test_verify_unknown_theorem(capsys):
@@ -526,3 +559,35 @@ def test_hostile_header_fails_at_the_header_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert f"n: {MAX_VERTEX_COUNT}\n" in proc.stdout
     assert "connected: False\n" in proc.stdout
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | st.text(max_size=8)
+    | st.sampled_from(["", "\u00e9t\u00e9", "\u2028", "\"\\\n\t", "\U0001f600"])
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _json_values, max_size=6))
+def test_render_matches_json_dumps(payload):
+    assert cli._render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_matches_json_dumps_on_mixed_keys():
+    payload = {"a": {2: [True, None], 1: -0.0}, "f": {1.5: "x", -2.5: []}, "b": ({}, [], ())}
+    assert cli._render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._render({"a": {1: 0, "1": 0}}, "json")

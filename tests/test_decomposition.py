@@ -271,6 +271,8 @@ def _assert_decomposition_matches_reference(g):
     cut = frozenset(nx.articulation_points(h))
     d = cfc.block_decomposition(g)
     assert [b.edges for b in d.blocks] == blocks
+    # Each block's vertex set is computed when first read.
+    assert not any("vertices" in vars(b) for b in d.blocks)
     assert [b.vertices for b in d.blocks] == vertices
     assert d.cut_vertices == cut
     assert d.cut_edges == bridge_oracle(g)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cfcgraph as cfc
 from cfcgraph.errors import (
@@ -8,7 +8,7 @@ from cfcgraph.errors import (
     InvalidVertexError,
     SelfLoopError,
 )
-from cfcgraph.graph import MAX_VERTEX_COUNT, nonadjacent_pairs
+from cfcgraph.graph import MAX_VERTEX_COUNT, _parse_lines, _parse_plain, nonadjacent_pairs
 
 
 def test_build_triangle():
@@ -209,6 +209,7 @@ def test_nonadjacent_pairs_in_lexicographic_order():
         ("3 3\n0 1\n1 2\n0 1\n", 4, "repeated edge 0 1"),
         ("3 3\n0 1\n1 2\n", 1, "header declares 3 edges but 2 were given"),
         ("3 1\n0 1\n1 2\n", 1, "header declares 1 edges but 2 were given"),
+        ("# c\n3 2\n0 1\n", 2, "header declares 2 edges but 1 were given"),
         ("# nothing else\n", 1, "missing header 'n m'"),
     ],
 )
@@ -228,3 +229,91 @@ def test_parse_bounds_the_header_vertex_count():
     g = cfc.parse_edge_list("3 1\n0 1\n")
     assert g.vertex_count == 3 and g.edges == ((0, 1),)
     assert not cfc.is_connected(g)
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` returns for ``text``, or its error's line and
+    message."""
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return exc.line_number, str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0 1\n2 1\n",
+        "# c\n\n 3\t2 \n0\t1\n2 1",  # comment, blank, padded header, tab, no final newline
+        "3 0\n",
+        "1 0",
+    ],
+)
+def test_plain_text_takes_the_bulk_path(text):
+    g = _parse_plain(text)
+    assert g is not None and g == _parse_lines(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\x0b1\n0 1\n",  # str.splitlines breaks the header line: an error
+        "# c\x1c3 1\n0 1\n",  # ... or ends the comment before a header
+        "# c\u2028\n3 1\n0 1\n",
+        "3 1\r\n0 1\r\n",
+        "3 1\n0  1\n",  # two blanks
+        "3 1\n00 1\n",  # a leading zero is not JSON
+        "3 1\n0 1\n\n",  # a blank body line
+        "3 1\n# c\n0 1\n",  # a comment after the header
+        "3 1\n0 \u0661\n",  # a digit that is not ASCII
+        "3 2\n0 1\n1 0\n",  # a repeat
+        "3 1\n1 1\n",  # a self-loop
+        "3 1\n0 3\n",  # out of range
+        "3 2\n0 1\n",  # too few edges
+        f"{MAX_VERTEX_COUNT + 1} 0\n",
+    ],
+)
+def test_other_text_goes_to_the_line_loop(text):
+    assert _parse_plain(text) is None
+
+
+_PARSE_ALPHABET = "0123456789 \t\n\r#+_-\x0b\x0c\x1c\x85\u2028\u0663"
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts: a well-formed list (comments, header, edge lines in
+    either orientation) with a few characters from the parse alphabet put in
+    or swapped, or free text over that alphabet."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_PARSE_ALPHABET, max_size=40))
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    lines = ["# c"] * draw(st.integers(0, 2)) + [f"{n} {len(edges)}"]
+    lines += [f"{v} {u}" if draw(st.booleans()) else f"{u} {v}" for u, v in edges]
+    chars = list("\n".join(lines) + draw(st.sampled_from(["", "\n"])))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(chars)))
+        c = draw(st.sampled_from(_PARSE_ALPHABET))
+        if i < len(chars) and draw(st.booleans()):
+            chars[i] = c
+        else:
+            chars.insert(i, c)
+    return "".join(chars)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_parse_matches_the_line_loop(text):
+    expected = _outcome(_parse_lines, text)
+    assert _outcome(cfc.parse_edge_list, text) == expected
+    bulk = _parse_plain(text)
+    assert bulk is None or bulk == expected
+
+
+def test_edge_set_is_computed_on_first_use():
+    g = cfc.build_graph(3, [(0, 1), (1, 2)])
+    assert "edge_set" not in vars(g)
+    assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+    assert g.edge_set == frozenset(g.edges)

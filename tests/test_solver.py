@@ -100,6 +100,22 @@ def test_exists_two_coloring_rejects_disconnected():
         cfc.exists_two_coloring(cfc.build_graph(0, []))
 
 
+def test_exists_two_coloring_rejects_a_foreign_decomposition():
+    g = cfc.build_graph(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
+    assert cfc.exists_two_coloring(g, d=cfc.block_decomposition(g)).exists
+    star = cfc.build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="do not partition"):
+        cfc.exists_two_coloring(g, d=cfc.block_decomposition(star))
+
+
+def test_exists_two_coloring_with_a_decomposition_rejects_disconnected():
+    # The path's blocks partition g's edges, but its DFS misses vertex 3.
+    path = gen_path(3)
+    g = cfc.build_graph(4, path.edges)
+    with pytest.raises(NotConnectedError):
+        cfc.exists_two_coloring(g, d=cfc.block_decomposition(path))
+
+
 def test_exists_two_coloring_generates_only_the_paths_it_reads():
     # The 4-cube has tens of thousands of simple paths between its
     # nonadjacent pairs; the sweep needs two colorings and 89 pair steps.
