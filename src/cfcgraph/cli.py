@@ -51,14 +51,20 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _json(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     at the nesting level whose line start is ``pad`` (a newline and the
-    indent).  ints, strs, lists, tuples and dicts with str keys are written
-    here; anything else, such as bool, None, a float or a dict with a key
+    indent).  ints, strs, bools, None, lists, tuples and dicts with str keys
+    are written here; anything else, such as a float or a dict with a key
     that is not a str, goes through json.dumps."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
     if kind is list or kind is tuple:
         if not value:
             return "[]"

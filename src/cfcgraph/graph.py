@@ -214,6 +214,8 @@ def _parse_plain(text: str) -> Optional[Graph]:
         seps = body.translate(_SEPARATORS)
         if seps != " \n" * (len(seps) // 2) + " ":
             return None
+    # The body and then the ints are dropped as soon as the next stage has
+    # read them, which keeps the peak memory below the line loop's.
     try:
         ends = json.loads("[" + body.translate(_TO_JSON_ITEMS) + "]") if body else []
     except ValueError:
