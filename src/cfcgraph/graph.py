@@ -223,10 +223,9 @@ def _parse_plain(text: str) -> Optional[Graph]:
     del body
     if len(ends) != 2 * m:
         return None
-    if ends:
-        us, vs = islice(ends, 0, None, 2), islice(ends, 1, None, 2)
-        if max(ends) >= n or any(map(eq, us, vs)):
-            return None
+    self_loop = any(map(eq, islice(ends, 0, None, 2), islice(ends, 1, None, 2)))
+    if self_loop or max(ends, default=-1) >= n:
+        return None
     pairs = iter(ends)
     keys = [u * n + v if u < v else v * n + u for u, v in zip(pairs, pairs)]
     del ends, pairs
