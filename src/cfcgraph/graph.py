@@ -25,8 +25,8 @@ Edge = Tuple[int, int]
 # Largest vertex count an edge-list file may declare.  Every vertex, even an
 # isolated one, costs memory, so a larger header is refused before anything
 # is allocated.  Peak RSS of `analyze` at this order (child ru_maxrss, Python
-# 3.11): 97 MB for a one-edge header, 1.05 GB (about 1 KB a vertex) for the
-# path, of which parsing reaches 495 MB and parsing plus decomposition 913 MB.
+# 3.11.7): 97 MB for a one-edge header, 927 MB (about 0.9 KB a vertex) for the
+# path, of which parsing reaches 408 MB and parsing plus decomposition 927 MB.
 MAX_VERTEX_COUNT = 1 << 20
 
 
@@ -186,8 +186,8 @@ def _parse_plain(text: str) -> Optional[Graph]:
     tab, with "\n" line ends.  The body's tokens become ints in one JSON
     decode (a token with a leading zero is not JSON, so it goes to the line
     loop), each edge a canonical key ``u * n + v``; range, self-loops, the
-    declared count and repeats are checked over all keys at once, and the
-    edges are rebuilt from the sorted keys.
+    declared count and repeats are checked over the whole list at once, and
+    the edges are rebuilt from the sorted keys.
     """
     pos = 0
     while True:  # the header line is text[pos:end]
