@@ -1,17 +1,19 @@
 """Differential check of the edge-list bulk parser and the JSON writer,
 using only the standard library, for interpreters without pytest.
 
-    PYTHONPATH=src python tests/stdlib_equivalence.py [--cases N] [--seed S]
+    PYTHONPATH=src python tests/stdlib_equivalence.py
 
 ``parse_edge_list`` must give the same graph, or the same error line and
 message, as the line loop on random edge-list texts, and the bulk path must
 agree with the line loop wherever it accepts a text.  ``cli._render`` must
 write ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline on
 random nested payloads.  Exits 1 on the first mismatch, naming its input.
+
+The generators and checks are also the ones the pytest suite runs, with
+hypothesis drawing the ``random.Random`` they read from.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -20,20 +22,43 @@ from cfcgraph.cli import _render
 from cfcgraph.errors import EdgeListParseError
 from cfcgraph.graph import _parse_lines, _parse_plain, parse_edge_list
 
-ALPHABET = "0123456789 \t\n\r#+_-\x0b\x0c\x1c\x85 ٣"
-STRINGS = ["", "a", "été", " ", '"\\\n\t', "\U0001f600", "k"]
+CASES = 3000
+SEED = 0
+# Digits, the separators and comment mark of the format, other ASCII
+# punctuation, the line breaks str.splitlines knows besides "\n", and a
+# non-ASCII digit.
+ALPHABET = "0123456789 \t\n\r#+_-\x0b\x0c\x1c\x85\u2028\u0663"
+STRINGS = ["", "a", "\u00e9t\u00e9", " ", '"\\\n\t', "\u2028", "\U0001f600", "k"]
+# Code points for random strings: printable ASCII, control characters,
+# non-ASCII, lone surrogates and astral.
+CHARS = " ~az09\"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600"
+FLOATS = [0.5, -0.0, 1e300, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]
 
 
 def outcome(parse, text):
+    """The graph ``parse`` returns for ``text``, or its error's line and
+    message."""
     try:
         return parse(text)
     except EdgeListParseError as exc:
         return exc.line_number, str(exc)
 
 
+def parse_agrees(text: str) -> bool:
+    """``parse_edge_list`` matches the line loop on ``text``, and the bulk
+    path, where it accepts ``text``, gives the line loop's graph."""
+    expected = outcome(_parse_lines, text)
+    return outcome(parse_edge_list, text) == expected and _parse_plain(text) in (None, expected)
+
+
+def render_agrees(payload) -> bool:
+    return _render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def edge_list_text(rng: random.Random) -> str:
-    """A well-formed edge list with a few characters put in or swapped, or
-    free text over the alphabet."""
+    """A well-formed edge list (comments, header, edge lines in either
+    orientation) with a few characters of the alphabet put in or swapped,
+    or free text over the alphabet."""
     if rng.random() < 0.3:
         return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(40)))
     n = rng.randrange(7)
@@ -51,45 +76,51 @@ def edge_list_text(rng: random.Random) -> str:
     return "".join(chars)
 
 
+def string(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return rng.choice(STRINGS)
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(8)))
+
+
 def json_value(rng: random.Random, depth: int = 0):
+    """A bool, None, int, float or string, or below depth 3 also a list,
+    tuple, or dict with str or with int keys, of such values."""
     kind = rng.randrange(9 if depth < 3 else 6)
     if kind == 0:
         return rng.choice([None, True, False])
     if kind == 1:
         return rng.randrange(-10**20, 10**20) if rng.random() < 0.2 else rng.randrange(-5, 100)
     if kind == 2:
-        return rng.choice([0.5, -0.0, 1e300, float("nan"), float("inf"), rng.random()])
+        return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
     if kind in (3, 4, 5):
-        return rng.choice(STRINGS)
+        return string(rng)
     items = [json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
     if kind == 6:
         return items if rng.random() < 0.7 else tuple(items)
     if kind == 7:
-        return {rng.choice(STRINGS): v for v in items}
+        return {string(rng): v for v in items}
     return {rng.randrange(-3, 4): v for v in items}
 
 
+def payload(rng: random.Random) -> dict:
+    return {string(rng): json_value(rng) for _ in range(rng.randrange(6))}
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--cases", type=int, default=3000)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     bulk = 0
-    for _ in range(args.cases):
+    for _ in range(CASES):
         text = edge_list_text(rng)
-        expected = outcome(_parse_lines, text)
-        plain = _parse_plain(text)
-        bulk += plain is not None
-        if outcome(parse_edge_list, text) != expected or plain not in (None, expected):
+        if not parse_agrees(text):
             print(f"parse mismatch on {text!r}", file=sys.stderr)
             return 1
-    for _ in range(args.cases):
-        payload = {rng.choice(STRINGS): json_value(rng) for _ in range(rng.randrange(6))}
-        if _render(payload, "json") != json.dumps(payload, sort_keys=True, indent=2) + "\n":
-            print(f"render mismatch on {payload!r}", file=sys.stderr)
+        bulk += _parse_plain(text) is not None
+    for _ in range(CASES):
+        p = payload(rng)
+        if not render_agrees(p):
+            print(f"render mismatch on {p!r}", file=sys.stderr)
             return 1
-    print(f"{args.cases} texts ({bulk} read in bulk) and {args.cases} payloads agree "
+    print(f"{CASES} texts ({bulk} read in bulk) and {CASES} payloads agree "
           f"on Python {sys.version.split()[0]}")
     return 0
 
