@@ -1,7 +1,8 @@
 """Command-line front end: analyze, color2, check, cfc, gen, verify.
 
 Exit codes: 0 success / claim holds, 2 parse or usage error, 3 hypothesis
-violated, 4 budget exhausted, 5 counterexample found / verification failed.
+violated, 4 inconclusive (budget exhausted, or a sharpness claim that no
+certificate decides), 5 counterexample found / verification failed.
 All JSON output is deterministic for fixed flags (sorted keys, no
 timestamps).  ``main`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and it holds nothing
@@ -258,6 +259,8 @@ def cmd_verify(args) -> int:
         params = {name: v for name, v in (("t", args.t), ("n", args.n)) if v is not None}
         result = check_sharpness(theorem.split(":", 1)[1], budget=args.budget, **params)
         sys.stdout.write(_render({"command": "verify", **result}, args.format))
+        if result["holds"] is None:
+            return EXIT_BUDGET
         return EXIT_OK if result["holds"] else EXIT_COUNTEREXAMPLE
 
     config = harness_config(

@@ -6,12 +6,11 @@ matching selection used by the two-coloring construction.
 one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
 and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
 marks each vertex with the head of its block; the verifier's per-edge rule in
-``coloring`` runs the same DFS once per edge, and the solver's backjump table
-reads the arrays of the decomposition's own run.
+``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -40,10 +39,6 @@ class BlockDecomposition:
     blocks: Tuple[Block, ...]
     cut_vertices: FrozenSet[int]
     profile: CutEdgeProfile
-    # ``disc``, ``parent`` and ``head`` of the lowpoint DFS from vertex 0
-    # that found the blocks (see ``_lowpoint``); the solver's backjump table
-    # reads them instead of walking the graph again.
-    _dfs: Tuple[List[int], List[int], List[int]] = field(repr=False, compare=False)
 
     @property
     def cut_edges(self) -> FrozenSet[Edge]:
@@ -132,10 +127,18 @@ def _lowpoint(
     return order, clock
 
 
-def _dfs_tree(g: Graph) -> Tuple[List[int], Tuple[List[int], List[int], List[int]]]:
-    """One ``_lowpoint`` run on g rooted at vertex 0: the vertices reached
-    besides 0, in preorder, and its ``disc``, ``parent`` and ``head`` arrays.
-    Raises EmptyGraphError when g has no vertex."""
+def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
+    """Blocks as sorted edge lists, ordered by first edge, and cut vertices,
+    from one ``_lowpoint`` run rooted at vertex 0.
+
+    An edge belongs to the block of the tree edge into its deeper end: a back
+    edge closes a cycle through that tree edge.  ``g.edges`` is sorted, so
+    grouping it in order yields sorted blocks ordered by their first edges.
+    A cut vertex is the top vertex of a block, other than the root; the root
+    is one when it tops two or more blocks.  Raises EmptyGraphError when g
+    has no vertex and NotConnectedError when the DFS reaches fewer than all
+    vertices.
+    """
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("connectivity is undefined for the empty graph")
@@ -143,25 +146,7 @@ def _dfs_tree(g: Graph) -> Tuple[List[int], Tuple[List[int], List[int], List[int
     parent = [0] * n
     head = [0] * n
     order, _ = _lowpoint(g.adjacency, 0, disc, [0] * n, parent, head, 0)
-    return order, (disc, parent, head)
-
-
-def _biconnected(
-    g: Graph,
-) -> Tuple[List[List[Edge]], set, Tuple[List[int], List[int], List[int]]]:
-    """Blocks as sorted edge lists, ordered by first edge, cut vertices, and
-    the arrays of the one ``_dfs_tree`` run that found them.
-
-    An edge belongs to the block of the tree edge into its deeper end: a back
-    edge closes a cycle through that tree edge.  ``g.edges`` is sorted, so
-    grouping it in order yields sorted blocks ordered by their first edges.
-    A cut vertex is the top vertex of a block, other than the root; the root
-    is one when it tops two or more blocks.  Raises NotConnectedError when
-    the DFS reaches fewer than all vertices.
-    """
-    order, dfs = _dfs_tree(g)
-    disc, parent, head = dfs
-    if len(order) != g.vertex_count - 1:
+    if len(order) != n - 1:
         raise NotConnectedError("operation requires a connected graph")
     tops = [parent[w] for w in order if head[w] == w]
     cut = {x for x in tops if x != 0}
@@ -171,19 +156,18 @@ def _biconnected(
     for e in g.edges:
         u, v = e
         blocks.setdefault(head[u] if disc[u] > disc[v] else head[v], []).append(e)
-    return list(blocks.values()), cut, dfs
+    return list(blocks.values()), cut
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Blocks, cut vertices, cut edges and the cut-edge profile of a
     connected graph, all from one lowpoint pass.  The one-vertex graph has
     no blocks and an empty profile."""
-    raw_blocks, cut, dfs = _biconnected(g)
+    raw_blocks, cut = _biconnected(g)
     return BlockDecomposition(
         blocks=tuple(map(Block, map(tuple, raw_blocks))),
         cut_vertices=frozenset(cut),
         profile=_bridge_profile(frozenset(e[0] for e in raw_blocks if len(e) == 1)),
-        _dfs=dfs,
     )
 
 

@@ -12,16 +12,14 @@ so the witness and the step counts do not either.  A pair whose path count
 exceeds ``_PATH_CAP_PER_PAIR`` is checked by the exact verifier's per-edge
 rule from the step that pulls the path past the cap.
 
-The sweep backjumps.  The edges on a pair's simple paths are the edges of the
-blocks its DFS tree path crosses, and b, the least significant of them, is
-read off the lowpoint DFS that ``block_decomposition`` ran, so a search walks
-the graph once: ``exact_cfc`` takes the DFS from its bracket, the theorem
-checks hand ``exists_two_coloring`` theirs, and without one it runs its own,
-which is also its connectivity check.  Every coloring that agrees with a
-failing one from b up fails at the same pair, so the sweep moves every edge
-below b to color t and increments from there.  Only failing colorings are
-skipped, so the witness and the value are those of the plain sweep, capped
-pairs included (b depends only on the graph and the pair).
+The sweep backjumps.  A pair fails only after all its simple paths are
+pulled, so the edges on them are the OR of its masks, and b, the least
+significant of them, is that OR's lowest bit (``_jump``; a pair past the cap
+asks the verifier for it).  Every coloring that agrees with a failing one
+from b up fails at the same pair, so the sweep moves every edge below b to
+color t and increments from there.  Only failing colorings are skipped, so
+the witness and the value are those of the plain sweep, capped pairs
+included (b depends only on the graph and the pair).
 ``colorings_examined`` is the odometer rank of the last coloring decided,
 checked or skipped: the witness's rank plus one, or t ** (m - 1) for a sweep
 that finds none.  ``verification_steps`` counts only the pair checks made,
@@ -46,7 +44,7 @@ from .coloring import (
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
-from .decomposition import BlockDecomposition, _dfs_tree, block_decomposition
+from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
@@ -55,7 +53,7 @@ from .errors import (
     ParamOutOfRangeError,
     TrivialGraphError,
 )
-from .graph import Graph, is_complete, nonadjacent_pairs
+from .graph import Graph, is_complete, is_connected, nonadjacent_pairs
 
 _PATH_CAP_PER_PAIR = 4096
 
@@ -124,10 +122,11 @@ def _pull(
 
 
 def _pairs(g: Graph) -> List[list]:
-    """Per nonadjacent pair: ``[u, v, masks, pull]``, the paths pulled so far
-    and the generator that pulls more; no path is generated until the sweep
-    reads it.  The sweep drops ``pull`` once it is spent, and ``masks`` too
-    when the pair has more paths than the cap.
+    """Per nonadjacent pair: ``[u, v, masks, pull, jump]``, the paths pulled
+    so far, the generator that pulls more, and the pair's ``_jump`` once it
+    has failed; no path is generated until the sweep reads it.  The sweep
+    drops ``pull`` once it is spent, and ``masks`` too when the pair has more
+    paths than the cap.
 
     Edge i of the canonical order is bit m-1-i, so the last edge is the
     least significant.
@@ -143,53 +142,27 @@ def _pairs(g: Graph) -> List[list]:
     # Adjacent pairs are always conflict-free connected via their single edge.
     for u, v in nonadjacent_pairs(g):
         masks: List[Tuple[int, int]] = []
-        out.append([u, v, masks, _pull(masks, _simple_paths(incident, u, v))])
+        out.append([u, v, masks, _pull(masks, _simple_paths(incident, u, v)), None])
     return out
 
 
-class _Jumps(dict):
-    """The backjump target of each nonadjacent pair u < v: ``jumps[u, v]`` is
-    the least significant bit among the edges that lie on some simple u-v
-    path, read off ``dfs``, the ``disc``, ``parent`` and ``head`` arrays of a
-    lowpoint DFS of g (``decomposition._dfs_tree``).
+def _jump(g: Graph, pair: list) -> int:
+    """The backjump target of a failed pair of ``_pairs``: the least
+    significant bit among the edges on its simple paths.
 
-    Those edges are the edges of the blocks that the DFS tree path from u to
-    v crosses: each crossed block is entered and left at distinct vertices,
-    and in a 2-connected block every edge lies on a path between any two of
-    its vertices.  The tree edge into w lies in block ``head[w]``, and an
-    edge in the block of the tree edge into its deeper end.  So a pair, the
-    first time it is read, walks its tree path up to the meeting point,
-    collecting blocks, and then takes the last edge in canonical order that
-    lies in one of them.
+    The pair has pulled all its paths, so that is the lowest bit of their
+    OR.  A pair past the cap has no masks; under the coloring that gives
+    each edge its own color, the last edge color 1, the verifier tries the
+    edges least significant first and stops at the first one on a u-v path.
     """
-
-    def __init__(self, g: Graph, dfs: Tuple[List[int], List[int], List[int]]):
-        super().__init__()
-        self.edges = g.edges
-        self.dfs = dfs
-
-    def __missing__(self, pair: Tuple[int, int]) -> int:
-        u, v = pair
-        disc, parent, head = self.dfs
-        crossed = set()
-        # A vertex discovered later than the other is no ancestor of it, so
-        # it is below the meeting point and steps up.
-        while u != v:
-            if disc[u] > disc[v]:
-                crossed.add(head[u])
-                u = parent[u]
-            else:
-                crossed.add(head[v])
-                v = parent[v]
-        edges = self.edges
-        i = len(edges) - 1
-        while True:
-            a, b = edges[i]
-            if (head[a] if disc[a] > disc[b] else head[b]) in crossed:
-                break
-            i -= 1
-        self[pair] = least = 1 << (len(edges) - 1 - i)
-        return least
+    u, v, masks = pair[:3]
+    if masks is not None:
+        union = 0
+        for pmask, _ in masks:
+            union |= pmask
+        return union & -union
+    served, _ = _serve_pairs(g, range(g.edge_count, 0, -1), [(u, v)])
+    return 1 << (served[u, v][0] - 1)
 
 
 def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
@@ -203,8 +176,7 @@ def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
 
 
 def _sweep(
-    g: Graph, t: int, pairs, jumps: _Jumps, stats: SearchStats,
-    budget: Optional[int],
+    g: Graph, t: int, pairs, stats: SearchStats, budget: Optional[int]
 ) -> Optional[Tuple[int, ...]]:
     """Sweep the t-colorings with the first edge fixed to color 1 in odometer
     order, checking the pairs of ``_pairs``.  Each pair check is one
@@ -216,7 +188,7 @@ def _sweep(
     moves to the front, which rejects most colorings in a single check.
 
     A failing pair fails under every coloring that agrees with this one on
-    the pair's paths, hence on every edge from ``jumps[u, v]``, the least
+    the pair's paths, hence on every edge from its ``_jump``, the least
     significant bit on them, up.  The sweep skips those colorings, so the
     first success is the same, and ``colorings_examined`` counts by odometer
     rank: the rank of the success plus one, or every rank, t ** (m - 1),
@@ -235,7 +207,7 @@ def _sweep(
             steps += 1
             if steps > limit:
                 raise BudgetExhaustedError(t, m, steps)
-            u, v, masks, pull = pair
+            u, v, masks, pull, _ = pair
             served = False
             if masks is not None:
                 # The pulled masks first; more paths only if none serves.
@@ -274,7 +246,9 @@ def _sweep(
         # Backjump: the edges below the failing pair's jump bit go to color
         # t, so the increment below passes every coloring that differs from
         # this one only there.
-        skip = jumps[u, v] - 1
+        if pair[4] is None:
+            pair[4] = _jump(g, pair)
+        skip = pair[4] - 1
         for c in lower_classes:
             classes[c] &= ~skip
         classes[-1] |= skip
@@ -313,15 +287,14 @@ def exact_cfc(
     if max_colors is None:
         max_colors = g.edge_count
     stats = SearchStats()
-    lower, _, d = _bracket(g)
+    lower, _ = cfc_bracket(g)
     if lower == 1:
         if max_colors < 1:
             raise NoColoringWithinMaxError("no coloring with zero colors")
         return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
     pairs = _pairs(g)
-    jumps = _Jumps(g, d._dfs)
     for t in range(lower, max_colors + 1):
-        colors = _sweep(g, t, pairs, jumps, stats, budget)
+        colors = _sweep(g, t, pairs, stats, budget)
         if colors is not None:
             return CfcResult(t, EdgeColoring(graph=g, colors=colors), stats)
     raise NoColoringWithinMaxError(
@@ -329,36 +302,19 @@ def exact_cfc(
     )
 
 
-def exists_two_coloring(
-    g: Graph, budget: Optional[int] = None, d: Optional[BlockDecomposition] = None
-) -> TwoColoringSearch:
+def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSearch:
     """Exhaustive 2-colorability check modulo fixing the first edge's color.
 
     Always runs the sweep; analytic lower bounds live in cfc_bracket so a
-    False here is an explicit refutation certificate.  ``d``, g's block
-    decomposition when the caller has one, lends the sweep its DFS;
-    without it the sweep runs its own, which is also the connectivity check.
-    A ``d`` whose blocks do not partition g's edges raises ValueError; one
-    whose DFS reached fewer vertices than g has leaves g disconnected.
+    False here is an explicit refutation certificate.
     """
     _check_budget(budget)
-    if d is None:
-        order, dfs = _dfs_tree(g)
-        if len(order) != g.vertex_count - 1:
-            raise NotConnectedError("requires a connected graph")
-    else:
-        if sorted(chain.from_iterable(b.edges for b in d.blocks)) != list(g.edges):
-            raise ValueError(
-                "d is not a block decomposition of g: its blocks do not partition g's edges"
-            )
-        dfs = d._dfs
-        if len(dfs[0]) < g.vertex_count:
-            raise NotConnectedError("requires a connected graph")
-    jumps = _Jumps(g, dfs)
+    if not is_connected(g):
+        raise NotConnectedError("requires a connected graph")
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
     stats = SearchStats()
-    colors = _sweep(g, 2, _pairs(g), jumps, stats, budget)
+    colors = _sweep(g, 2, _pairs(g), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 
@@ -380,20 +336,14 @@ def two_coloring_certificate(
         return False, "shape"
     if g.edge_count > ORACLE_EDGE_CAP:
         return None, "skipped"
-    return exists_two_coloring(g, budget=budget, d=d).exists, "sweep"
+    return exists_two_coloring(g, budget=budget).exists, "sweep"
 
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
     """Cheap lower/upper bounds on cfc without search."""
-    return _bracket(g)[:2]
-
-
-def _bracket(g: Graph) -> Tuple[int, int, Optional[BlockDecomposition]]:
-    """``cfc_bracket`` and the block decomposition it read, None for a
-    complete graph."""
     if is_complete(g):
-        return 1, 1, None
+        return 1, 1
     d = block_decomposition(g)
     lower = 2 if d.profile.lemma_2_2_shape else 3
     upper = 2 if two_coloring_hypothesis_holds(d.profile) else g.edge_count
-    return lower, upper, d
+    return lower, upper

@@ -159,7 +159,7 @@ def _lemma_2_2_shape(theorem, g, d, k, budget, clauses, details) -> TheoremCheck
     could never refute it."""
     feasible = clauses["oracle_feasible"]
     clauses["cfc_equals_two"] = (
-        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget, d=d).exists
+        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget).exists
     )
     hyp = all(clauses.values())
     concl = d.profile.lemma_2_2_shape if hyp else None
@@ -368,8 +368,9 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     """Certify that a sharpness family misses its theorem's bound by one
     unit (``margin_ok``) and has cfc >= 3.  ``params`` is the family's one
     parameter (``t`` or ``n``), or empty for a family without one.
-    ``refutation`` names the certificate of ``two_coloring_certificate``.
-    A negative ``budget`` is out of range; None means unlimited.
+    ``refutation`` names the certificate of ``two_coloring_certificate``;
+    ``holds`` is None when the margin is met but no certificate decides
+    cfc >= 3 ("skipped").  A negative ``budget`` is out of range; None means unlimited.
     """
     if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
@@ -403,5 +404,5 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
         "margin_ok": margin_ok,
         "refutation": refutation,
         "cfc_at_least_3": cfc_at_least_3,
-        "holds": bool(margin_ok and (cfc_at_least_3 is not False)),
+        "holds": cfc_at_least_3 if margin_ok else False,
     }

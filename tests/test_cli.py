@@ -193,6 +193,16 @@ def test_verify_sharpness_ok(capsys):
     assert payload["refutation"] == "shape"
 
 
+def test_verify_sharpness_without_a_certificate_is_inconclusive(capsys):
+    # S(4) has 34 edges and Lemma 2.2's shape: past the sweep cap nothing
+    # decides cfc >= 3, so the claim is neither held nor refuted.
+    assert main(["verify", "sharpness:S", "--t", "4"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["margin_ok"], payload["refutation"]) == (True, "skipped")
+    assert payload["cfc_at_least_3"] is None
+    assert payload["holds"] is None
+
+
 def test_verify_harness_ok(capsys):
     assert main(["verify", "2.4", "--trials", "30", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -100,22 +100,6 @@ def test_exists_two_coloring_rejects_disconnected():
         cfc.exists_two_coloring(cfc.build_graph(0, []))
 
 
-def test_exists_two_coloring_rejects_a_foreign_decomposition():
-    g = cfc.build_graph(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
-    assert cfc.exists_two_coloring(g, d=cfc.block_decomposition(g)).exists
-    star = cfc.build_graph(4, [(0, 1), (1, 2), (1, 3)])
-    with pytest.raises(ValueError, match="do not partition"):
-        cfc.exists_two_coloring(g, d=cfc.block_decomposition(star))
-
-
-def test_exists_two_coloring_with_a_decomposition_rejects_disconnected():
-    # The path's blocks partition g's edges, but its DFS misses vertex 3.
-    path = gen_path(3)
-    g = cfc.build_graph(4, path.edges)
-    with pytest.raises(NotConnectedError):
-        cfc.exists_two_coloring(g, d=cfc.block_decomposition(path))
-
-
 def test_exists_two_coloring_generates_only_the_paths_it_reads():
     # The 4-cube has tens of thousands of simple paths between its
     # nonadjacent pairs; the sweep needs two colorings and 89 pair steps.
@@ -149,8 +133,8 @@ def test_pair_paths_match_reference_enumeration():
         m = g.edge_count
         bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
         pairs = solver._pairs(g)
-        assert [(u, v) for u, v, _, _ in pairs] == list(nonadjacent_pairs(g))
-        for u, v, masks, pull in pairs:
+        assert [(u, v) for u, v, *_ in pairs] == list(nonadjacent_pairs(g))
+        for u, v, masks, pull, _ in pairs:
             expected = sorted(
                 (sum(bit[cfc.canonical_edge(a, b)] for a, b in zip(p, p[1:])), len(p) - 1)
                 for p in simple_paths_between(g, u, v)
@@ -161,49 +145,26 @@ def test_pair_paths_match_reference_enumeration():
 
 
 def test_jump_is_the_least_bit_on_the_pair_paths():
-    # The backjump target of a pair is the least significant bit of the OR
-    # of its simple-path masks, read off the block structure.
+    # The backjump target of a failed pair is the least significant bit of
+    # the OR of its simple-path masks: read off the pulled masks, or, for a
+    # pair past the cap (no masks), off the verifier.
     from cfcgraph import solver
 
+    above_last_edge = 0
     for g in _reference_graphs():
         m = g.edge_count
         bit = {e: 1 << (m - 1 - i) for i, e in enumerate(g.edges)}
-        jumps = solver._Jumps(g, cfc.block_decomposition(g)._dfs)
-        for u, v in nonadjacent_pairs(g):
+        for u, v, masks, pull, _ in solver._pairs(g):
             on_paths = 0
             for p in simple_paths_between(g, u, v):
                 on_paths |= sum(bit[cfc.canonical_edge(a, b)] for a, b in zip(p, p[1:]))
-            assert jumps[u, v] == on_paths & -on_paths, (g.edges, u, v)
-            assert jumps[u, v] == on_paths & -on_paths  # cached
-
-
-def test_searches_walk_the_graph_once(monkeypatch):
-    # The backjump table reads the lowpoint DFS of the block decomposition:
-    # exact_cfc and the Lemma 2.2 check run one DFS each, and
-    # exists_two_coloring runs none when handed the decomposition.
-    from cfcgraph import decomposition, solver
-    from cfcgraph.theorems import check_theorem
-
-    runs = []
-    real = decomposition._dfs_tree
-
-    def counting(g):
-        runs.append(g)
-        return real(g)
-
-    monkeypatch.setattr(decomposition, "_dfs_tree", counting)
-    monkeypatch.setattr(solver, "_dfs_tree", counting)
-    for g in _reference_graphs():
-        if cfc.is_complete(g):
-            continue
-        del runs[:]
-        d = cfc.block_decomposition(g)
-        with_d = cfc.exists_two_coloring(g, d=d)
-        assert len(runs) == 1
-        assert with_d == cfc.exists_two_coloring(g)
-        cfc.exact_cfc(g)
-        check_theorem(g, "2.2")
-        assert len(runs) == 4
+            least = on_paths & -on_paths
+            list(pull)  # pulls every path into masks
+            assert solver._jump(g, [u, v, masks, None, None]) == least, (g.edges, u, v)
+            assert solver._jump(g, [u, v, None, None, None]) == least, (g.edges, u, v)
+            above_last_edge += least > 1
+    # Some jumps skip colorings: their bit is above the last edge's.
+    assert above_last_edge
 
 
 def _k4_chain():

@@ -149,8 +149,7 @@ def test_sharpness_families_hold(family, params):
     assert result["cfc_at_least_3"] is True
 
 
-# Every sharpness payload over these parameter ranges, in this order; recorded
-# before the sharpness rows came to name the theorem bound they miss.
+# Every sharpness payload over these parameter ranges, in this order.
 # remark4-H stops at t = 15: from t = 16 it no longer misses 4.2's bound by
 # one unit (see the next test).
 SHARPNESS_RANGES = {
@@ -162,7 +161,7 @@ SHARPNESS_RANGES = {
     "remark6-G": (None, [None]),
     "remark7": ("n", range(11, 33, 3)),
 }
-SHARPNESS_DIGEST = "531a2a6ce0784b5123f15c77e160ad95d4a49666c36345bbef484061d874dfdc"
+SHARPNESS_DIGEST = "ae161321e0338c1bc698285c4bd4677b24898682e6b72d0881761e836ed2b83d"
 
 
 def test_sharpness_payloads_digest():
