@@ -129,7 +129,7 @@ def cmd_analyze(args) -> int:
         "complete": is_complete(g),
     }
     # The one-vertex graph has no blocks and reports no structure.
-    if decomp is not None and decomp.blocks:
+    if decomp is not None and decomp.block_count:
         profile = decomp.profile
         payload.update(
             {
@@ -138,9 +138,9 @@ def cmd_analyze(args) -> int:
                 "is_linear_forest": profile.is_linear_forest,
                 "component_orders": list(profile.component_orders),
                 "max_component_edges": profile.max_component_edges,
-                "block_count": len(decomp.blocks),
+                "block_count": decomp.block_count,
                 # A block is trivial iff it is a single cut edge.
-                "nontrivial_block_count": len(decomp.blocks) - len(profile.cut_edges),
+                "nontrivial_block_count": decomp.block_count - len(profile.cut_edges),
                 "cut_vertices": sorted(decomp.cut_vertices),
             }
         )

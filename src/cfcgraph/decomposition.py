@@ -5,12 +5,14 @@ matching selection used by the two-coloring construction.
 ``block_decomposition`` is the one structural pass and the only entry point:
 one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
 and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
-marks each vertex with the head of its block; the verifier's per-edge rule in
-``coloring`` runs the same DFS once per edge.
+marks each vertex with the head of its block.  The block count, the cut
+vertices and the cut edges come straight from the DFS arrays; ``d.blocks``
+groups the edges by block head only when first read.  The verifier's per-edge
+rule in ``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -36,13 +38,31 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: Tuple[Block, ...]
+    """What ``block_decomposition`` finds in ``_graph``.  ``blocks``, sorted
+    by first edge, is built on first read from the DFS arrays: an edge
+    belongs to the block of the tree edge into its deeper end, since a back
+    edge closes a cycle through that tree edge, and ``g.edges`` is sorted,
+    so grouping it in order yields sorted blocks in that order."""
+
+    block_count: int
     cut_vertices: FrozenSet[int]
     profile: CutEdgeProfile
+    _graph: Graph = field(repr=False)
+    _disc: List[int] = field(repr=False, compare=False)
+    _head: List[int] = field(repr=False, compare=False)
 
     @property
     def cut_edges(self) -> FrozenSet[Edge]:
         return self.profile.cut_edges
+
+    @cached_property
+    def blocks(self) -> Tuple[Block, ...]:
+        disc, head = self._disc, self._head
+        blocks: Dict[int, List[Edge]] = {}
+        for e in self._graph.edges:
+            u, v = e
+            blocks.setdefault(head[u] if disc[u] > disc[v] else head[v], []).append(e)
+        return tuple(map(Block, map(tuple, blocks.values())))
 
 
 @dataclass(frozen=True)
@@ -89,8 +109,9 @@ def _lowpoint(
     adj: Sequence[Sequence[int]], root: int, disc: List[int], low: List[int],
     parent: List[int], head: List[int], clock: int,
 ) -> Tuple[List[int], int]:
-    """Iterative lowpoint DFS of ``adj`` from ``root``: returns the vertices
-    reached besides ``root`` in preorder, and the last discovery time used.
+    """Iterative lowpoint DFS of ``adj`` from ``root`` (Tarjan 1972): returns
+    the vertices reached besides ``root`` in preorder, and the last discovery
+    time used.
 
     Discovery times go on from ``clock``, so one set of arrays serves many
     runs: a vertex is reached in this run iff ``disc >= disc[root]``.  For
@@ -99,27 +120,35 @@ def _lowpoint(
     ``disc[parent[w]]``) and ``head[w]``: the deeper end of the topmost tree
     edge of the block that holds the tree edge into w, so that
     ``parent[head[w]]`` is that block's vertex nearest ``root``.
+
+    The vertex being scanned and its neighbour iterator are locals; the
+    stack holds only its ancestors' iterators, and ``parent`` names the
+    vertex to return to, so a frame costs no tuple.
     """
     clock += 1
     start = disc[root] = low[root] = clock
     order = []
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        x, it = stack[-1]
+    stack = []
+    x, it = root, iter(adj[root])
+    while True:
         for w in it:
             if disc[w] < start:
                 clock += 1
                 disc[w] = low[w] = clock
                 parent[w] = x
                 order.append(w)
-                stack.append((w, iter(adj[w])))
+                stack.append(it)
+                x, it = w, iter(adj[w])
                 break
             if disc[w] < low[x]:
                 low[x] = disc[w]
         else:
-            stack.pop()
-            if stack and low[x] < low[stack[-1][0]]:
-                low[stack[-1][0]] = low[x]
+            if not stack:
+                break
+            p = parent[x]
+            if low[x] < low[p]:
+                low[p] = low[x]
+            x, it = p, stack.pop()
     # A tree edge pw starts a block iff nothing below w reaches above p.
     for w in order:
         p = parent[w]
@@ -127,17 +156,17 @@ def _lowpoint(
     return order, clock
 
 
-def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
-    """Blocks as sorted edge lists, ordered by first edge, and cut vertices,
-    from one ``_lowpoint`` run rooted at vertex 0.
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """Blocks, cut vertices, cut edges and the cut-edge profile of a
+    connected graph, all from one ``_lowpoint`` run rooted at vertex 0.
 
-    An edge belongs to the block of the tree edge into its deeper end: a back
-    edge closes a cycle through that tree edge.  ``g.edges`` is sorted, so
-    grouping it in order yields sorted blocks ordered by their first edges.
-    A cut vertex is the top vertex of a block, other than the root; the root
-    is one when it tops two or more blocks.  Raises EmptyGraphError when g
-    has no vertex and NotConnectedError when the DFS reaches fewer than all
-    vertices.
+    Each block is named by its head.  A cut vertex is the top vertex of a
+    block, other than the root; the root is one when it tops two or more
+    blocks.  A block whose head heads one tree edge has two vertices, and a
+    simple graph has one edge between them, so it is a bridge.  The
+    one-vertex graph has no blocks and an empty profile.  Raises
+    EmptyGraphError when g has no vertex and NotConnectedError when the DFS
+    reaches fewer than all vertices.
     """
     n = g.vertex_count
     if n == 0:
@@ -148,26 +177,23 @@ def _biconnected(g: Graph) -> Tuple[List[List[Edge]], set]:
     order, _ = _lowpoint(g.adjacency, 0, disc, [0] * n, parent, head, 0)
     if len(order) != n - 1:
         raise NotConnectedError("operation requires a connected graph")
-    tops = [parent[w] for w in order if head[w] == w]
+    heads = [w for w in order if head[w] == w]
+    shared = {head[w] for w in order if head[w] != w}  # heads of 2+ tree edges
+    tops = [parent[h] for h in heads]
     cut = {x for x in tops if x != 0}
     if tops.count(0) >= 2:
         cut.add(0)
-    blocks: Dict[int, List[Edge]] = {}
-    for e in g.edges:
-        u, v = e
-        blocks.setdefault(head[u] if disc[u] > disc[v] else head[v], []).append(e)
-    return list(blocks.values()), cut
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, cut edges and the cut-edge profile of a
-    connected graph, all from one lowpoint pass.  The one-vertex graph has
-    no blocks and an empty profile."""
-    raw_blocks, cut = _biconnected(g)
+    bridges = frozenset([
+        (parent[h], h) if parent[h] < h else (h, parent[h])
+        for h in heads if h not in shared
+    ])
     return BlockDecomposition(
-        blocks=tuple(map(Block, map(tuple, raw_blocks))),
+        block_count=len(heads),
         cut_vertices=frozenset(cut),
-        profile=_bridge_profile(frozenset(e[0] for e in raw_blocks if len(e) == 1)),
+        profile=_bridge_profile(bridges),
+        _graph=g,
+        _disc=disc,
+        _head=head,
     )
 
 

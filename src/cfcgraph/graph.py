@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import combinations, islice, repeat
 from operator import eq
@@ -25,8 +25,8 @@ Edge = Tuple[int, int]
 # Largest vertex count an edge-list file may declare.  Every vertex, even an
 # isolated one, costs memory, so a larger header is refused before anything
 # is allocated.  Peak RSS of `analyze` at this order (child ru_maxrss, Python
-# 3.11.7): 97 MB for a one-edge header, 927 MB (about 0.9 KB a vertex) for the
-# path, of which parsing reaches 408 MB and parsing plus decomposition 927 MB.
+# 3.11.7): 97 MB for a one-edge header, 758 MB (about 0.72 KB a vertex) for the
+# path, of which parsing reaches 335 MB and parsing plus decomposition 750 MB.
 MAX_VERTEX_COUNT = 1 << 20
 
 
@@ -34,29 +34,27 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph.
 
-    ``edges`` is a strictly increasing tuple of canonical (min, max) pairs
-    of vertices in [0, vertex_count); any other tuple raises ValueError.
-    ``adjacency`` holds sorted neighbor tuples and is derived, so it is
-    excluded from equality and hashing.  ``edge_set`` is computed on first
-    use.
+    ``Graph(vertex_count, edges)`` takes a strictly increasing tuple of
+    canonical (min, max) pairs of vertices in [0, vertex_count); any other
+    tuple raises ValueError.  ``adjacency`` holds sorted neighbour tuples.
+    The parser builds a graph from its sorted edge keys ``u * n + v``
+    (``_from_keys``); then ``edges`` is built on first read.  ``edge_set``
+    is always built on first read.  Equality, hashing and repr read
+    ``vertex_count`` and ``edges`` alone, as for a frozen dataclass of those
+    two fields.
     """
 
-    vertex_count: int
-    edges: Tuple[Edge, ...]
-    adjacency: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False, default=())
-
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges: Tuple[Edge, ...]):
         # Appending from the sorted canonical edges fills each vertex's
         # neighbours in ascending order: its lower neighbours u from the
         # edges (u, x), then its higher neighbours from the edges (x, v).
-        n = self.vertex_count
+        n = vertex_count
         adjacency = [[] for _ in range(n)]
         prev = (0, 0)
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if e <= prev or not u < v < n:
                 raise ValueError(
@@ -66,18 +64,67 @@ class Graph:
             adjacency[u].append(v)
             adjacency[v].append(u)
             prev = e
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
+        self.__dict__.update(
+            vertex_count=n, edges=edges, edge_count=len(edges),
+            adjacency=tuple(map(tuple, adjacency)),
+        )
+
+    @classmethod
+    def _from_keys(cls, vertex_count: int, keys: List[int]) -> "Graph":
+        """The graph whose edges are the pairs ``divmod(k, vertex_count)`` of
+        the strictly increasing keys ``k = u * vertex_count + v``,
+        0 <= u < v < vertex_count; any other list raises ValueError.  No
+        edge tuple is made until ``edges`` is read."""
+        # With no vertex every key gives u >= v = 0 and is refused.
+        n = vertex_count or 1
+        adjacency = [[] for _ in range(vertex_count)]
+        prev = -1
+        for k in keys:
+            # Once k > prev >= -1, v < n always holds, so u < v < n iff u < v.
+            u, v = divmod(k, n)
+            if k <= prev or u >= v:
+                raise ValueError(
+                    f"edge keys must be increasing u * n + v, 0 <= u < v < n = "
+                    f"{vertex_count}; got {k} after {prev}"
+                )
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            prev = k
+        g = cls.__new__(cls)
+        g.__dict__.update(
+            vertex_count=vertex_count, _keys=keys, edge_count=len(keys),
+            adjacency=tuple(map(tuple, adjacency)),
+        )
+        return g
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        # Only a keys-built graph gets here: __init__ stores its edges.
+        return tuple(map(divmod, self._keys, repeat(self.vertex_count)))
 
     @cached_property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edge_set
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
 
 @dataclass(frozen=True)
@@ -187,7 +234,7 @@ def _parse_plain(text: str) -> Optional[Graph]:
     decode (a token with a leading zero is not JSON, so it goes to the line
     loop), each edge a canonical key ``u * n + v``; range, self-loops, the
     declared count and repeats are checked over the whole list at once, and
-    the edges are rebuilt from the sorted keys.
+    the graph is built from the sorted keys.
     """
     pos = 0
     while True:  # the header line is text[pos:end]
@@ -232,14 +279,14 @@ def _parse_plain(text: str) -> Optional[Graph]:
     keys.sort()
     if any(map(eq, keys, islice(keys, 1, None))):
         return None
-    return Graph(vertex_count=n, edges=tuple(map(divmod, keys, repeat(n))))
+    return Graph._from_keys(n, keys)
 
 
 def _parse_lines(text: str) -> Graph:
     """``parse_edge_list`` line by line, raising EdgeListParseError at the
     first bad line."""
     n = None  # until the header line
-    seen = {}  # u * n + v -> (u, v), u < v
+    seen = set()  # u * n + v, u < v
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -273,14 +320,14 @@ def _parse_lines(text: str) -> Graph:
         key = u * n + v if u < v else v * n + u
         if key in seen:
             raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
-        seen[key] = (u, v) if u < v else (v, u)
+        seen.add(key)
     if n is None:
         raise EdgeListParseError("missing header 'n m'", 1)
     if len(seen) != expected_m:
         raise EdgeListParseError(
             f"header declares {expected_m} edges but {len(seen)} were given", header_line
         )
-    return Graph(vertex_count=n, edges=tuple(map(seen.__getitem__, sorted(seen))))
+    return Graph._from_keys(n, sorted(seen))
 
 
 def read_edge_list(path) -> Graph:

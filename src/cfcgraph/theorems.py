@@ -216,7 +216,7 @@ _THEOREMS = {
         "all_components_order_2": all(o == 2 for o in d.profile.component_orders),
     }, {}), _cfc_two_check, (5, 9, 0.25, 0.55)),
     # 2-edge-connected; the one-vertex graph has no block, so it is not.
-    "2.4": _Theorem(lambda g, d, k: ({"two_edge_connected": bool(d.blocks) and not d.cut_edges}, {}),
+    "2.4": _Theorem(lambda g, d, k: ({"two_edge_connected": bool(d.block_count) and not d.cut_edges}, {}),
                     _cfc_two_check, (4, 9, 0.4, 0.9)),
     # Base order k^2, the least order 3.1's order clause admits.
     "3.1": _Theorem(_thm_3_1_clauses, _cut_edge_bound,

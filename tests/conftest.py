@@ -25,6 +25,39 @@ def bridge_oracle(g):
     return frozenset(bridges)
 
 
+def _components_without(g, x):
+    """Component ids of G - x: each vertex other than x maps to the least
+    vertex of its component."""
+    ids = {}
+    for s in range(g.vertex_count):
+        if s == x or s in ids:
+            continue
+        ids[s] = s
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.adjacency[u]:
+                if w != x and w not in ids:
+                    ids[w] = s
+                    stack.append(w)
+    return ids
+
+
+def block_oracle(g):
+    """Blocks of a connected graph as sorted edge tuples, in sorted order.
+
+    Two edges share a block iff no vertex x separates them: for every x,
+    their ends other than x lie in one component of G - x.  So an edge's
+    block is fixed by the tuple, over all x, of those components.
+    """
+    ids = [_components_without(g, x) for x in range(g.vertex_count)]
+    blocks = {}
+    for u, v in g.edges:
+        key = tuple(c[u if u != x else v] for x, c in enumerate(ids))
+        blocks.setdefault(key, []).append((u, v))
+    return sorted(map(tuple, blocks.values()))
+
+
 def simple_paths_between(g, source, target):
     """Recursive simple-path enumeration (independent of the library's
     iterative search)."""

@@ -1,13 +1,18 @@
-"""Differential check of the edge-list bulk parser and the JSON writer,
+"""Differential check of the edge-list bulk parser, the graph the parser
+builds from edge keys, the blocks built on first read and the JSON writer,
 using only the standard library, for interpreters without pytest.
 
     PYTHONPATH=src python tests/stdlib_equivalence.py
 
 ``parse_edge_list`` must give the same graph, or the same error line and
 message, as the line loop on random edge-list texts, and the bulk path must
-agree with the line loop wherever it accepts a text.  ``cli._render`` must
-write ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline on
-random nested payloads.  Exits 1 on the first mismatch, naming its input.
+agree with the line loop wherever it accepts a text.  A ``Graph`` built from
+the sorted keys ``u * n + v`` must match ``build_graph`` on the same edges in
+every field, equality, hash and repr.  ``block_decomposition``'s ``blocks``
+must match conftest's block oracle on random connected graphs.
+``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
+plus a newline on random nested payloads.  Exits 1 on the first mismatch,
+naming its input.
 
 The generators and checks are also the ones the pytest suite runs, with
 hypothesis drawing the ``random.Random`` they read from.
@@ -19,8 +24,10 @@ import random
 import sys
 
 from cfcgraph.cli import _render
+from cfcgraph.decomposition import block_decomposition
 from cfcgraph.errors import EdgeListParseError
-from cfcgraph.graph import _parse_lines, _parse_plain, parse_edge_list
+from cfcgraph.graph import Graph, _parse_lines, _parse_plain, build_graph, parse_edge_list
+from conftest import block_oracle
 
 CASES = 3000
 SEED = 0
@@ -51,6 +58,34 @@ def parse_agrees(text: str) -> bool:
     return outcome(parse_edge_list, text) == expected and _parse_plain(text) in (None, expected)
 
 
+def keys_graph_agrees(n: int, edges) -> bool:
+    """The graph of the sorted keys of ``edges`` equals ``build_graph(n,
+    edges)`` in every field, equality, hash and repr, and builds its edge
+    tuples only when ``edges`` is first read."""
+    g = build_graph(n, edges)
+    kg = Graph._from_keys(n, sorted(u * n + v for u, v in g.edges))
+    if "edges" in vars(kg) or kg.edge_count != g.edge_count:
+        return False
+    return (kg.edges, kg.adjacency, kg.edge_set, hash(kg), repr(kg)) == (
+        g.edges, g.adjacency, g.edge_set, hash(g), repr(g)
+    ) and kg == g and g == kg
+
+
+def blocks_agree(g: Graph) -> bool:
+    """``block_decomposition(g).blocks``, built on first read, are the block
+    oracle's; ``block_count`` counts them and the trivial ones are the cut
+    edges."""
+    d = block_decomposition(g)
+    if "blocks" in vars(d):
+        return False
+    blocks = [b.edges for b in d.blocks]
+    return (
+        blocks == block_oracle(g)
+        and d.block_count == len(blocks)
+        and d.cut_edges == frozenset(b[0] for b in blocks if len(b) == 1)
+    )
+
+
 def render_agrees(payload) -> bool:
     return _render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -74,6 +109,25 @@ def edge_list_text(rng: random.Random) -> str:
         else:
             chars.insert(i, rng.choice(ALPHABET))
     return "".join(chars)
+
+
+def edge_list(rng: random.Random):
+    """``(n, edges)``: 0-9 vertices and any set of edges, each in either
+    orientation, in random order."""
+    n = rng.randrange(10)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+    return n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def connected_graph(rng: random.Random) -> Graph:
+    """A random spanning tree on 1-9 vertices plus each other pair with one
+    random probability: from trees to dense graphs."""
+    n = rng.randint(1, 9)
+    tree = {(rng.randrange(v), v) for v in range(1, n)}
+    p = rng.random() ** 2
+    chords = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+    return build_graph(n, sorted(tree.union(chords)))
 
 
 def string(rng: random.Random) -> str:
@@ -116,11 +170,22 @@ def main() -> int:
             return 1
         bulk += _parse_plain(text) is not None
     for _ in range(CASES):
+        n, edges = edge_list(rng)
+        if not keys_graph_agrees(n, edges):
+            print(f"keys-built graph mismatch on {n} {edges!r}", file=sys.stderr)
+            return 1
+    for _ in range(CASES):
+        g = connected_graph(rng)
+        if not blocks_agree(g):
+            print(f"blocks mismatch on {g!r}", file=sys.stderr)
+            return 1
+    for _ in range(CASES):
         p = payload(rng)
         if not render_agrees(p):
             print(f"render mismatch on {p!r}", file=sys.stderr)
             return 1
-    print(f"{CASES} texts ({bulk} read in bulk) and {CASES} payloads agree "
+    print(f"{CASES} texts ({bulk} read in bulk), {CASES} keys-built graphs, "
+          f"{CASES} block decompositions and {CASES} payloads agree "
           f"on Python {sys.version.split()[0]}")
     return 0
 

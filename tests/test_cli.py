@@ -72,6 +72,31 @@ def test_analyze_without_blocks_reports_no_bridge_keys(text, connected, tmp_path
     assert payload["connected"] is connected
 
 
+def test_analyze_builds_no_edge_tuple_and_no_block(tmp_path, monkeypatch, capsys):
+    """``analyze`` on a plain edge list reads the block count, cut vertices
+    and cut edges off the DFS: it builds neither the graph's edge tuples nor
+    the decomposition's blocks."""
+    path = tmp_path / "g.edges"
+    # Two triangles joined by the bridge 2-3.
+    path.write_text("6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n")
+    made = {}
+
+    def keep(name, build):
+        def wrapper(*args):
+            made[name] = build(*args)
+            return made[name]
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_edge_list", keep("g", cli.read_edge_list))
+    monkeypatch.setattr(cli, "block_decomposition", keep("d", cli.block_decomposition))
+    assert main(["analyze", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["block_count"] == 3 and payload["nontrivial_block_count"] == 2
+    assert payload["cut_edges"] == [[2, 3]] and payload["cut_vertices"] == [2, 3]
+    assert "edges" not in vars(made["g"])
+    assert "blocks" not in vars(made["d"])
+
+
 def test_analyze_dot_format(c5_file, capsys):
     assert main(["analyze", "--format", "dot", c5_file]) == 0
     out = capsys.readouterr().out

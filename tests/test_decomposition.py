@@ -18,6 +18,7 @@ from cfcgraph.families import (
 )
 
 from conftest import bridge_oracle
+from stdlib_equivalence import blocks_agree, connected_graph
 
 
 def triangle():
@@ -77,6 +78,30 @@ def test_block_decomposition_of_one_vertex_and_empty_graphs():
     assert d.cut_vertices == frozenset() and d.cut_edges == frozenset()
     with pytest.raises(EmptyGraphError):
         cfc.block_decomposition(cfc.build_graph(0, []))
+
+
+@pytest.mark.parametrize(
+    "n,edges,block_count,cut_vertices",
+    [
+        (1, [], 0, set()),
+        (2, [(0, 1)], 1, set()),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 4, {0}),  # a star
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], 2, {0}),  # two triangles at 0
+        (5, [(0, 1), (1, 2), (2, 3), (1, 3), (0, 4)], 3, {0, 1}),  # 0 joins two bridges
+    ],
+)
+def test_blocks_built_on_first_read(n, edges, block_count, cut_vertices):
+    g = cfc.build_graph(n, edges)
+    assert blocks_agree(g)
+    d = cfc.block_decomposition(g)
+    assert d.block_count == block_count and d.cut_vertices == cut_vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blocks_built_on_first_read_match_the_oracle(rng):
+    g = connected_graph(rng)
+    assert blocks_agree(g), g
 
 
 def test_cut_edge_profile_examples():

@@ -8,8 +8,14 @@ from cfcgraph.errors import (
     InvalidVertexError,
     SelfLoopError,
 )
-from cfcgraph.graph import MAX_VERTEX_COUNT, _parse_lines, _parse_plain, nonadjacent_pairs
-from stdlib_equivalence import edge_list_text, parse_agrees
+from cfcgraph.graph import (
+    MAX_VERTEX_COUNT,
+    Graph,
+    _parse_lines,
+    _parse_plain,
+    nonadjacent_pairs,
+)
+from stdlib_equivalence import edge_list, edge_list_text, keys_graph_agrees, parse_agrees
 
 
 def test_build_triangle():
@@ -185,8 +191,38 @@ def test_adjacency_equals_sorted_neighbour_sets(ne):
     ],
 )
 def test_graph_rejects_edges_that_are_not_sorted_canonical_pairs(n, edges):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edges must be sorted canonical pairs \(u, v\), "
+                                         r"0 <= u < v < 3; got \("):
         cfc.Graph(vertex_count=n, edges=edges)
+    # The same edges as keys u * n + v, as the parser hands them over.
+    with pytest.raises(ValueError, match=r"^edge keys must be increasing u \* n \+ v"):
+        Graph._from_keys(n, [u * n + v for u, v in edges])
+
+
+def test_keys_built_graph_without_vertices():
+    assert Graph._from_keys(0, []) == cfc.Graph(0, ())
+    with pytest.raises(ValueError):
+        Graph._from_keys(0, [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_keys_built_graph_matches_build_graph(rng):
+    n, edges = edge_list(rng)
+    assert keys_graph_agrees(n, edges), (n, edges)
+
+
+@given(edge_lists())
+def test_parsed_graph_matches_build_graph(ne):
+    n, edges = ne
+    g = cfc.build_graph(n, edges)
+    parsed = cfc.parse_edge_list(cfc.format_edge_list(g))
+    assert "edges" not in vars(parsed)
+    assert (parsed.vertex_count, parsed.edge_count, parsed.adjacency) == (
+        g.vertex_count, g.edge_count, g.adjacency
+    )
+    assert parsed == g and hash(parsed) == hash(g) and repr(parsed) == repr(g)
+    assert parsed.edges == g.edges and parsed.edge_set == g.edge_set
 
 
 def test_nonadjacent_pairs_in_lexicographic_order():
