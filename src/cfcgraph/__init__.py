@@ -19,7 +19,6 @@ from .coloring import (
 from .decomposition import (
     Block,
     BlockDecomposition,
-    BridgeComponent,
     CutEdgeProfile,
     block_decomposition,
     select_block_matching,

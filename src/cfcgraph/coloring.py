@@ -4,9 +4,10 @@ one component larger than a single edge (that one of order at most four).
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .decomposition import (
@@ -298,8 +299,11 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
 
     ``d`` is g's block decomposition, computed here when not given.
     Matching edges (one per nontrivial block) get color 2; the largest bridge
-    component is colored 1 / 1,2 / 1,2,1 along its path depending on order;
-    every other edge gets color 1.
+    component, read from its least end, is colored 1 / 1,2 / 1,2,1 depending
+    on order; every other edge gets color 1.  Under the hypothesis the
+    vertices on two bridges are the inner vertices of that component, so its
+    second edge is found without walking it: between the two inner vertices
+    of a P4, or from the inner vertex of a P3 to its larger other end.
     """
     if is_complete(g):
         raise CompleteGraphError("complete graphs need only one color")
@@ -315,12 +319,17 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
     color_map = {e: 1 for e in g.edges}
     for e in select_block_matching(d):
         color_map[e] = 2
-    largest = profile.largest
-    if largest is not None and largest.order >= 3:
+    if profile.max_component_edges >= 2:
         # Bridges lie in no nontrivial block, so only the path's second edge
         # differs from color 1.
-        a, b = largest.path_sequence[1:3]
-        color_map[canonical_edge(a, b)] = 2
+        ends = Counter(chain.from_iterable(profile.cut_edges))
+        inner = sorted(x for x, k in ends.items() if k == 2)
+        b = inner[0]
+        if len(inner) == 2:
+            c = inner[1]
+        else:
+            c = max(u + v - b for u, v in profile.cut_edges if b in (u, v))
+        color_map[canonical_edge(b, c)] = 2
     return make_coloring(g, color_map)
 
 

@@ -1,4 +1,4 @@
-"""Structural analysis: cut edges, blocks, block-cut tree, the bridge-induced
+"""Structural analysis: cut edges, blocks, cut vertices, the bridge-induced
 subgraph C(G) with its linear-forest classification, and the per-block
 matching selection used by the two-coloring construction.
 
@@ -6,15 +6,18 @@ matching selection used by the two-coloring construction.
 one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
 and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
 marks each vertex with the head of its block.  The block count, the cut
-vertices and the cut edges come straight from the DFS arrays; ``d.blocks``
-groups the edges by block head only when first read.  The verifier's per-edge
-rule in ``coloring`` runs the same DFS once per edge.
+vertices, the cut edges and C(G)'s component orders come straight from the
+DFS arrays; ``d.blocks`` groups the edges by block head only when first read,
+and ``select_block_matching`` reads the same arrays without building a block.
+The verifier's per-edge rule in ``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .errors import EmptyGraphError, NotConnectedError
 from .graph import Edge, Graph
@@ -49,54 +52,41 @@ class BlockDecomposition:
     profile: CutEdgeProfile
     _graph: Graph = field(repr=False)
     _disc: List[int] = field(repr=False, compare=False)
+    _parent: List[int] = field(repr=False, compare=False)
     _head: List[int] = field(repr=False, compare=False)
 
     @property
     def cut_edges(self) -> FrozenSet[Edge]:
         return self.profile.cut_edges
 
-    @cached_property
-    def blocks(self) -> Tuple[Block, ...]:
+    def _edges_by_head(self) -> Iterator[Tuple[int, Edge]]:
+        """Each edge of the graph in sorted order with its block's head."""
         disc, head = self._disc, self._head
-        blocks: Dict[int, List[Edge]] = {}
         for e in self._graph.edges:
             u, v = e
-            blocks.setdefault(head[u] if disc[u] > disc[v] else head[v], []).append(e)
+            yield (head[u] if disc[u] > disc[v] else head[v]), e
+
+    @cached_property
+    def blocks(self) -> Tuple[Block, ...]:
+        blocks: Dict[int, List[Edge]] = {}
+        for h, e in self._edges_by_head():
+            blocks.setdefault(h, []).append(e)
         return tuple(map(Block, map(tuple, blocks.values())))
 
 
 @dataclass(frozen=True)
-class BridgeComponent:
-    """One connected component of the bridge-induced subgraph.
-
-    ``path_sequence`` is the vertex order along the component when it is a
-    path, starting from its lowest-index degree-1 endpoint; None otherwise.
-    """
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[Edge, ...]
-    path_sequence: Optional[Tuple[int, ...]]
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def is_path(self) -> bool:
-        return self.path_sequence is not None
-
-
-@dataclass(frozen=True)
 class CutEdgeProfile:
+    """C(G), the subgraph of the cut edges: its edges, the orders of its
+    components in ascending order, and whether it is a linear forest.  Its
+    components are trees, so the largest has one edge fewer than vertices."""
+
     cut_edges: FrozenSet[Edge]
-    components: Tuple[BridgeComponent, ...]
-    is_linear_forest: bool
     component_orders: Tuple[int, ...]
-    max_component_edges: int
+    is_linear_forest: bool
 
     @property
-    def largest(self) -> Optional[BridgeComponent]:
-        return self.components[-1] if self.components else None
+    def max_component_edges(self) -> int:
+        return self.component_orders[-1] - 1 if self.component_orders else 0
 
     @property
     def lemma_2_2_shape(self) -> bool:
@@ -157,13 +147,16 @@ def _lowpoint(
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, cut edges and the cut-edge profile of a
-    connected graph, all from one ``_lowpoint`` run rooted at vertex 0.
+    """Blocks, cut vertices, cut edges and C(G) of a connected graph, all
+    from one ``_lowpoint`` run rooted at vertex 0.
 
     Each block is named by its head.  A cut vertex is the top vertex of a
     block, other than the root; the root is one when it tops two or more
     blocks.  A block whose head heads one tree edge has two vertices, and a
-    simple graph has one edge between them, so it is a bridge.  The
+    simple graph has one edge between them, so it is a bridge.  Every bridge
+    is thus a tree edge, each component of C(G) is a subtree, and in preorder
+    a bridge's upper end is labelled with its component before the bridge is
+    read.  C(G) is a linear forest iff no vertex lies on three bridges.  The
     one-vertex graph has no blocks and an empty profile.  Raises
     EmptyGraphError when g has no vertex and NotConnectedError when the DFS
     reaches fewer than all vertices.
@@ -183,73 +176,32 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     cut = {x for x in tops if x != 0}
     if tops.count(0) >= 2:
         cut.add(0)
+    bridge_heads = [h for h in heads if h not in shared]
     bridges = frozenset([
-        (parent[h], h) if parent[h] < h else (h, parent[h])
-        for h in heads if h not in shared
+        (parent[h], h) if parent[h] < h else (h, parent[h]) for h in bridge_heads
     ])
+    component = [-1] * n
+    orders = []
+    for h in bridge_heads:
+        c = component[parent[h]]
+        if c < 0:
+            c = component[parent[h]] = len(orders)
+            orders.append(1)
+        component[h] = c
+        orders[c] += 1
+    profile = CutEdgeProfile(
+        cut_edges=bridges,
+        component_orders=tuple(sorted(orders)),
+        is_linear_forest=all(k <= 2 for k in Counter(chain.from_iterable(bridges)).values()),
+    )
     return BlockDecomposition(
         block_count=len(heads),
         cut_vertices=frozenset(cut),
-        profile=_bridge_profile(bridges),
+        profile=profile,
         _graph=g,
         _disc=disc,
+        _parent=parent,
         _head=head,
-    )
-
-
-def _bridge_profile(bridges: FrozenSet[Edge]) -> CutEdgeProfile:
-    """C(G) from its edges: one walk per component collects its vertices and
-    edges.  All components are acyclic, so the linear-forest test reduces to
-    max degree <= 2 within the bridge subgraph.
-    """
-    adj: Dict[int, List[int]] = {}
-    for u, v in bridges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    seen = set()
-    components = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = [start]
-        comp_edges = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    comp_edges.append((u, w) if u < w else (w, u))
-                    stack.append(w)
-        comp.sort()
-        comp_edges.sort()
-        path_sequence = None
-        if all(len(adj[v]) <= 2 for v in comp):
-            # From the least endpoint, each step leaves by the neighbour it
-            # did not come from.
-            prev = next(v for v in comp if len(adj[v]) == 1)
-            cur = adj[prev][0]
-            seq = [prev, cur]
-            for _ in range(len(comp) - 2):
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                seq.append(cur)
-            path_sequence = tuple(seq)
-        components.append(
-            BridgeComponent(
-                vertices=tuple(comp), edges=tuple(comp_edges), path_sequence=path_sequence
-            )
-        )
-    components.sort(key=lambda c: (c.order, c.vertices))
-    return CutEdgeProfile(
-        cut_edges=bridges,
-        components=tuple(components),
-        is_linear_forest=all(c.is_path for c in components),
-        component_orders=tuple(c.order for c in components),
-        max_component_edges=max((len(c.edges) for c in components), default=0),
     )
 
 
@@ -257,40 +209,33 @@ def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
     """Choose one edge per nontrivial block so the choices form a matching;
     returns them sorted.
 
-    The block-cut tree is rooted at the lowest-index cut vertex (or at the
+    The block-cut tree is rooted at the lowest-index cut vertex c (or at the
     unique block when there is none); each nontrivial block avoids the cut
-    vertex on its path toward the root.  A 2-connected block minus one vertex
+    vertex on its path toward c, its attachment.  A block attaches at its top
+    vertex, except on the DFS tree path from the root to c, where it attaches
+    at its deepest vertex on that path.  A 2-connected block minus one vertex
     still contains an edge, and for any cut vertex at most one incident block
     (the root-side one) may pick an edge touching it, so the result is a
-    matching.  Lowest canonical-order choice keeps the output deterministic.
+    matching.  Each block takes its least edge avoiding the attachment, so
+    one scan of the sorted edges finds them all.
     """
-    blocks_at: Dict[int, List[int]] = {}
-    cuts_of: Dict[int, List[int]] = {}
-    for bi, b in enumerate(d.blocks):
-        for v in b.vertices:
-            if v in d.cut_vertices:
-                blocks_at.setdefault(v, []).append(bi)
-                cuts_of.setdefault(bi, []).append(v)
-    # Root-side cut vertex per block, from one walk down the tree: a cut
-    # vertex is entered from its parent block, a block from its parent cut
-    # vertex, and neither walks back to where it came from.
-    attachment: Dict[int, int] = {}
-    stack = [(min(d.cut_vertices), -1)] if d.cut_vertices else []
-    while stack:
-        x, from_block = stack.pop()
-        for bi in blocks_at[x]:
-            if bi != from_block:
-                attachment[bi] = x
-                stack.extend((v, bi) for v in cuts_of[bi] if v != x)
-
-    chosen = sorted(
-        min(e for e in b.edges if attachment.get(bi) not in e)
-        for bi, b in enumerate(d.blocks)
-        if not b.is_trivial
-    )
+    parent, head = d._parent, d._head
+    toward: Dict[int, int] = {}
+    if d.cut_vertices:
+        x = min(d.cut_vertices)
+        while x != 0:
+            toward.setdefault(head[x], x)
+            x = parent[x]
+    chosen: Dict[int, Edge] = {}
+    for h, e in d._edges_by_head():
+        if h in chosen or e in d.cut_edges:
+            continue
+        if not d.cut_vertices or toward.get(h, parent[h]) not in e:
+            chosen[h] = e
+    matching = sorted(chosen.values())
     # Matching property is guaranteed by construction; check defensively.
     used = set()
-    for u, v in chosen:
+    for u, v in matching:
         assert u not in used and v not in used, "chosen edges are not a matching"
         used.update((u, v))
-    return tuple(chosen)
+    return tuple(matching)

