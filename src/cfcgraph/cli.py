@@ -1,8 +1,9 @@
 """Command-line front end: analyze, color2, check, cfc, gen, verify.
 
 Exit codes: 0 success / claim holds, 2 parse or usage error, 3 hypothesis
-violated, 4 inconclusive (budget exhausted, or a sharpness claim that no
-certificate decides), 5 counterexample found / verification failed.
+violated, 4 inconclusive (budget exhausted, or a sharpness claim or a harness
+trial whose cfc = 2 no certificate decides), 5 counterexample found /
+verification failed.
 All JSON output is deterministic for fixed flags (sorted keys, no
 timestamps).  ``main`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and it holds nothing
@@ -189,7 +190,7 @@ def cmd_check(args) -> int:
 def cmd_cfc(args) -> int:
     g = read_edge_list(args.input)
     try:
-        result = exact_cfc(g, max_colors=args.max_colors, budget=args.budget)
+        result = exact_cfc(g, budget=args.budget)
     except BudgetExhaustedError as exc:
         payload = {
             "command": "cfc",
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cfc", help="exact conflict-free connection number")
     p.add_argument("input")
-    p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     add_common(p, ("json", "text"))
 

@@ -316,9 +316,7 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
             f"of order 3..4 (orders {list(profile.component_orders)})"
         )
 
-    color_map = {e: 1 for e in g.edges}
-    for e in select_block_matching(d):
-        color_map[e] = 2
+    twos = set(select_block_matching(d))
     if profile.max_component_edges >= 2:
         # Bridges lie in no nontrivial block, so only the path's second edge
         # differs from color 1.
@@ -329,8 +327,8 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
             c = inner[1]
         else:
             c = max(u + v - b for u, v in profile.cut_edges if b in (u, v))
-        color_map[canonical_edge(b, c)] = 2
-    return make_coloring(g, color_map)
+        twos.add(canonical_edge(b, c))
+    return EdgeColoring(graph=g, colors=tuple(2 if e in twos else 1 for e in g.edges))
 
 
 def format_coloring(coloring: EdgeColoring) -> str:

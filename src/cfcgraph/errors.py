@@ -62,14 +62,6 @@ class BudgetExhaustedError(CfcError):
         self.steps = steps
 
 
-class NoColoringWithinMaxError(CfcError):
-    """No conflict-free connection coloring exists within the color cap."""
-
-
-class OracleInfeasibleError(CfcError):
-    """The graph is too large for exhaustive checking and no constructive route applies."""
-
-
 class EdgeListParseError(CfcError):
     """Malformed edge-list input."""
 

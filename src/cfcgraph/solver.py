@@ -25,16 +25,18 @@ checked or skipped: the witness's rank plus one, or t ** (m - 1) for a sweep
 that finds none.  ``verification_steps`` counts only the pair checks made,
 and the budget counts those steps, not wall time.
 
-``exact_cfc`` starts its search at the lower bound of ``cfc_bracket``, which
-is 3 when the cut-edge profile fails Lemma 2.2's necessary shape
-(``CutEdgeProfile.lemma_2_2_shape``).  ``two_coloring_certificate`` decides
-cfc = 2 by the construction, else by Lemma 2.2's shape, else by the sweep.
+``cfc_bracket`` is the only bound on ``exact_cfc``: the search starts at its
+lower bound, which is 3 when the cut-edge profile fails Lemma 2.2's necessary
+shape (``CutEdgeProfile.lemma_2_2_shape``), and a search that runs out of
+budget reports its upper bound.  ``two_coloring_certificate`` decides cfc = 2
+by the construction, else by Lemma 2.2's shape, else by the sweep, and
+answers None ("skipped") past ``ORACLE_EDGE_CAP``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterator, List, Optional, Tuple
 
 from .coloring import (
@@ -48,7 +50,6 @@ from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
-    NoColoringWithinMaxError,
     NotConnectedError,
     ParamOutOfRangeError,
     TrivialGraphError,
@@ -79,10 +80,15 @@ class TwoColoringSearch:
 
 
 def _simple_paths(
-    incident: List[List[Tuple[int, int]]], source: int, target: int
+    incident: List[List[Tuple[int, int]]],
+    source: int,
+    target: int,
+    masks: List[Tuple[int, int]],
 ) -> Iterator[Tuple[int, int]]:
     """Depth-first simple source-target paths, neighbors in ascending order,
     each as (edge bitmask, length); the mask is carried down the search.
+    Each path is appended to ``masks`` before it is yielded; the search stops
+    right after appending the path past the cap, without yielding it.
 
     ``incident[x]`` lists x's (neighbor, edge bit) in ascending neighbor order.
     """
@@ -96,7 +102,11 @@ def _simple_paths(
             if on_path[w]:
                 continue
             if w == target:
-                yield prefix[-1] | bit, len(stack)
+                entry = (prefix[-1] | bit, len(stack))
+                masks.append(entry)
+                if len(masks) > _PATH_CAP_PER_PAIR:
+                    return
+                yield entry
                 continue
             on_path[w] = True
             path.append(w)
@@ -107,18 +117,6 @@ def _simple_paths(
             stack.pop()
             prefix.pop()
             on_path[path.pop()] = False
-
-
-def _pull(
-    masks: List[Tuple[int, int]], paths: Iterator[Tuple[int, int]]
-) -> Iterator[Tuple[int, int]]:
-    """Yield the next paths, appending each to ``masks``; stop after
-    appending the path past the cap, without yielding it."""
-    for entry in paths:
-        masks.append(entry)
-        if len(masks) > _PATH_CAP_PER_PAIR:
-            return
-        yield entry
 
 
 def _pairs(g: Graph) -> List[list]:
@@ -142,7 +140,7 @@ def _pairs(g: Graph) -> List[list]:
     # Adjacent pairs are always conflict-free connected via their single edge.
     for u, v in nonadjacent_pairs(g):
         masks: List[Tuple[int, int]] = []
-        out.append([u, v, masks, _pull(masks, _simple_paths(incident, u, v)), None])
+        out.append([u, v, masks, _simple_paths(incident, u, v, masks), None])
     return out
 
 
@@ -176,12 +174,13 @@ def _colors(m: int, classes: List[int]) -> Tuple[int, ...]:
 
 
 def _sweep(
-    g: Graph, t: int, pairs, stats: SearchStats, budget: Optional[int]
+    g: Graph, t: int, upper: int, pairs, stats: SearchStats, budget: Optional[int]
 ) -> Optional[Tuple[int, ...]]:
     """Sweep the t-colorings with the first edge fixed to color 1 in odometer
     order, checking the pairs of ``_pairs``.  Each pair check is one
     verification step, added to ``stats``, however many paths it reads or
-    pulls; the step past ``budget`` raises BudgetExhaustedError.
+    pulls; the step past ``budget`` raises BudgetExhaustedError with the
+    bracket [t, ``upper``].
 
     Color c >= 2 is the edge bitmask ``classes[c - 2]``; color 1 on a path
     is its length minus the other colors' counts.  The last failing pair
@@ -206,7 +205,7 @@ def _sweep(
         for pair in order:
             steps += 1
             if steps > limit:
-                raise BudgetExhaustedError(t, m, steps)
+                raise BudgetExhaustedError(t, upper, steps)
             u, v, masks, pull, _ = pair
             served = False
             if masks is not None:
@@ -276,30 +275,27 @@ def _check_budget(budget: Optional[int]) -> None:
         raise ParamOutOfRangeError(f"budget must be >= 0, got {budget}")
 
 
-def exact_cfc(
-    g: Graph, max_colors: Optional[int] = None, budget: Optional[int] = None
-) -> CfcResult:
+def exact_cfc(g: Graph, budget: Optional[int] = None) -> CfcResult:
     """Smallest number of colors making g conflict-free connected, with a
-    witness coloring.  Intended for desk-scale graphs (roughly m <= 20)."""
+    witness coloring.  Intended for desk-scale graphs (roughly m <= 20).
+
+    The sweep tries t upward from the lower bound of ``cfc_bracket``.  It
+    needs no cap: at t = m the coloring that gives every edge its own color
+    is conflict-free.  When ``budget`` runs out, BudgetExhaustedError carries
+    the bracket [t, upper bound of ``cfc_bracket``].
+    """
     if g.vertex_count < 2:
         raise TrivialGraphError("cfc needs at least two vertices")
     _check_budget(budget)
-    if max_colors is None:
-        max_colors = g.edge_count
     stats = SearchStats()
-    lower, _ = cfc_bracket(g)
+    lower, upper = cfc_bracket(g)
     if lower == 1:
-        if max_colors < 1:
-            raise NoColoringWithinMaxError("no coloring with zero colors")
         return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
     pairs = _pairs(g)
-    for t in range(lower, max_colors + 1):
-        colors = _sweep(g, t, pairs, stats, budget)
+    for t in count(lower):
+        colors = _sweep(g, t, upper, pairs, stats, budget)
         if colors is not None:
             return CfcResult(t, EdgeColoring(graph=g, colors=colors), stats)
-    raise NoColoringWithinMaxError(
-        f"no conflict-free connection coloring with at most {max_colors} colors"
-    )
 
 
 def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSearch:
@@ -314,7 +310,7 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
     stats = SearchStats()
-    colors = _sweep(g, 2, _pairs(g), stats, budget)
+    colors = _sweep(g, 2, g.edge_count, _pairs(g), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 

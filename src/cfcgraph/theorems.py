@@ -15,12 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .decomposition import BlockDecomposition, block_decomposition
-from .errors import (
-    BudgetExhaustedError,
-    OracleInfeasibleError,
-    ParamOutOfRangeError,
-    UnknownTheoremError,
-)
+from .errors import BudgetExhaustedError, ParamOutOfRangeError, UnknownTheoremError
 from .families import FAMILIES, gen_random_connected
 from .graph import (
     Graph,
@@ -38,7 +33,7 @@ class TheoremCheck:
     theorem: str
     hypothesis_holds: bool
     clauses: Dict[str, bool]
-    conclusion_holds: Optional[bool]  # None when the hypothesis fails
+    conclusion_holds: Optional[bool]  # None: the hypothesis fails, or no certificate decides it
     mode: Optional[str] = None
     details: Dict[str, object] = field(default_factory=dict)
 
@@ -137,18 +132,14 @@ def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
     plus non-completeness (cfc = 1 exactly on complete graphs).  When it
     holds, decide cfc(g) == 2 by ``two_coloring_certificate`` from g's block
     decomposition ``d``: mode "constructive" for the construction, "oracle"
-    for a shape refutation or a sweep."""
+    for a shape refutation or a sweep.  When no certificate decides it
+    ("skipped"), the conclusion and the mode are None."""
     clauses["non_complete"] = not is_complete(g)
     hyp = all(clauses.values())
     if not hyp:
         return TheoremCheck(theorem, hyp, clauses, None, details=details)
     concl, certificate = two_coloring_certificate(g, d, budget)
-    if concl is None:
-        raise OracleInfeasibleError(
-            f"graph with {g.edge_count} edges exceeds the oracle cap and the "
-            "constructive route's hypothesis fails"
-        )
-    mode = "constructive" if certificate == "constructive" else "oracle"
+    mode = {"constructive": "constructive", "skipped": None}.get(certificate, "oracle")
     return TheoremCheck(theorem, hyp, clauses, concl, mode=mode, details=details)
 
 
@@ -251,7 +242,9 @@ def check_theorem(
 ) -> TheoremCheck:
     """Evaluate one theorem on ``g`` from one block decomposition: its
     hypothesis clauses, then its conclusion.  3.1 and 3.4 take ``k``, their
-    least k when it is None; the other theorems ignore it."""
+    least k when it is None; the other theorems ignore it.  The conclusion
+    is None when the hypothesis fails, or when it holds and no certificate
+    decides cfc = 2; a search past ``budget`` raises BudgetExhaustedError."""
     row = _theorem_row(theorem)
     if row.k is not None:
         k = row.k.least if k is None else k
@@ -307,8 +300,9 @@ def run_harness(
 ) -> TheoremReport:
     """Sample random connected graphs, filter on the theorem's hypothesis,
     and assert its conclusion.  Reproducible from (theorem, seed, trials).
-    A trial whose search exhausts ``config.budget`` is inconclusive: it is
-    counted in ``inconclusive_count`` and in no other count."""
+    A trial is inconclusive when its search exhausts ``config.budget``, or
+    when its hypothesis holds and no certificate decides its conclusion: it
+    is counted in ``inconclusive_count`` and in no other count."""
     if trials < 0:
         raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")
     hypothesis_pass = 0
@@ -325,6 +319,8 @@ def run_harness(
         try:
             check = check_theorem(g, theorem, k=config.k, budget=config.budget)
         except BudgetExhaustedError:
+            check = None
+        if check is None or (check.hypothesis_holds and check.conclusion_holds is None):
             inconclusive += 1
             continue
         for name, ok in check.clauses.items():

@@ -168,6 +168,18 @@ def test_cfc_budget_exhaustion(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "budget-exhausted"
     assert payload["bracket"][0] >= 2
+    # H(3, 3) meets the construction's hypothesis, so cfc_bracket's upper
+    # bound is 2, not m = 11.
+    path = Path(__file__).resolve().parent / "golden" / "inputs" / "H-3-3.edges"
+    assert main(["cfc", "--budget", "1", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["bracket"] == [2, 2]
+
+
+def test_cfc_takes_no_color_cap(c5_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cfc", "--max-colors", "2", c5_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-colors" in capsys.readouterr().err
 
 
 def test_cfc_negative_budget_is_usage(c5_file, capsys):
@@ -465,6 +477,21 @@ def test_readme_lists_match_the_registries():
         name, *param = item.split()
         _, expected, _, _ = SHARPNESS[name]
         assert param == ([expected] if expected else []), item
+
+
+def test_readme_names_every_cli_flag():
+    # Each --option of each subcommand appears in the README as a whole flag:
+    # `--n` is not satisfied by `--n-min`.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    pattern = rf"(?<![\w-]){re.escape(flag)}(?![\w-])"
+                    assert re.search(pattern, readme), f"{name} {flag}"
 
 
 def _outcome(argv, capsys):

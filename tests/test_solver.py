@@ -64,6 +64,17 @@ def test_budget_exhaustion_reports_bracket():
         cfc.exact_cfc(gen_S(3), budget=50)
     assert exc.value.lower >= 2
     assert exc.value.upper == gen_S(3).edge_count
+    # exact_cfc's bracket is [t, upper bound of cfc_bracket]: 2 where the
+    # construction applies (H(3, 3)), m where it does not (S(3)).  The bare
+    # two-coloring search keeps reporting m.
+    for g, bracket in ((gen_H(3, 3), (2, 2)), (gen_S(3), (2, 19))):
+        assert cfc.cfc_bracket(g) == bracket
+        with pytest.raises(BudgetExhaustedError) as exc:
+            cfc.exact_cfc(g, budget=1)
+        assert (exc.value.lower, exc.value.upper) == bracket
+        with pytest.raises(BudgetExhaustedError) as exc:
+            cfc.exists_two_coloring(g, budget=1)
+        assert (exc.value.lower, exc.value.upper) == (2, g.edge_count)
 
 
 def test_negative_budget_is_out_of_range():

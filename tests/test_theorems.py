@@ -251,8 +251,8 @@ def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
     # No theorem's hypothesis admits such a graph, so the conclusion check is
     # called with the non-completeness clause alone.  A star past the cap
     # fails Lemma 2.2's shape, which refutes cfc = 2 without a sweep; a graph
-    # of the right shape past the cap still cannot be swept.
-    from cfcgraph.errors import OracleInfeasibleError
+    # of the right shape past the cap is not swept, so no certificate decides
+    # it and the conclusion is left open.
     from cfcgraph.theorems import ORACLE_EDGE_CAP, _cfc_two_check
 
     star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
@@ -264,8 +264,23 @@ def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
     s4 = fam.gen_S(4)
     d = cfc.block_decomposition(s4)
     assert s4.edge_count > ORACLE_EDGE_CAP and d.profile.lemma_2_2_shape
-    with pytest.raises(OracleInfeasibleError):
-        _cfc_two_check("4.4", s4, d, None, None, {}, {})
+    check = _cfc_two_check("4.4", s4, d, None, None, {}, {})
+    assert (check.hypothesis_holds, check.conclusion_holds, check.mode) == (True, None, None)
+    assert not check.is_counterexample
+
+
+def test_trials_no_certificate_decides_are_inconclusive(monkeypatch, capsys):
+    # At seed 0, 18 of 30 4.3 trials pass the hypothesis, all decided by the
+    # construction.  With every certificate "skipped" those 18 are
+    # inconclusive and counted nowhere else, and verify exits 4.
+    assert run_harness("4.3", 30, 0, harness_config("4.3")).hypothesis_pass_count == 18
+    monkeypatch.setattr(theorems, "two_coloring_certificate", lambda g, d, budget: (None, "skipped"))
+    report = run_harness("4.3", 30, 0, harness_config("4.3"))
+    assert (report.inconclusive_count, report.hypothesis_pass_count) == (18, 0)
+    assert report.conclusion_fail_count == 0 and report.counterexample is None
+    assert main(["verify", "4.3", "--trials", "30"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["inconclusive_count"], payload["hypothesis_pass_count"]) == (18, 0)
 
 
 def test_checks_reject_disconnected_graphs():
