@@ -45,12 +45,10 @@ from .solver import (
     exists_two_coloring,
 )
 from .theorems import (
-    HarnessConfig,
     TheoremCheck,
     TheoremReport,
     check_sharpness,
     check_theorem,
-    harness_config,
     run_harness,
 )
 

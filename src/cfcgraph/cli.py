@@ -38,7 +38,7 @@ from .errors import (
 from .families import FAMILIES
 from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list
 from .solver import exact_cfc
-from .theorems import THEOREMS_WITH_K, check_sharpness, harness_config, run_harness
+from .theorems import THEOREMS_WITH_K, check_sharpness, run_harness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -264,14 +264,9 @@ def cmd_verify(args) -> int:
             return EXIT_BUDGET
         return EXIT_OK if result["holds"] else EXIT_COUNTEREXAMPLE
 
-    config = harness_config(
-        theorem, k=args.k, n_min=args.n_min, n_max=args.n_max, budget=args.budget
-    )
     report = run_harness(
-        theorem,
-        trials=200 if args.trials is None else args.trials,
-        seed=0 if args.seed is None else args.seed,
-        config=config,
+        theorem, 200 if args.trials is None else args.trials, 0 if args.seed is None else args.seed,
+        k=args.k, n_min=args.n_min, n_max=args.n_max, budget=args.budget,
     )
     payload = {"command": "verify", **report.to_payload()}
     if report.counterexample is not None and args.out is not None:

@@ -120,43 +120,28 @@ def _thm_3_4_clauses(g: Graph, d: BlockDecomposition, k: int):
     return clauses, details
 
 
-def _cut_edge_bound(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
+def _cut_edge_bound(g, d, k, budget, clauses):
     """Conclusion of 3.1 and 3.4: at most k-2 cut edges."""
-    hyp = all(clauses.values())
-    concl = len(d.cut_edges) <= k - 2 if hyp else None
-    return TheoremCheck(theorem, hyp, clauses, concl, details=details)
+    return len(d.cut_edges) <= k - 2, None
 
 
-def _cfc_two_check(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
-    """Conclusion cfc = 2 of a sufficient condition given by ``clauses``,
-    plus non-completeness (cfc = 1 exactly on complete graphs).  When it
-    holds, decide cfc(g) == 2 by ``two_coloring_certificate`` from g's block
-    decomposition ``d``: mode "constructive" for the construction, "oracle"
-    for a shape refutation or a sweep.  When no certificate decides it
-    ("skipped"), the conclusion and the mode are None."""
-    clauses["non_complete"] = not is_complete(g)
-    hyp = all(clauses.values())
-    if not hyp:
-        return TheoremCheck(theorem, hyp, clauses, None, details=details)
+def _cfc_two_check(g, d, k, budget, clauses):
+    """Conclusion cfc = 2 of a sufficient condition, decided by
+    ``two_coloring_certificate`` from g's block decomposition ``d``: mode
+    "constructive" for the construction, "oracle" for a shape refutation or
+    a sweep.  When no certificate decides it ("skipped"), the conclusion and
+    the mode are None."""
     concl, certificate = two_coloring_certificate(g, d, budget)
-    mode = {"constructive": "constructive", "skipped": None}.get(certificate, "oracle")
-    return TheoremCheck(theorem, hyp, clauses, concl, mode=mode, details=details)
+    return concl, {"constructive": "constructive", "skipped": None}.get(certificate, "oracle")
 
 
-def _lemma_2_2_shape(theorem, g, d, k, budget, clauses, details) -> TheoremCheck:
+def _lemma_2_2_shape(g, d, k, budget, clauses):
     """Conclusion of Lemma 2.2: cfc = 2 forces C(G) to be a linear forest
-    with every component of at most three edges.  The hypothesis cfc = 2 is
-    decided by the sweep alone: a search that assumed the lemma's shape
-    could never refute it."""
-    feasible = clauses["oracle_feasible"]
-    clauses["cfc_equals_two"] = (
-        feasible and not is_complete(g) and exists_two_coloring(g, budget=budget).exists
-    )
-    hyp = all(clauses.values())
-    concl = d.profile.lemma_2_2_shape if hyp else None
-    return TheoremCheck(
-        theorem, hyp, clauses, concl, mode="oracle" if feasible else None, details=details
-    )
+    with every component of at most three edges.  The hypothesis clause
+    cfc_equals_two is decided here, by the sweep alone: a search that
+    assumed the lemma's shape could never refute it."""
+    clauses["cfc_equals_two"] = not is_complete(g) and exists_two_coloring(g, budget=budget).exists
+    return d.profile.lemma_2_2_shape, "oracle"
 
 
 class _KRule(NamedTuple):
@@ -167,15 +152,17 @@ class _KRule(NamedTuple):
 
 @dataclass(frozen=True)
 class _Theorem:
-    """One result of the paper.  ``clauses(g, d, k)``, d g's block
-    decomposition, gives the hypothesis as ``(clauses, details)``;
-    ``conclusion`` adds its own clause where it has one and decides the
-    conclusion.  The harness samples orders in [n_min, n_max] and edge
-    probabilities in [p_min, p_max] (``ranges``), or for a cut-edge bound
-    orders base..base+5, base ``k.base_order(k)``, with p in [0.5, 0.9]."""
+    """One result of the paper, and the only source of its check's rules.
+    ``clauses(g, d, k)``, d g's block decomposition, gives the hypothesis as
+    ``(clauses, details)``.  ``conclusion(g, d, k, budget, clauses)`` runs
+    only when every clause holds and returns ``(conclusion, mode)``; it may
+    add a clause of its own that needs a search.  The harness samples orders
+    in [n_min, n_max] and edge probabilities in [p_min, p_max]
+    (``ranges``), or for a row with a k rule orders base..base+5, base
+    ``k.base_order(k)``, with p in [0.5, 0.9]."""
 
     clauses: Callable[..., Tuple[Dict[str, bool], Dict[str, object]]]
-    conclusion: Callable[..., TheoremCheck]
+    conclusion: Callable[..., Tuple[Optional[bool], Optional[str]]]
     ranges: Optional[Tuple[int, int, float, float]] = None
     k: Optional[_KRule] = None
     degree: Optional[Callable[[Graph, int, int], bool]] = None  # 4.x: on (g, n, delta)
@@ -183,8 +170,9 @@ class _Theorem:
 
 def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ranges) -> _Theorem:
     """A sufficient condition 4.x for cfc = 2: its stated order range [lo, hi]
-    taken literally, C(G) a linear forest when ``linear_forest``, and the
-    degree clause ``name``, ``holds(g, n, delta)``."""
+    taken literally, C(G) a linear forest when ``linear_forest``, the degree
+    clause ``name``, ``holds(g, n, delta)``, and non-completeness (cfc = 1
+    exactly on complete graphs)."""
 
     def clauses(g: Graph, d: BlockDecomposition, k: Optional[int]):
         n = g.vertex_count
@@ -193,22 +181,33 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
         if linear_forest:
             result["linear_forest"] = d.profile.is_linear_forest
         result[name] = holds(g, n, delta)
+        result["non_complete"] = not is_complete(g)
         return result, {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
 
     return _Theorem(clauses, _cfc_two_check, ranges, degree=holds)
 
 
+def _lemma_2_2_clauses(g: Graph, d: BlockDecomposition, k: Optional[int]):
+    """Within ORACLE_EDGE_CAP, cfc_equals_two stays True until the
+    conclusion's sweep decides it; past the cap no sweep runs and it is
+    False."""
+    feasible = g.edge_count <= ORACLE_EDGE_CAP
+    return {"oracle_feasible": feasible, "cfc_equals_two": feasible}, {}
+
+
 _THEOREMS = {
-    "2.2": _Theorem(lambda g, d, k: ({"oracle_feasible": g.edge_count <= ORACLE_EDGE_CAP}, {}),
-                    _lemma_2_2_shape, (4, 7, 0.3, 0.9)),
+    "2.2": _Theorem(_lemma_2_2_clauses, _lemma_2_2_shape, (4, 7, 0.3, 0.9)),
     # At least one bridge, and every bridge component of order 2.
     "2.3": _Theorem(lambda g, d, k: ({
         "has_cut_edges": bool(d.cut_edges),
         "all_components_order_2": all(o == 2 for o in d.profile.component_orders),
+        "non_complete": not is_complete(g),
     }, {}), _cfc_two_check, (5, 9, 0.25, 0.55)),
     # 2-edge-connected; the one-vertex graph has no block, so it is not.
-    "2.4": _Theorem(lambda g, d, k: ({"two_edge_connected": bool(d.block_count) and not d.cut_edges}, {}),
-                    _cfc_two_check, (4, 9, 0.4, 0.9)),
+    "2.4": _Theorem(lambda g, d, k: ({
+        "two_edge_connected": bool(d.block_count) and not d.cut_edges,
+        "non_complete": not is_complete(g),
+    }, {}), _cfc_two_check, (4, 9, 0.4, 0.9)),
     # Base order k^2, the least order 3.1's order clause admits.
     "3.1": _Theorem(_thm_3_1_clauses, _cut_edge_bound,
                     k=_KRule(3, "cut-edge bound", lambda k: k * k)),
@@ -237,57 +236,37 @@ def _theorem_row(theorem: str) -> _Theorem:
     return _THEOREMS[theorem]
 
 
+def _row_k(row: _Theorem, k: Optional[int]) -> Optional[int]:
+    """k for a row with a k rule: its least k when k is None, and an error
+    below it.  Any other row takes k unchanged."""
+    if row.k is None:
+        return k
+    if k is None:
+        return row.k.least
+    if k < row.k.least:
+        raise UnknownTheoremError(f"the {row.k.bound} needs k >= {row.k.least}")
+    return k
+
+
 def check_theorem(
     g: Graph, theorem: str, k: Optional[int] = None, budget: Optional[int] = None
 ) -> TheoremCheck:
-    """Evaluate one theorem on ``g`` from one block decomposition: its
-    hypothesis clauses, then its conclusion.  3.1 and 3.4 take ``k``, their
-    least k when it is None; the other theorems ignore it.  The conclusion
-    is None when the hypothesis fails, or when it holds and no certificate
-    decides cfc = 2; a search past ``budget`` raises BudgetExhaustedError."""
+    """Evaluate one theorem's row on ``g`` from one block decomposition: its
+    hypothesis clauses, then, when they all hold, its conclusion.  3.1 and
+    3.4 take ``k``, their least k when it is None; the other theorems ignore
+    it.  The conclusion is None when the hypothesis fails, or when it holds
+    and no certificate decides cfc = 2; a search past ``budget`` raises
+    BudgetExhaustedError.  Every TheoremCheck is built here."""
     row = _theorem_row(theorem)
-    if row.k is not None:
-        k = row.k.least if k is None else k
-        if k < row.k.least:
-            raise UnknownTheoremError(f"the {row.k.bound} needs k >= {row.k.least}")
+    k = _row_k(row, k)
     d = block_decomposition(g)
     clauses, details = row.clauses(g, d, k)
-    return row.conclusion(theorem, g, d, k, budget, clauses, details)
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    n_min: int
-    n_max: int
-    p_min: float = 0.3
-    p_max: float = 0.9
-    k: Optional[int] = None
-    budget: Optional[int] = None
-
-
-def harness_config(
-    theorem: str,
-    k: Optional[int] = None,
-    n_min: Optional[int] = None,
-    n_max: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> HarnessConfig:
-    """The harness sampling for ``theorem``: its default ranges, or for 3.1
-    and 3.4 orders from the base order of ``k`` up; ``n_min``/``n_max``
-    override the order range, which must not end up empty.  A negative
-    ``budget`` is out of range; None means unlimited."""
-    row = _theorem_row(theorem)
-    ranges = row.ranges
-    if row.k is not None:
-        k = row.k.least if k is None else k
-        base = row.k.base_order(k)
-        ranges = (base, base + 5, 0.5, 0.9)
-    lo, hi, p_min, p_max = ranges
-    lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
-    if lo > hi:
-        raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
-    _check_budget(budget)
-    return HarnessConfig(lo, hi, p_min, p_max, k=k, budget=budget)
+    concl = mode = None
+    if all(clauses.values()):
+        concl, mode = row.conclusion(g, d, k, budget, clauses)
+    # Read after the conclusion, which may have decided a clause.
+    hyp = all(clauses.values())
+    return TheoremCheck(theorem, hyp, clauses, concl if hyp else None, mode, details)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -296,13 +275,34 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def run_harness(
-    theorem: str, trials: int, seed: int, config: HarnessConfig
+    theorem: str,
+    trials: int,
+    seed: int,
+    k: Optional[int] = None,
+    n_min: Optional[int] = None,
+    n_max: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> TheoremReport:
-    """Sample random connected graphs, filter on the theorem's hypothesis,
-    and assert its conclusion.  Reproducible from (theorem, seed, trials).
-    A trial is inconclusive when its search exhausts ``config.budget``, or
-    when its hypothesis holds and no certificate decides its conclusion: it
-    is counted in ``inconclusive_count`` and in no other count."""
+    """Sample random connected graphs from the theorem's row, filter on its
+    hypothesis, and assert its conclusion.  Reproducible from the arguments.
+    Before the first sample it resolves k as ``check_theorem`` does, takes
+    the row's order and edge-probability ranges, lets ``n_min``/``n_max``
+    override the order range, and rejects an empty order range, a negative
+    ``budget`` (None means unlimited) and negative ``trials``.  A trial is
+    inconclusive when its search exhausts ``budget``, or when its hypothesis
+    holds and no certificate decides its conclusion: it is counted in
+    ``inconclusive_count`` and in no other count."""
+    row = _theorem_row(theorem)
+    k = _row_k(row, k)
+    if row.k is None:
+        lo, hi, p_min, p_max = row.ranges
+    else:
+        lo = row.k.base_order(k)
+        hi, p_min, p_max = lo + 5, 0.5, 0.9
+    lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
+    if lo > hi:
+        raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
+    _check_budget(budget)
     if trials < 0:
         raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")
     hypothesis_pass = 0
@@ -313,11 +313,11 @@ def run_harness(
     counterexample_trial = None
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
-        n = rng.randint(config.n_min, config.n_max)
-        p = rng.uniform(config.p_min, config.p_max)
+        n = rng.randint(lo, hi)
+        p = rng.uniform(p_min, p_max)
         g = gen_random_connected(n, p, seed=rng.randrange(2**31))
         try:
-            check = check_theorem(g, theorem, k=config.k, budget=config.budget)
+            check = check_theorem(g, theorem, k=k, budget=budget)
         except BudgetExhaustedError:
             check = None
         if check is None or (check.hypothesis_holds and check.conclusion_holds is None):
@@ -366,7 +366,8 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     parameter (``t`` or ``n``), or empty for a family without one.
     ``refutation`` names the certificate of ``two_coloring_certificate``;
     ``holds`` is None when the margin is met but no certificate decides
-    cfc >= 3 ("skipped").  A negative ``budget`` is out of range; None means unlimited.
+    cfc >= 3: "skipped", or "budget-exhausted" when the sweep runs past
+    ``budget``.  A negative ``budget`` is out of range; None means unlimited.
     """
     if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
@@ -389,7 +390,10 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     else:
         failed = [name for name, ok in theorem.clauses(g, d, None)[0].items() if not ok]
         margin_ok = failed == ["order_range"]
-    two_colorable, refutation = two_coloring_certificate(g, d, budget)
+    try:
+        two_colorable, refutation = two_coloring_certificate(g, d, budget)
+    except BudgetExhaustedError:
+        two_colorable, refutation = None, "budget-exhausted"
     cfc_at_least_3 = None if two_colorable is None else not two_colorable
     return {
         "family": family,

@@ -12,7 +12,7 @@ import pytest
 
 import cfcgraph as cfc
 from cfcgraph import families as fam
-from cfcgraph.theorems import HarnessConfig, run_harness
+from cfcgraph.theorems import run_harness
 
 from conftest import bridge_oracle
 
@@ -126,8 +126,7 @@ def test_acceptance_06_extremal_metrics(report):
 
 
 def test_acceptance_07_cut_edge_harness(report):
-    config = HarnessConfig(n_min=9, n_max=14, p_min=0.3, p_max=0.9, k=3)
-    result = run_harness("3.1", trials=500, seed=2024, config=config)
+    result = run_harness("3.1", trials=500, seed=2024, k=3)
     ok = result.conclusion_fail_count == 0 and result.hypothesis_pass_count > 0
     report(
         f"07 500-trial cut-edge harness clean "

@@ -240,6 +240,19 @@ def test_verify_sharpness_without_a_certificate_is_inconclusive(capsys):
     assert payload["holds"] is None
 
 
+def test_verify_sharpness_out_of_budget_is_inconclusive(capsys):
+    # S(3) needs a sweep to refute cfc = 2; one step does not finish it.
+    assert main(["verify", "sharpness:S", "--t", "3", "--budget", "1"]) == 4
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["margin_ok"], payload["refutation"]) == (True, "budget-exhausted")
+    assert (payload["cfc_at_least_3"], payload["holds"]) == (None, None)
+    assert captured.err == ""
+    assert main(["verify", "sharpness:S", "--t", "3", "--budget", "100000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["refutation"], payload["holds"]) == ("sweep", True)
+
+
 def test_verify_harness_ok(capsys):
     assert main(["verify", "2.4", "--trials", "30", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -316,6 +329,8 @@ def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsy
         (["verify", "4.3", "--trials", "-3"], "trials must be >= 0, got -3"),
         (["verify", "2.2", "--trials", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
         (["verify", "sharpness:S", "--t", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
+        (["verify", "3.4", "--k", "4"], "the degree-sum cut-edge bound needs k >= 5"),
+        (["verify", "3.1", "--k", "2", "--trials", "0"], "the cut-edge bound needs k >= 3"),
     ],
 )
 def test_verify_error_exits_name_their_cause(argv, message, capsys):
@@ -477,6 +492,17 @@ def test_readme_lists_match_the_registries():
         name, *param = item.split()
         _, expected, _, _ = SHARPNESS[name]
         assert param == ([expected] if expected else []), item
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # Each line of the README's "CLI usage" block, in order, in one directory.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme[readme.index("## CLI usage"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert lines and all(argv[0] == "cfcgraph" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert _outcome(argv[1:], capsys)[0] == 0, " ".join(argv)
 
 
 def test_readme_names_every_cli_flag():

@@ -78,19 +78,19 @@ def test_budget_exhaustion_reports_bracket():
 
 
 def test_negative_budget_is_out_of_range():
-    from cfcgraph.theorems import harness_config
+    from cfcgraph.theorems import run_harness
 
     g = gen_cycle(5)
     for call in (
         lambda: cfc.exact_cfc(g, budget=-1),
         lambda: cfc.exists_two_coloring(g, budget=-1),
-        lambda: harness_config("2.2", budget=-1),
+        lambda: run_harness("2.2", 0, 0, budget=-1),
     ):
         with pytest.raises(ParamOutOfRangeError, match=r"^budget must be >= 0, got -1$"):
             call()
     assert cfc.exact_cfc(g, budget=None).value == 2
     assert cfc.exists_two_coloring(g, budget=None).exists
-    assert harness_config("2.2", budget=None).budget is None
+    assert run_harness("2.2", 0, 0, budget=None).trials == 0
 
 
 def test_exists_two_coloring_c5():

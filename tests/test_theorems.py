@@ -5,13 +5,11 @@ import pytest
 
 import cfcgraph as cfc
 from cfcgraph.cli import main
-from cfcgraph.errors import UnknownTheoremError
+from cfcgraph.errors import ParamOutOfRangeError, UnknownTheoremError
 from cfcgraph import families as fam, theorems
 from cfcgraph.theorems import (
-    HarnessConfig,
     check_sharpness,
     check_theorem,
-    harness_config,
     run_harness,
     thm_3_4_order_thresholds,
 )
@@ -101,32 +99,28 @@ def test_cut_edge_bounds_reject_small_k_first(theorem, k, message):
 
 
 def test_harness_thm_3_1_no_counterexamples():
-    config = HarnessConfig(n_min=9, n_max=12, p_min=0.4, p_max=0.9, k=3)
-    report = run_harness("3.1", trials=60, seed=7, config=config)
+    report = run_harness("3.1", trials=60, seed=7, k=3, n_max=12)
     assert report.conclusion_fail_count == 0
     assert report.counterexample is None
     assert report.hypothesis_pass_count > 0
 
 
 def test_harness_is_reproducible():
-    config = HarnessConfig(n_min=5, n_max=8, p_min=0.3, p_max=0.8)
-    a = run_harness("2.4", trials=40, seed=11, config=config)
-    b = run_harness("2.4", trials=40, seed=11, config=config)
+    a = run_harness("2.4", trials=40, seed=11, n_min=5, n_max=8)
+    b = run_harness("2.4", trials=40, seed=11, n_min=5, n_max=8)
     assert a.to_payload() == b.to_payload()
     assert a.hypothesis_pass_count > 0
     assert a.conclusion_fail_count == 0
 
 
 def test_harness_lemma_2_2():
-    config = HarnessConfig(n_min=4, n_max=7, p_min=0.3, p_max=0.9)
-    report = run_harness("2.2", trials=60, seed=5, config=config)
+    report = run_harness("2.2", trials=60, seed=5)
     assert report.conclusion_fail_count == 0
     assert report.hypothesis_pass_count > 0
 
 
 def test_harness_lemma_2_3():
-    config = HarnessConfig(n_min=5, n_max=9, p_min=0.25, p_max=0.5)
-    report = run_harness("2.3", trials=80, seed=9, config=config)
+    report = run_harness("2.3", trials=80, seed=9)
     assert report.conclusion_fail_count == 0
 
 
@@ -229,27 +223,67 @@ def test_lemma_2_3_excludes_complete_k2():
     assert not check.is_counterexample
 
 
-def test_harness_config_defaults_and_overrides():
-    assert harness_config("2.3") == HarnessConfig(5, 9, 0.25, 0.55)
-    assert harness_config("3.1") == HarnessConfig(9, 14, 0.5, 0.9, k=3)
-    assert harness_config("3.4", k=6, n_max=50, budget=7) == HarnessConfig(
-        42, 50, 0.5, 0.9, k=6, budget=7
-    )
-    assert harness_config("4.5", k=4, n_min=34).n_min == 34
+@pytest.mark.parametrize(
+    "theorem,kwargs,orders,probabilities",
+    [
+        ("2.3", {}, (5, 9), (0.25, 0.55)),
+        ("3.1", {}, (9, 14), (0.5, 0.9)),
+        ("3.4", {"k": 6, "n_max": 50, "budget": 7}, (42, 50), (0.5, 0.9)),
+        ("4.5", {"k": 4, "n_min": 34}, (34, 36), (0.5, 0.9)),
+    ],
+    ids=["2.3", "3.1", "3.4", "4.5"],
+)
+def test_harness_samples_the_row_ranges(theorem, kwargs, orders, probabilities, monkeypatch):
+    # Every (n, p) draw lies in the row's ranges, with n_min/n_max applied;
+    # the graph is a path so that no trial runs a search.
+    draws = []
+
+    def spy(n, p, seed):
+        draws.append((n, p))
+        return fam.gen_path(n)
+
+    monkeypatch.setattr(theorems, "gen_random_connected", spy)
+    run_harness(theorem, trials=100, seed=3, **kwargs)
+    assert len(draws) == 100
+    assert all(orders[0] <= n <= orders[1] for n, _ in draws)
+    assert all(probabilities[0] <= p <= probabilities[1] for _, p in draws)
+    assert {n for n, _ in draws} == set(range(orders[0], orders[1] + 1))
     with pytest.raises(UnknownTheoremError):
-        harness_config("9.9")
+        run_harness("9.9", trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "theorem,kwargs,error,message",
+    [
+        ("3.1", {"k": 2}, UnknownTheoremError, "the cut-edge bound needs k >= 3"),
+        ("3.4", {"k": 3}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
+        ("3.4", {"k": 4}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
+        ("4.3", {"n_min": 10}, ParamOutOfRangeError, "empty order range: n_min 10 > n_max 8"),
+        ("2.2", {"budget": -1}, ParamOutOfRangeError, "budget must be >= 0, got -1"),
+        ("2.4", {"trials": -1}, ParamOutOfRangeError, "trials must be >= 0, got -1"),
+    ],
+    ids=["3.1-k2", "3.4-k3", "3.4-k4", "empty-range", "negative-budget", "negative-trials"],
+)
+def test_harness_rejects_bad_arguments_before_sampling(theorem, kwargs, error, message, monkeypatch):
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(theorems, "gen_random_connected", no_sampling)
+    arguments = {"trials": 0, "seed": 0, **kwargs}
+    with pytest.raises(error, match=f"^{message}$"):
+        run_harness(theorem, **arguments)
 
 
 def test_thm_3_4_default_harness_samples_only_admissible_orders():
     # At the default k = 5 the displayed order threshold (33) is above
     # k^2 + k = 30; every sampled order must reach it.
-    report = run_harness("3.4", trials=200, seed=0, config=harness_config("3.4"))
+    report = run_harness("3.4", trials=200, seed=0)
     assert report.clause_breakdown["order_threshold"] == 200
 
 
 def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
     # No theorem's hypothesis admits such a graph, so the conclusion check is
-    # called with the non-completeness clause alone.  A star past the cap
+    # called directly.  A star past the cap
     # fails Lemma 2.2's shape, which refutes cfc = 2 without a sweep; a graph
     # of the right shape past the cap is not swept, so no certificate decides
     # it and the conclusion is left open.
@@ -257,25 +291,21 @@ def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
 
     star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
     assert star.edge_count > ORACLE_EDGE_CAP
-    check = _cfc_two_check("4.4", star, cfc.block_decomposition(star), None, None, {}, {})
-    assert (check.hypothesis_holds, check.conclusion_holds, check.mode) == (True, False, "oracle")
-    assert check.is_counterexample
+    assert _cfc_two_check(star, cfc.block_decomposition(star), None, None, {}) == (False, "oracle")
 
     s4 = fam.gen_S(4)
     d = cfc.block_decomposition(s4)
     assert s4.edge_count > ORACLE_EDGE_CAP and d.profile.lemma_2_2_shape
-    check = _cfc_two_check("4.4", s4, d, None, None, {}, {})
-    assert (check.hypothesis_holds, check.conclusion_holds, check.mode) == (True, None, None)
-    assert not check.is_counterexample
+    assert _cfc_two_check(s4, d, None, None, {}) == (None, None)
 
 
 def test_trials_no_certificate_decides_are_inconclusive(monkeypatch, capsys):
     # At seed 0, 18 of 30 4.3 trials pass the hypothesis, all decided by the
     # construction.  With every certificate "skipped" those 18 are
     # inconclusive and counted nowhere else, and verify exits 4.
-    assert run_harness("4.3", 30, 0, harness_config("4.3")).hypothesis_pass_count == 18
+    assert run_harness("4.3", 30, 0).hypothesis_pass_count == 18
     monkeypatch.setattr(theorems, "two_coloring_certificate", lambda g, d, budget: (None, "skipped"))
-    report = run_harness("4.3", 30, 0, harness_config("4.3"))
+    report = run_harness("4.3", 30, 0)
     assert (report.inconclusive_count, report.hypothesis_pass_count) == (18, 0)
     assert report.conclusion_fail_count == 0 and report.counterexample is None
     assert main(["verify", "4.3", "--trials", "30"]) == 4

@@ -62,5 +62,5 @@ def test_harness_checks_through_the_module_attribute(monkeypatch):
         return check_theorem(*args, **kwargs)
 
     monkeypatch.setattr(theorems, "check_theorem", counting)
-    theorems.run_harness("4.3", trials=3, seed=0, config=theorems.harness_config("4.3"))
+    theorems.run_harness("4.3", trials=3, seed=0)
     assert calls == ["4.3"] * 3
