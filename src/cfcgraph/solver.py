@@ -26,27 +26,36 @@ that finds none.  ``verification_steps`` counts only the pair checks made,
 and the budget counts those steps, not wall time.
 
 ``cfc_bracket`` is the only bound on ``exact_cfc``: the search starts at its
-lower bound, which is 3 when the cut-edge profile fails Lemma 2.2's necessary
-shape (``CutEdgeProfile.lemma_2_2_shape``), and a search that runs out of
-budget reports its upper bound.  ``two_coloring_certificate`` decides cfc = 2
-by the construction, else by Lemma 2.2's shape, else by the sweep, and
-answers None ("skipped") past ``ORACLE_EDGE_CAP``.
+lower bound, and a search that runs out of budget reports its upper bound.
+The lower bound is 3 when the cut-edge profile fails Lemma 2.2's necessary
+shape (``CutEdgeProfile.lemma_2_2_shape``), else 2, raised to h(G)
+(``bridge_forest_bound``): two vertices of one component T of C(G), the
+subgraph of the cut edges, are joined in G only by T's own path, so cfc(G)
+is at least cfc(T), which is at least T's maximum degree and the path
+formula of T's longest path.  No t below cfc has a coloring, so starting
+higher skips only sweeps that find nothing: the value and the witness stay
+those of a search from t = 2, and only the counters fall.
+``two_coloring_certificate`` decides cfc = 2 by the construction, else by
+Lemma 2.2's shape, else by the sweep, and answers None ("skipped") past
+``ORACLE_EDGE_CAP``.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .coloring import (
     EdgeColoring,
     _serve_pairs,
+    cfc_path_formula,
     construct_two_coloring,
     two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
-from .decomposition import BlockDecomposition, block_decomposition
+from .decomposition import BlockDecomposition, CutEdgeProfile, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
@@ -335,11 +344,59 @@ def two_coloring_certificate(
     return exists_two_coloring(g, budget=budget).exists, "sweep"
 
 
+def _farthest(adjacency: Dict[int, List[int]], source: int) -> Tuple[List[int], int]:
+    """Breadth-first search of the tree holding ``source``: the vertices in
+    the order reached, and the distance of the last one, which is as far
+    from ``source`` as any."""
+    depth = {source: 0}
+    reached = [source]
+    for x in reached:
+        for y in adjacency[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                reached.append(y)
+    return reached, depth[reached[-1]]
+
+
+def bridge_forest_bound(profile: CutEdgeProfile) -> int:
+    """h(G), a lower bound on cfc(G) read off C(G) alone: over the components
+    T of C(G), the largest of T's maximum degree and ``cfc_path_formula`` of
+    T's longest path; 0 when G has no cut edge.
+
+    The edges at a vertex of T pairwise form 2-edge paths, so they need
+    distinct colors.  The formula is monotone, so on a linear forest h is the
+    formula of the largest component, at no cost.  Otherwise the maximum
+    degree is at least 3, and the longest path is walked only when the
+    largest component is long enough for its formula to exceed that degree.
+    """
+    longest = profile.max_component_edges
+    if profile.is_linear_forest:
+        return cfc_path_formula(longest) if longest else 0
+    degree = max(Counter(chain.from_iterable(profile.cut_edges)).values())
+    if cfc_path_formula(longest) <= degree:
+        return degree
+    adjacency: Dict[int, List[int]] = {}
+    for a, b in profile.cut_edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    diameter = 0
+    seen = set()
+    for root in adjacency:
+        if root not in seen:
+            reached, _ = _farthest(adjacency, root)
+            seen.update(reached)
+            diameter = max(diameter, _farthest(adjacency, reached[-1])[1])
+    return max(degree, cfc_path_formula(diameter))
+
+
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
-    """Cheap lower/upper bounds on cfc without search."""
+    """Cheap lower/upper bounds on cfc without search.  The lower bound is
+    the larger of Lemma 2.2's (2 when C(G) has its shape, else 3) and
+    ``bridge_forest_bound``; the upper bound is 2 when the construction's
+    hypothesis holds, else m."""
     if is_complete(g):
         return 1, 1
     d = block_decomposition(g)
-    lower = 2 if d.profile.lemma_2_2_shape else 3
+    lower = max(2 if d.profile.lemma_2_2_shape else 3, bridge_forest_bound(d.profile))
     upper = 2 if two_coloring_hypothesis_holds(d.profile) else g.edge_count
     return lower, upper

@@ -287,11 +287,11 @@ def run_harness(
     hypothesis, and assert its conclusion.  Reproducible from the arguments.
     Before the first sample it resolves k as ``check_theorem`` does, takes
     the row's order and edge-probability ranges, lets ``n_min``/``n_max``
-    override the order range, and rejects an empty order range, a negative
-    ``budget`` (None means unlimited) and negative ``trials``.  A trial is
-    inconclusive when its search exhausts ``budget``, or when its hypothesis
-    holds and no certificate decides its conclusion: it is counted in
-    ``inconclusive_count`` and in no other count."""
+    override the order range, and rejects an empty order range, one that
+    starts below 2, a negative ``budget`` (None means unlimited) and negative
+    ``trials``.  A trial is inconclusive when its search exhausts ``budget``,
+    or when its hypothesis holds and no certificate decides its conclusion:
+    it is counted in ``inconclusive_count`` and in no other count."""
     row = _theorem_row(theorem)
     k = _row_k(row, k)
     if row.k is None:
@@ -302,6 +302,8 @@ def run_harness(
     lo, hi = (lo if n_min is None else n_min), (hi if n_max is None else n_max)
     if lo > hi:
         raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
+    if lo < 2:
+        raise ParamOutOfRangeError(f"order range must start at 2 or more, got n_min {lo}")
     _check_budget(budget)
     if trials < 0:
         raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")

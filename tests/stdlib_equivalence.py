@@ -1,7 +1,7 @@
 """Differential check of the edge-list bulk parser, the graph the parser
 builds from edge keys, the blocks built on first read, C(G) as the structural
-pass reads it off the DFS, and the JSON writer, using only the standard
-library, for interpreters without pytest.
+pass reads it off the DFS, the solver's bridge-forest bound h(G), and the JSON
+writer, using only the standard library, for interpreters without pytest.
 
     PYTHONPATH=src python tests/stdlib_equivalence.py
 
@@ -12,6 +12,9 @@ the sorted keys ``u * n + v`` must match ``build_graph`` on the same edges in
 every field, equality, hash and repr.  ``block_decomposition``'s ``blocks``
 must match conftest's block oracle, and its profile of C(G) conftest's
 bridge-subgraph oracle, on random connected graphs.
+``solver.bridge_forest_bound`` must be h(G) as the oracle's components of
+C(G) give it, with each component's diameter found by a search from every
+vertex.
 ``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
 plus a newline on random nested payloads.  Exits 1 on the first mismatch,
 naming its input.
@@ -22,6 +25,7 @@ hypothesis drawing the ``random.Random`` they read from.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 
@@ -29,6 +33,7 @@ from cfcgraph.cli import _render
 from cfcgraph.decomposition import block_decomposition
 from cfcgraph.errors import EdgeListParseError
 from cfcgraph.graph import Graph, _parse_lines, _parse_plain, build_graph, parse_edge_list
+from cfcgraph.solver import bridge_forest_bound
 from conftest import block_oracle, bridge_subgraph_oracle
 
 CASES = 3000
@@ -100,6 +105,32 @@ def profile_agrees(g: Graph) -> bool:
         all(c[2] is not None for c in components),
         max((len(c[1]) for c in components), default=0),
     )
+
+
+def bound_agrees(g: Graph) -> bool:
+    """``bridge_forest_bound`` of g's profile is h(G): over the components of
+    the bridge-subgraph oracle's C(G), the largest of the maximum degree and
+    ceil(log2(diameter + 1)), the diameter the longest distance a
+    breadth-first search from any vertex reaches; 0 when C(G) is empty."""
+    _, components = bridge_subgraph_oracle(g)
+    h = 0
+    for vertices, edges, _ in components:
+        nbrs = {x: [] for x in vertices}
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        diameter = 0
+        for source in vertices:
+            seen, frontier, depth = {source}, [source], 0
+            while True:
+                frontier = [y for x in frontier for y in nbrs[x] if y not in seen]
+                if not frontier:
+                    break
+                seen.update(frontier)
+                depth += 1
+            diameter = max(diameter, depth)
+        h = max(h, max(len(ys) for ys in nbrs.values()), math.ceil(math.log2(diameter + 1)))
+    return bridge_forest_bound(block_decomposition(g).profile) == h
 
 
 def render_agrees(payload) -> bool:
@@ -205,8 +236,14 @@ def main() -> int:
         if not render_agrees(p):
             print(f"render mismatch on {p!r}", file=sys.stderr)
             return 1
+    for _ in range(CASES):
+        g = connected_graph(rng)
+        if not bound_agrees(g):
+            print(f"h(G) mismatch on {g!r}", file=sys.stderr)
+            return 1
     print(f"{CASES} texts ({bulk} read in bulk), {CASES} keys-built graphs, "
-          f"{CASES} block decompositions, {CASES} C(G) profiles and {CASES} payloads agree "
+          f"{CASES} block decompositions, {CASES} C(G) profiles, {CASES} payloads and "
+          f"{CASES} h(G) bounds agree "
           f"on Python {sys.version.split()[0]}")
     return 0
 

@@ -173,6 +173,12 @@ def test_cfc_budget_exhaustion(tmp_path, capsys):
     path = Path(__file__).resolve().parent / "golden" / "inputs" / "H-3-3.edges"
     assert main(["cfc", "--budget", "1", str(path)]) == 4
     assert json.loads(capsys.readouterr().out)["bracket"] == [2, 2]
+    # On path 10, C(G) is the whole path, so the lower bound is h(G) =
+    # ceil(log2 10) = 4, not Lemma 2.2's 3.
+    path = tmp_path / "path-10.edges"
+    path.write_text("10 9\n" + "".join(f"{v} {v + 1}\n" for v in range(9)))
+    assert main(["cfc", "--budget", "1", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["bracket"] == [4, 9]
 
 
 def test_cfc_takes_no_color_cap(c5_file, capsys):
@@ -336,6 +342,16 @@ def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsy
 def test_verify_error_exits_name_their_cause(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_order_range_below_two_is_usage_at_every_seed(capsys):
+    # Rejected before the first sample, so the seed cannot decide whether a
+    # trial draws an order below 2.
+    for seed in range(4):
+        argv = ["verify", "2.4", "--trials", "3", "--n-min", "1", "--n-max", "9", "--seed", str(seed)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: order range must start at 2 or more, got n_min 1\n")
 
 
 def test_analyze_of_a_graph_without_vertices_is_usage(tmp_path, capsys):

@@ -16,8 +16,13 @@ not k^2 + k = 30): all five trials now pass ``order_threshold``.  The
 ``verification_steps`` of the four ``cfc`` cases were re-recorded when the
 sweep came to jump past the colorings a failing pair already refutes (H-3-3
 166 -> 36, remark4-H-5 832 -> 100, path-9 7647 -> 1494, glued-blocks-3
-234 -> 107); every other byte of those cases is unchanged.  A mismatch
-means the CLI's output changed.
+234 -> 107); every other byte of those cases is unchanged.  Path-9's
+counters were re-recorded again when ``cfc_bracket``'s lower bound rose to
+h(G), the bridge-forest bound: the search starts at t = 4, not 3, so the
+3 ** 7 colorings of the failed t = 3 sweep are no longer examined
+(``colorings_examined`` 6815 -> 4628, ``verification_steps`` 1494 -> 135);
+its value and coloring are unchanged.  A mismatch means the CLI's output
+changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.
 """

@@ -6,6 +6,15 @@ digests pin what a jump may not change: ``exact_cfc``'s value, witness and
 ``colorings_examined``, and ``exists_two_coloring``'s answer and
 ``colorings_examined``.  ``verification_steps`` counts the pair checks made,
 which a jump only removes, so each graph's count may fall but not rise.
+
+``VALUE_WITNESS_DIGEST`` pins ``exact_cfc``'s value and witness alone; it
+was recorded before ``cfc_bracket``'s lower bound rose to h(G), the
+bridge-forest bound.  A higher lower bound starts the search at a higher t
+and skips sweeps that find nothing, so ``colorings_examined`` falls while
+the value and the witness may not change.  ``EXACT_DIGEST`` was re-pinned
+then: five graphs whose C(G) needs more colors than Lemma 2.2's bound
+(graphs 68, 126 and 187, trees with a vertex of degree 4, 4 and 5, and
+paths 9 and 10) start one or two t higher.
 """
 import functools
 import hashlib
@@ -20,7 +29,8 @@ from cfcgraph.families import (
     gen_remark4_H,
 )
 
-EXACT_DIGEST = "bf2ea98e585dbb0161d15892c04bf36c6f505fe6f01c8c4f18596198d133adb4"
+VALUE_WITNESS_DIGEST = "4a20663aaf81d73457a1cd0042ed46c8acf5c35eec663951ce422f3c1c9beed7"
+EXACT_DIGEST = "47fe077e6b2fb77a46d36b6de1516475e786f704e1a3db572b7a2b174117758b"
 TWO_DIGEST = "081ea69e5a504c881a9813c9624a74f6764fd2e096b8b7918c9c40aaf53a5924"
 # Per graph of the corpus, in order; exists_two_coloring skips complete graphs.
 EXACT_STEPS = [
@@ -74,11 +84,14 @@ def _over(steps, pinned):
 
 def test_exact_cfc_digest_and_steps():
     digest = hashlib.sha256()
+    value_witness = hashlib.sha256()
     steps = []
     for g in _corpus():
         r = exact_cfc(g)
+        value_witness.update(repr((r.value, r.optimal_coloring.colors)).encode())
         digest.update(repr((r.value, r.optimal_coloring.colors, r.stats.colorings_examined)).encode())
         steps.append(r.stats.verification_steps)
+    assert value_witness.hexdigest() == VALUE_WITNESS_DIGEST
     assert digest.hexdigest() == EXACT_DIGEST
     assert not _over(steps, EXACT_STEPS)
 

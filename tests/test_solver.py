@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -24,8 +25,10 @@ from cfcgraph.families import (
     gen_S,
 )
 from cfcgraph.graph import nonadjacent_pairs
+from cfcgraph.solver import bridge_forest_bound
 
 from conftest import cfc_brute, has_two_coloring_brute, simple_paths_between
+from stdlib_equivalence import bound_agrees, connected_graph
 
 
 def test_exact_cfc_k4():
@@ -217,12 +220,80 @@ def test_exists_two_coloring_remark4_refutation():
     assert search.stats.colorings_examined == 2 ** (g.edge_count - 1)
 
 
+def _star(k):
+    return cfc.build_graph(k + 1, [(0, v) for v in range(1, k + 1)])
+
+
+def _h(g):
+    return bridge_forest_bound(cfc.block_decomposition(g).profile)
+
+
 def test_cfc_bracket():
     assert cfc.cfc_bracket(gen_complete(5)) == (1, 1)
     assert cfc.cfc_bracket(gen_cycle(5)) == (2, 2)
-    star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert cfc.cfc_bracket(star) == (3, 3)
-    assert cfc.exact_cfc(star).value == 3
+    assert cfc.cfc_bracket(_star(3)) == (3, 3)
+    assert cfc.exact_cfc(_star(3)).value == 3
+    # h(G) is above Lemma 2.2's bound of 3: no 3-coloring of path 9, no
+    # 4-coloring of K1,5.
+    for g, bracket in ((gen_path(9), (4, 8)), (_star(5), (5, 5))):
+        assert cfc.cfc_bracket(g) == bracket
+        assert cfc_brute(g, tmax=bracket[0] - 1) is None
+
+
+def test_bridge_forest_bound_on_paths_and_stars():
+    assert _h(gen_cycle(6)) == 0
+    for n in range(2, 70):
+        assert _h(gen_path(n)) == math.ceil(math.log2(n)), n
+    for k in range(3, 7):
+        assert _h(_star(k)) == k
+        assert cfc.exact_cfc(_star(k)).value == k
+
+
+def test_bridge_forest_bound_walks_the_longest_path():
+    # Path 9 with a leaf on its middle vertex: degree 3, longest path 8
+    # edges, so h = 4.  Three legs of three edges: 9 edges in all, but the
+    # longest path has 6, so h = 3.
+    caterpillar = cfc.build_graph(10, [(v, v + 1) for v in range(8)] + [(4, 9)])
+    spider = cfc.build_graph(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)])
+    assert (_h(caterpillar), _h(spider)) == (4, 3)
+    assert bound_agrees(caterpillar) and bound_agrees(spider)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_bridge_forest_bound_matches_oracle_on_large_trees(seed):
+    # Trees up to 40 vertices with a few chords: components of C(G) long
+    # enough that the longest path, not the degree, can decide h(G).
+    rng = random.Random(seed)
+    n = rng.randint(10, 40)
+    tree = {(rng.randrange(max(0, v - 4), v), v) for v in range(1, n)}
+    chords = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(4))}
+    g = cfc.build_graph(n, sorted(tree | chords))
+    assert bound_agrees(g), g
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_bracket_lower_bound_is_sound(seed):
+    # Sparse graphs on at most 7 vertices: C(G) is often a tree whose
+    # degree or longest path lifts h(G) above Lemma 2.2's bound.
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    tree = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = {(u, v) for v in range(n) for u in range(v) if rng.random() < 0.15}
+    g = cfc.build_graph(n, sorted(tree | chords))
+    lower, upper = cfc.cfc_bracket(g)
+    assert lower <= upper
+    assert cfc_brute(g, tmax=lower - 1) is None, g
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=200, deadline=None)
+def test_bridge_forest_bound_within_lemma_2_2_shape(seed):
+    # Lemma 2.2's shape allows cfc = 2, so h(G) may not exceed 2 there.
+    profile = cfc.block_decomposition(connected_graph(random.Random(seed))).profile
+    if profile.lemma_2_2_shape:
+        assert bridge_forest_bound(profile) <= 2
 
 
 def test_path_values_match_formula():

@@ -259,10 +259,11 @@ def test_harness_samples_the_row_ranges(theorem, kwargs, orders, probabilities, 
         ("3.4", {"k": 3}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
         ("3.4", {"k": 4}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
         ("4.3", {"n_min": 10}, ParamOutOfRangeError, "empty order range: n_min 10 > n_max 8"),
+        ("2.4", {"n_min": 1}, ParamOutOfRangeError, "order range must start at 2 or more, got n_min 1"),
         ("2.2", {"budget": -1}, ParamOutOfRangeError, "budget must be >= 0, got -1"),
         ("2.4", {"trials": -1}, ParamOutOfRangeError, "trials must be >= 0, got -1"),
     ],
-    ids=["3.1-k2", "3.4-k3", "3.4-k4", "empty-range", "negative-budget", "negative-trials"],
+    ids=["3.1-k2", "3.4-k3", "3.4-k4", "empty-range", "range-below-2", "negative-budget", "negative-trials"],
 )
 def test_harness_rejects_bad_arguments_before_sampling(theorem, kwargs, error, message, monkeypatch):
     def no_sampling(*args, **kw):
