@@ -340,7 +340,8 @@ def format_coloring(coloring: EdgeColoring) -> str:
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     """Parse the coloring text format against a known graph.  The header's
-    t must be the number of distinct colors in the body."""
+    t must be the number of distinct colors in the body.  An edge outside g
+    or a color below 1 fails at its line; a missing edge of g, at the header."""
     color_map: Dict[Edge, int] = {}
     header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -360,6 +361,10 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         except ValueError:
             raise EdgeListParseError("fields must be integers", lineno)
         e = canonical_edge(u, v)
+        if e not in g.edge_set:
+            raise EdgeListParseError(f"edge {u} {v} is not in the graph", lineno)
+        if c < 1:
+            raise EdgeListParseError(f"color {c} is below 1", lineno)
         if e in color_map:
             raise EdgeListParseError(f"repeated edge {u} {v}", lineno)
         color_map[e] = c
@@ -372,4 +377,4 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     try:
         return make_coloring(g, color_map)
     except ValueError as exc:
-        raise EdgeListParseError(str(exc), 1)
+        raise EdgeListParseError(str(exc), header_line)

@@ -77,12 +77,16 @@ class BlockDecomposition:
 @dataclass(frozen=True)
 class CutEdgeProfile:
     """C(G), the subgraph of the cut edges: its edges, the orders of its
-    components in ascending order, and whether it is a linear forest.  Its
-    components are trees, so the largest has one edge fewer than vertices."""
+    components in ascending order, and its maximum degree (0 with no edge).
+    Its components are trees, so the largest has one edge fewer than vertices."""
 
     cut_edges: FrozenSet[Edge]
     component_orders: Tuple[int, ...]
-    is_linear_forest: bool
+    max_degree: int
+
+    @property
+    def is_linear_forest(self) -> bool:
+        return self.max_degree <= 2
 
     @property
     def max_component_edges(self) -> int:
@@ -156,8 +160,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     simple graph has one edge between them, so it is a bridge.  Every bridge
     is thus a tree edge, each component of C(G) is a subtree, and in preorder
     a bridge's upper end is labelled with its component before the bridge is
-    read.  C(G) is a linear forest iff no vertex lies on three bridges.  The
-    one-vertex graph has no blocks and an empty profile.  Raises
+    read.  The one-vertex graph has no blocks and an empty profile.  Raises
     EmptyGraphError when g has no vertex and NotConnectedError when the DFS
     reaches fewer than all vertices.
     """
@@ -192,7 +195,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     profile = CutEdgeProfile(
         cut_edges=bridges,
         component_orders=tuple(sorted(orders)),
-        is_linear_forest=all(k <= 2 for k in Counter(chain.from_iterable(bridges)).values()),
+        max_degree=max(Counter(chain.from_iterable(bridges)).values(), default=0),
     )
     return BlockDecomposition(
         block_count=len(heads),

@@ -36,13 +36,12 @@ formula of T's longest path.  No t below cfc has a coloring, so starting
 higher skips only sweeps that find nothing: the value and the witness stay
 those of a search from t = 2, and only the counters fall.
 ``two_coloring_certificate`` decides cfc = 2 by the construction, else by
-Lemma 2.2's shape, else by the sweep, and answers None ("skipped") past
-``ORACLE_EDGE_CAP``.
+Lemma 2.2's shape, else by ``two_coloring_sweep``, which alone reads
+``ORACLE_EDGE_CAP`` and answers None past it or past the budget.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -324,7 +323,18 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 
 
-ORACLE_EDGE_CAP = 20  # the most edges two_coloring_certificate sweeps
+ORACLE_EDGE_CAP = 20  # the most edges two_coloring_sweep sweeps
+
+
+def two_coloring_sweep(g: Graph, budget: Optional[int] = None) -> Tuple[Optional[bool], str]:
+    """``(answer, certificate)`` by the sweep alone: "sweep" with ``exists_two_coloring``'s
+    answer, or None with "skipped" past ``ORACLE_EDGE_CAP``, "budget-exhausted" past ``budget``."""
+    if g.edge_count > ORACLE_EDGE_CAP:
+        return None, "skipped"
+    try:
+        return exists_two_coloring(g, budget=budget).exists, "sweep"
+    except BudgetExhaustedError:
+        return None, "budget-exhausted"
 
 
 def two_coloring_certificate(
@@ -333,15 +343,13 @@ def two_coloring_certificate(
     """``(answer, certificate)``: does the connected non-complete ``g``, with
     block decomposition ``d``, have a conflict-free 2-coloring?  "constructive":
     the construction's coloring, verified; "shape": False, C(g) fails Lemma
-    2.2's shape; "sweep": ``exists_two_coloring``; "skipped": None, past the cap."""
+    2.2's shape; otherwise ``two_coloring_sweep``'s answer and certificate."""
     if two_coloring_hypothesis_holds(d.profile):
         coloring = construct_two_coloring(g, d)
         return verify_conflict_free_connected(coloring).is_conflict_free_connected, "constructive"
     if not d.profile.lemma_2_2_shape:
         return False, "shape"
-    if g.edge_count > ORACLE_EDGE_CAP:
-        return None, "skipped"
-    return exists_two_coloring(g, budget=budget).exists, "sweep"
+    return two_coloring_sweep(g, budget)
 
 
 def _farthest(adjacency: Dict[int, List[int]], source: int) -> Tuple[List[int], int]:
@@ -369,10 +377,9 @@ def bridge_forest_bound(profile: CutEdgeProfile) -> int:
     degree is at least 3, and the longest path is walked only when the
     largest component is long enough for its formula to exceed that degree.
     """
-    longest = profile.max_component_edges
+    longest, degree = profile.max_component_edges, profile.max_degree
     if profile.is_linear_forest:
         return cfc_path_formula(longest) if longest else 0
-    degree = max(Counter(chain.from_iterable(profile.cut_edges)).values())
     if cfc_path_formula(longest) <= degree:
         return degree
     adjacency: Dict[int, List[int]] = {}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .decomposition import BlockDecomposition, block_decomposition
-from .errors import BudgetExhaustedError, ParamOutOfRangeError, UnknownTheoremError
+from .errors import ParamOutOfRangeError, UnknownTheoremError
 from .families import FAMILIES, gen_random_connected
 from .graph import (
     Graph,
@@ -23,7 +23,7 @@ from .graph import (
     is_complete,
     min_nonadjacent_degree_sum,
 )
-from .solver import ORACLE_EDGE_CAP, _check_budget, exists_two_coloring, two_coloring_certificate
+from .solver import _check_budget, two_coloring_certificate, two_coloring_sweep
 
 
 @dataclass(frozen=True)
@@ -120,28 +120,27 @@ def _thm_3_4_clauses(g: Graph, d: BlockDecomposition, k: int):
     return clauses, details
 
 
-def _cut_edge_bound(g, d, k, budget, clauses):
+def _cut_edge_bound(g, d, k, budget):
     """Conclusion of 3.1 and 3.4: at most k-2 cut edges."""
     return len(d.cut_edges) <= k - 2, None
 
 
-def _cfc_two_check(g, d, k, budget, clauses):
+def _cfc_two_check(g, d, k, budget):
     """Conclusion cfc = 2 of a sufficient condition, decided by
     ``two_coloring_certificate`` from g's block decomposition ``d``: mode
     "constructive" for the construction, "oracle" for a shape refutation or
-    a sweep.  When no certificate decides it ("skipped"), the conclusion and
-    the mode are None."""
+    a sweep; both None when no certificate decides it."""
     concl, certificate = two_coloring_certificate(g, d, budget)
-    return concl, {"constructive": "constructive", "skipped": None}.get(certificate, "oracle")
+    mode = "constructive" if certificate == "constructive" else "oracle"
+    return concl, None if concl is None else mode
 
 
-def _lemma_2_2_shape(g, d, k, budget, clauses):
-    """Conclusion of Lemma 2.2: cfc = 2 forces C(G) to be a linear forest
-    with every component of at most three edges.  The hypothesis clause
-    cfc_equals_two is decided here, by the sweep alone: a search that
-    assumed the lemma's shape could never refute it."""
-    clauses["cfc_equals_two"] = not is_complete(g) and exists_two_coloring(g, budget=budget).exists
-    return d.profile.lemma_2_2_shape, "oracle"
+def _no_two_coloring(g, d, k, budget):
+    """Lemma 2.2's contrapositive: outside the shape there is no conflict-free
+    2-coloring, decided by ``two_coloring_sweep`` alone (a certificate that
+    used the shape would assume the lemma); both None when undecided."""
+    two_colorable, _ = two_coloring_sweep(g, budget)
+    return (None, None) if two_colorable is None else (not two_colorable, "oracle")
 
 
 class _KRule(NamedTuple):
@@ -154,10 +153,10 @@ class _KRule(NamedTuple):
 class _Theorem:
     """One result of the paper, and the only source of its check's rules.
     ``clauses(g, d, k)``, d g's block decomposition, gives the hypothesis as
-    ``(clauses, details)``.  ``conclusion(g, d, k, budget, clauses)`` runs
-    only when every clause holds and returns ``(conclusion, mode)``; it may
-    add a clause of its own that needs a search.  The harness samples orders
-    in [n_min, n_max] and edge probabilities in [p_min, p_max]
+    ``(clauses, details)`` without a search.  ``conclusion(g, d, k, budget)``,
+    the only search, runs only when every clause holds and returns
+    ``(conclusion, mode)``, both None when undecided.  The harness samples
+    orders in [n_min, n_max] and edge probabilities in [p_min, p_max]
     (``ranges``), or for a row with a k rule orders base..base+5, base
     ``k.base_order(k)``, with p in [0.5, 0.9]."""
 
@@ -187,16 +186,10 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
     return _Theorem(clauses, _cfc_two_check, ranges, degree=holds)
 
 
-def _lemma_2_2_clauses(g: Graph, d: BlockDecomposition, k: Optional[int]):
-    """Within ORACLE_EDGE_CAP, cfc_equals_two stays True until the
-    conclusion's sweep decides it; past the cap no sweep runs and it is
-    False."""
-    feasible = g.edge_count <= ORACLE_EDGE_CAP
-    return {"oracle_feasible": feasible, "cfc_equals_two": feasible}, {}
-
-
 _THEOREMS = {
-    "2.2": _Theorem(_lemma_2_2_clauses, _lemma_2_2_shape, (4, 7, 0.3, 0.9)),
+    # Lemma 2.2 as its contrapositive: C(G) outside the shape forces cfc != 2.
+    "2.2": _Theorem(lambda g, d, k: ({"outside_shape": not d.profile.lemma_2_2_shape}, {}),
+                    _no_two_coloring, (4, 7, 0.3, 0.9)),
     # At least one bridge, and every bridge component of order 2.
     "2.3": _Theorem(lambda g, d, k: ({
         "has_cut_edges": bool(d.cut_edges),
@@ -255,18 +248,15 @@ def check_theorem(
     hypothesis clauses, then, when they all hold, its conclusion.  3.1 and
     3.4 take ``k``, their least k when it is None; the other theorems ignore
     it.  The conclusion is None when the hypothesis fails, or when it holds
-    and no certificate decides cfc = 2; a search past ``budget`` raises
-    BudgetExhaustedError.  Every TheoremCheck is built here."""
+    and its search is undecided: skipped past the sweep cap, or out of
+    ``budget``.  Every TheoremCheck is built here."""
     row = _theorem_row(theorem)
     k = _row_k(row, k)
     d = block_decomposition(g)
     clauses, details = row.clauses(g, d, k)
-    concl = mode = None
-    if all(clauses.values()):
-        concl, mode = row.conclusion(g, d, k, budget, clauses)
-    # Read after the conclusion, which may have decided a clause.
     hyp = all(clauses.values())
-    return TheoremCheck(theorem, hyp, clauses, concl if hyp else None, mode, details)
+    concl, mode = row.conclusion(g, d, k, budget) if hyp else (None, None)
+    return TheoremCheck(theorem, hyp, clauses, concl, mode, details)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -289,9 +279,9 @@ def run_harness(
     the row's order and edge-probability ranges, lets ``n_min``/``n_max``
     override the order range, and rejects an empty order range, one that
     starts below 2, a negative ``budget`` (None means unlimited) and negative
-    ``trials``.  A trial is inconclusive when its search exhausts ``budget``,
-    or when its hypothesis holds and no certificate decides its conclusion:
-    it is counted in ``inconclusive_count`` and in no other count."""
+    ``trials``.  A trial is inconclusive when its hypothesis holds and its
+    conclusion is None (the search was skipped or exhausted ``budget``): it
+    is counted in ``inconclusive_count`` and in no other count."""
     row = _theorem_row(theorem)
     k = _row_k(row, k)
     if row.k is None:
@@ -318,11 +308,8 @@ def run_harness(
         n = rng.randint(lo, hi)
         p = rng.uniform(p_min, p_max)
         g = gen_random_connected(n, p, seed=rng.randrange(2**31))
-        try:
-            check = check_theorem(g, theorem, k=k, budget=budget)
-        except BudgetExhaustedError:
-            check = None
-        if check is None or (check.hypothesis_holds and check.conclusion_holds is None):
+        check = check_theorem(g, theorem, k=k, budget=budget)
+        if check.hypothesis_holds and check.conclusion_holds is None:
             inconclusive += 1
             continue
         for name, ok in check.clauses.items():
@@ -392,10 +379,7 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     else:
         failed = [name for name, ok in theorem.clauses(g, d, None)[0].items() if not ok]
         margin_ok = failed == ["order_range"]
-    try:
-        two_colorable, refutation = two_coloring_certificate(g, d, budget)
-    except BudgetExhaustedError:
-        two_colorable, refutation = None, "budget-exhausted"
+    two_colorable, refutation = two_coloring_certificate(g, d, budget)
     cfc_at_least_3 = None if two_colorable is None else not two_colorable
     return {
         "family": family,

@@ -28,6 +28,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 from cfcgraph.cli import _render
 from cfcgraph.decomposition import block_decomposition
@@ -95,15 +96,19 @@ def blocks_agree(g: Graph) -> bool:
 
 def profile_agrees(g: Graph) -> bool:
     """``block_decomposition(g).profile`` has the cut edges, ascending
-    component orders, linear-forest verdict and largest component size of
-    the bridge-subgraph oracle's C(G)."""
+    component orders, linear-forest verdict, largest component size and
+    maximum degree of the bridge-subgraph oracle's C(G)."""
     p = block_decomposition(g).profile
     bridges, components = bridge_subgraph_oracle(g)
-    return (p.cut_edges, p.component_orders, p.is_linear_forest, p.max_component_edges) == (
+    ends = [x for c in components for e in c[1] for x in e]
+    return (
+        p.cut_edges, p.component_orders, p.is_linear_forest, p.max_component_edges, p.max_degree
+    ) == (
         bridges,
         tuple(len(c[0]) for c in components),
         all(c[2] is not None for c in components),
         max((len(c[1]) for c in components), default=0),
+        max(Counter(ends).values(), default=0),
     )
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from cfcgraph import cli, theorems
 from cfcgraph.cli import build_parser, main
 from cfcgraph.coloring import CfcVerdict
-from cfcgraph.errors import BudgetExhaustedError
 from cfcgraph.families import FAMILIES
 from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
@@ -267,16 +266,17 @@ def test_verify_harness_ok(capsys):
 
 
 def test_verify_counts_budget_exhausted_trials_as_inconclusive(capsys):
-    # At this budget three of the six 2.2 sweeps run out.
-    assert main(["verify", "2.2", "--trials", "6", "--budget", "5"]) == 4
+    # Four of the forty 2.2 trials fall outside Lemma 2.2's shape, so four
+    # sweeps run; at this budget one of them runs out.
+    assert main(["verify", "2.2", "--trials", "40", "--budget", "20"]) == 4
     payload = json.loads(capsys.readouterr().out)
-    assert payload["inconclusive_count"] == 3
+    assert payload["inconclusive_count"] == 1
     assert payload["hypothesis_pass_count"] == 3
-    assert payload["clause_breakdown"] == {"cfc_equals_two": 3, "oracle_feasible": 3}
-    assert main(["verify", "2.2", "--trials", "3", "--budget", "1"]) == 4
-    assert json.loads(capsys.readouterr().out)["inconclusive_count"] == 3
+    assert payload["clause_breakdown"] == {"outside_shape": 3}
+    assert main(["verify", "2.2", "--trials", "40", "--budget", "1"]) == 4
+    assert json.loads(capsys.readouterr().out)["inconclusive_count"] == 4
     # With every trial decided the key is absent.
-    assert main(["verify", "2.2", "--trials", "6", "--budget", "100"]) == 0
+    assert main(["verify", "2.2", "--trials", "40", "--budget", "100"]) == 0
     assert "inconclusive_count" not in json.loads(capsys.readouterr().out)
 
 
@@ -284,14 +284,14 @@ def test_verify_counterexample_outranks_inconclusive(monkeypatch, capsys):
     real_check = theorems.check_theorem
     calls = []
 
-    def fail_then_exhaust(g, theorem, **kwargs):
+    def fail_then_leave_undecided(g, theorem, **kwargs):
         calls.append(g)
+        check = real_check(g, theorem, **kwargs)
         if len(calls) == 1:
-            check = real_check(g, theorem, **kwargs)
             return dataclasses.replace(check, hypothesis_holds=True, conclusion_holds=False)
-        raise BudgetExhaustedError(2, 3, 1)
+        return dataclasses.replace(check, hypothesis_holds=True, conclusion_holds=None, mode=None)
 
-    monkeypatch.setattr(theorems, "check_theorem", fail_then_exhaust)
+    monkeypatch.setattr(theorems, "check_theorem", fail_then_leave_undecided)
     assert main(["verify", "2.4", "--trials", "3"]) == 5
     payload = json.loads(capsys.readouterr().out)
     assert (payload["conclusion_fail_count"], payload["inconclusive_count"]) == (1, 2)
@@ -619,6 +619,9 @@ def test_check_names_the_failing_pair(c5_file, c5_colorings, capsys):
         ("coloring 2\n0 1 1\n1 2 x\n", "line 3: fields must be integers"),
         ("colouring 2\n0 1 1\n", "line 1: expected header 'coloring t', t a whole number"),
         ("coloring 2\n0 1 1\n1 2 2\n", "line 1: color map must cover exactly the graph's edges"),
+        ("# C5\ncoloring 2\n0 1 1\n1 2 1\n2 3 1\n3 4 2\n0 3 1\n",
+         "line 7: edge 0 3 is not in the graph"),
+        ("coloring 2\n0 1 1\n1 2 0\n", "line 3: color 0 is below 1"),
     ],
 )
 def test_check_bad_coloring_file_is_usage(text, message, c5_file, tmp_path, capsys):

@@ -207,6 +207,7 @@ def test_decomposition_invariants(seed):
         degree_in_c[u] = degree_in_c.get(u, 0) + 1
         degree_in_c[v] = degree_in_c.get(v, 0) + 1
     assert profile.is_linear_forest == all(x <= 2 for x in degree_in_c.values())
+    assert profile.max_degree == max(degree_in_c.values(), default=0)
     assert list(profile.component_orders) == sorted(profile.component_orders)
 
 
@@ -230,6 +231,7 @@ def test_profile_of_one_vertex_graph_is_empty():
     profile = cfc.block_decomposition(cfc.build_graph(1, [])).profile
     assert profile.cut_edges == frozenset() and profile.component_orders == ()
     assert profile.max_component_edges == 0 and profile.lemma_2_2_shape
+    assert profile.max_degree == 0
 
 
 def test_lemma_2_2_shape():

@@ -21,7 +21,12 @@ counters were re-recorded again when ``cfc_bracket``'s lower bound rose to
 h(G), the bridge-forest bound: the search starts at t = 4, not 3, so the
 3 ** 7 colorings of the failed t = 3 sweep are no longer examined
 (``colorings_examined`` 6815 -> 4628, ``verification_steps`` 1494 -> 135);
-its value and coloring are unchanged.  A mismatch means the CLI's output
+its value and coloring are unchanged.  ``verify 2.2 --trials 5`` was
+re-recorded when Lemma 2.2 came to be checked as its contrapositive: its
+hypothesis is the one clause ``outside_shape`` (C(G) fails the lemma's
+shape), which one of the five trials passes (``hypothesis_pass_count``
+4 -> 1), in place of ``oracle_feasible`` and ``cfc_equals_two``; no trial
+fails the conclusion on either reading.  A mismatch means the CLI's output
 changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.

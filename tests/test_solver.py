@@ -464,3 +464,17 @@ def test_two_coloring_certificate_past_the_sweep_cap():
     assert two_coloring_certificate(s4, cfc.block_decomposition(s4), None) == (None, "skipped")
     star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
     assert two_coloring_certificate(star, cfc.block_decomposition(star), None) == (False, "shape")
+
+
+def test_two_coloring_sweep_answers_or_names_why_not():
+    from cfcgraph.solver import ORACLE_EDGE_CAP, two_coloring_sweep
+
+    star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
+    assert star.edge_count > ORACLE_EDGE_CAP
+    assert two_coloring_sweep(star) == (None, "skipped")
+    assert two_coloring_sweep(gen_S(4)) == (None, "skipped")
+    assert two_coloring_sweep(gen_S(3), budget=1) == (None, "budget-exhausted")
+    assert two_coloring_sweep(gen_S(3)) == (False, "sweep")
+    assert two_coloring_sweep(gen_cycle(5), budget=100) == (True, "sweep")
+    # Past the cap no sweep runs, so no budget can run out there.
+    assert two_coloring_sweep(star, budget=0) == (None, "skipped")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -288,16 +289,17 @@ def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
     # fails Lemma 2.2's shape, which refutes cfc = 2 without a sweep; a graph
     # of the right shape past the cap is not swept, so no certificate decides
     # it and the conclusion is left open.
-    from cfcgraph.theorems import ORACLE_EDGE_CAP, _cfc_two_check
+    from cfcgraph.solver import ORACLE_EDGE_CAP
+    from cfcgraph.theorems import _cfc_two_check
 
     star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
     assert star.edge_count > ORACLE_EDGE_CAP
-    assert _cfc_two_check(star, cfc.block_decomposition(star), None, None, {}) == (False, "oracle")
+    assert _cfc_two_check(star, cfc.block_decomposition(star), None, None) == (False, "oracle")
 
     s4 = fam.gen_S(4)
     d = cfc.block_decomposition(s4)
     assert s4.edge_count > ORACLE_EDGE_CAP and d.profile.lemma_2_2_shape
-    assert _cfc_two_check(s4, d, None, None, {}) == (None, None)
+    assert _cfc_two_check(s4, d, None, None) == (None, None)
 
 
 def test_trials_no_certificate_decides_are_inconclusive(monkeypatch, capsys):
@@ -316,7 +318,8 @@ def test_trials_no_certificate_decides_are_inconclusive(monkeypatch, capsys):
 
 def test_checks_reject_disconnected_graphs():
     from cfcgraph.errors import NotConnectedError
-    from cfcgraph.theorems import ORACLE_EDGE_CAP, THEOREM_IDS
+    from cfcgraph.solver import ORACLE_EDGE_CAP
+    from cfcgraph.theorems import THEOREM_IDS
 
     two_triangles = cfc.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     isolated_zero = cfc.build_graph(4, [(1, 2), (2, 3)])
@@ -340,7 +343,7 @@ def test_checks_on_the_one_vertex_graph():
 
     no_bridges = {"min_degree": 0, "component_orders": []}
     expected = {
-        "2.2": ({"oracle_feasible": True, "cfc_equals_two": False}, "oracle", {}),
+        "2.2": ({"outside_shape": False}, None, {}),
         "2.3": ({"has_cut_edges": False, "all_components_order_2": True,
                  "non_complete": False}, None, {}),
         "2.4": ({"two_edge_connected": False, "non_complete": False}, None, {}),
@@ -367,3 +370,59 @@ def test_checks_on_the_one_vertex_graph():
         assert check_theorem(k1, theorem) == TheoremCheck(
             theorem, False, clauses, None, mode=mode, details=details
         ), theorem
+
+
+def test_lemma_2_2_reads_as_its_contrapositive_against_brute_force():
+    # On random connected graphs of up to 7 vertices, sparse ones included,
+    # the hypothesis is C(G) failing the shape, by conftest's bridge
+    # subgraph, and where it holds the conclusion is that no conflict-free
+    # 2-coloring exists, by the full 2^m sweep.
+    from conftest import bridge_subgraph_oracle, has_two_coloring_brute
+
+    outcomes = set()
+    for seed in range(600):
+        rng = random.Random(seed)
+        g = fam.gen_random_connected(rng.randint(2, 7), rng.uniform(0.1, 0.9), seed=seed)
+        _, components = bridge_subgraph_oracle(g)
+        shape = all(path is not None and len(edges) <= 3 for _, edges, path in components)
+        check = check_theorem(g, "2.2")
+        assert check.hypothesis_holds is (not shape), g
+        if check.hypothesis_holds:
+            assert check.conclusion_holds is (not has_two_coloring_brute(g)), g
+            assert check.mode == "oracle"
+        outcomes.add(check.hypothesis_holds)
+    assert outcomes == {False, True}
+
+
+def test_lemma_2_2_past_the_sweep_cap_is_inconclusive(monkeypatch):
+    # The star K1,21 fails the shape (21 bridges at one vertex) and has more
+    # edges than the sweep takes, so its conclusion is left undecided.
+    from cfcgraph.solver import ORACLE_EDGE_CAP
+
+    star = cfc.build_graph(22, [(0, v) for v in range(1, 22)])
+    assert star.edge_count > ORACLE_EDGE_CAP
+    check = check_theorem(star, "2.2")
+    assert check.clauses == {"outside_shape": True} and check.hypothesis_holds
+    assert (check.conclusion_holds, check.mode) == (None, None)
+    monkeypatch.setattr(theorems, "gen_random_connected", lambda n, p, seed: star)
+    report = run_harness("2.2", trials=1, seed=0)
+    assert (report.inconclusive_count, report.hypothesis_pass_count) == (1, 0)
+    assert report.clause_breakdown == {} and report.counterexample is None
+
+
+def test_check_theorem_never_raises_on_an_exhausted_budget():
+    # Every row at budget 1 on small graphs: an undecided search is a None
+    # conclusion with no mode, never BudgetExhaustedError.
+    undecided = 0
+    for theorem in theorems.THEOREM_IDS:
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = fam.gen_random_connected(rng.randint(4, 9), rng.uniform(0.1, 0.9), seed=seed)
+            check = check_theorem(g, theorem, budget=1)
+            if check.conclusion_holds is None:
+                assert check.mode is None, (theorem, g)
+                undecided += check.hypothesis_holds
+    assert undecided
+    # S(3) has the shape but not the construction's, so cfc = 2 needs the sweep.
+    s3 = fam.gen_S(3)
+    assert theorems._cfc_two_check(s3, cfc.block_decomposition(s3), None, 1) == (None, None)
