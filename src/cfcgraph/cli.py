@@ -1,4 +1,4 @@
-"""Command-line front end: analyze, color2, check, cfc, gen, verify.
+"""Command-line front end: analyze, color2, check, cfc, gen, verify, sharpness.
 
 Exit codes: 0 success / claim holds, 2 parse or usage error, 3 hypothesis
 violated, 4 inconclusive (budget exhausted, or a sharpness claim or a harness
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from typing import Dict, List, Optional
@@ -33,12 +32,11 @@ from .errors import (
     EdgeListParseError,
     HypothesisViolatedError,
     NotConnectedError,
-    ParamOutOfRangeError,
 )
-from .families import FAMILIES
+from .families import FAMILIES, family_params
 from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list
 from .solver import exact_cfc
-from .theorems import THEOREMS_WITH_K, check_sharpness, run_harness
+from .theorems import check_sharpness, run_harness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,16 +214,8 @@ def cmd_cfc(args) -> int:
 
 def cmd_gen(args) -> int:
     family = args.family
-    if family not in FAMILIES:
-        raise ParamOutOfRangeError(f"unknown family {family!r}")
-    make = FAMILIES[family]
-    names = list(inspect.signature(make).parameters)
-    if len(args.params) != len(names):
-        raise ParamOutOfRangeError(
-            f"family {family!r} takes {len(names)} integer parameter(s)"
-            + (f": {' '.join(names)}" if names else "")
-        )
-    g = make(*args.params)
+    family_params(family, args.params)
+    g = FAMILIES[family](*args.params)
     if args.format == "dot":
         _write_output(_graph_dot(g), args.out)
         return EXIT_OK
@@ -238,34 +228,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# Flags of `verify` that only one kind of check reads; giving one to the
-# other kind is a usage error rather than a silently ignored value.
-_HARNESS_FLAGS = ("trials", "seed", "k", "n_min", "n_max", "out")
-_SHARPNESS_FLAGS = ("t", "n")
-
-
 def cmd_verify(args) -> int:
     theorem = args.theorem
-    sharpness = theorem.startswith("sharpness:")
-    unused = [
-        "--" + name.replace("_", "-")
-        for name in (_HARNESS_FLAGS if sharpness else _SHARPNESS_FLAGS)
-        if getattr(args, name) is not None
-    ]
-    if not sharpness and args.k is not None and theorem not in THEOREMS_WITH_K:
-        unused.append("--k")
-    if unused:
-        raise ParamOutOfRangeError(f"verify {theorem} does not take {', '.join(unused)}")
-    if sharpness:
-        params = {name: v for name, v in (("t", args.t), ("n", args.n)) if v is not None}
-        result = check_sharpness(theorem.split(":", 1)[1], budget=args.budget, **params)
-        sys.stdout.write(_render({"command": "verify", **result}, args.format))
-        if result["holds"] is None:
-            return EXIT_BUDGET
-        return EXIT_OK if result["holds"] else EXIT_COUNTEREXAMPLE
-
     report = run_harness(
-        theorem, 200 if args.trials is None else args.trials, 0 if args.seed is None else args.seed,
+        theorem, args.trials, args.seed,
         k=args.k, n_min=args.n_min, n_max=args.n_max, budget=args.budget,
     )
     payload = {"command": "verify", **report.to_payload()}
@@ -282,6 +248,14 @@ def cmd_verify(args) -> int:
     if report.conclusion_fail_count:
         return EXIT_COUNTEREXAMPLE
     return EXIT_BUDGET if report.inconclusive_count else EXIT_OK
+
+
+def cmd_sharpness(args) -> int:
+    result = check_sharpness(args.family, *args.params, budget=args.budget)
+    sys.stdout.write(_render({"command": "sharpness", **result}, args.format))
+    if result["holds"] is None:
+        return EXIT_BUDGET
+    return EXIT_OK if result["holds"] else EXIT_COUNTEREXAMPLE
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,17 +298,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", type=int)
     add_common(p, ("text", "dot"))
 
-    p = sub.add_parser("verify", help="randomized theorem verification / sharpness checks")
+    # Flags only in full, so that `--t` is a usage error, not `--trials`.
+    p = sub.add_parser("verify", help="randomized theorem verification", allow_abbrev=False)
     p.add_argument("theorem")
-    p.add_argument("--trials", type=int, default=None, help="harness trials (default 200)")
-    p.add_argument("--seed", type=int, default=None, help="harness seed (default 0)")
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     add_common(p, ("json", "text"))
+
+    p = sub.add_parser("sharpness", help="certify an extremal family's sharpness claim")
+    p.add_argument("family")
+    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 

@@ -4,56 +4,72 @@ corpus generators for the verification harness.
 Cliques are attached by vertex identification: the spine/hub vertex is a
 vertex of its clique.  Numbering convention: structural spine first, then
 clique fill-ins in block order, so labels are stable for golden tests.
-``_glued`` implements it; each extremal generator but remark4-H is one
-call naming its spine, its cut edges and its cliques.
+``_glued`` implements it; each extremal generator is one call naming its
+spine, its cut edges and its cliques.
 """
 from __future__ import annotations
 
+import inspect
 import random
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import NotConnectedError, ParamOutOfRangeError, RetriesExhaustedError
-from .graph import Graph, build_graph, is_complete, is_connected
+from .graph import MAX_VERTEX_COUNT, Graph, build_graph, is_complete, is_connected
 from .decomposition import block_decomposition
 
+# Samples drawn before the random generators give up.
+CONNECTED_RETRIES = 2000
+BRIDGELESS_RETRIES = 5000
 
-def _clique_edges(vertices: List[int]) -> List[Tuple[int, int]]:
-    return [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse order ``n`` or ``m`` possible edges above MAX_VERTEX_COUNT, the
+    parser's largest order.  Generators call it before building edge lists."""
+    if max(n, m) > MAX_VERTEX_COUNT:
+        raise ParamOutOfRangeError(f"order {n} or edge count {m} is above {MAX_VERTEX_COUNT}")
 
 
 def _glued(
     spine: int,
-    edges: List[Tuple[int, int]],
+    edges: Iterable[Tuple[int, int]],
     cliques: Iterable[Tuple[Sequence[int], int]],
 ) -> Graph:
     """Spine vertices 0..spine-1 joined by ``edges``, which may also name
-    clique vertices and are extended in place.  Each ``(attached, order)``
-    of ``cliques`` adds a K_order made of the ``attached`` spine vertices
-    and fresh fill vertices, numbered on from every vertex before them."""
-    n = spine
+    clique vertices.  Each ``(attached, order)`` of ``cliques`` adds a
+    K_order made of the ``attached`` spine vertices and fresh fill vertices,
+    numbered on from every vertex before them.  The size is checked clique
+    by clique, and ``edges`` is read only then, so both may be lazy."""
+    n, m, clique_edges = spine, 0, []
     for attached, order in cliques:
         fill = order - len(attached)
-        edges.extend(_clique_edges([*attached, *range(n, n + fill)]))
-        n += fill
-    return build_graph(n, edges)
+        n, m = n + fill, m + order * (order - 1) // 2
+        _check_size(n, m)
+        vertices = [*attached, *range(n - fill, n)]
+        clique_edges += [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+    edges = list(edges)
+    _check_size(n, m + len(edges))
+    return build_graph(n, edges + clique_edges)
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ParamOutOfRangeError("path needs order >= 1")
+    _check_size(n, n - 1)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ParamOutOfRangeError("cycle needs order >= 3")
+    _check_size(n, n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_complete(n: int) -> Graph:
     if n < 1:
         raise ParamOutOfRangeError("complete graph needs order >= 1")
-    return build_graph(n, _clique_edges(list(range(n))))
+    return _glued(0, [], [((), n)])
 
 
 def gen_H(k: int, t: int) -> Graph:
@@ -63,7 +79,7 @@ def gen_H(k: int, t: int) -> Graph:
     """
     if k < 3 or t < 3:
         raise ParamOutOfRangeError("H family needs k >= 3 and t >= 3")
-    return _glued(k, [(i, i + 1) for i in range(k - 1)], (((i,), t) for i in range(k)))
+    return _glued(k, ((i, i + 1) for i in range(k - 1)), (((i,), t) for i in range(k)))
 
 
 def gen_R(k: int) -> Graph:
@@ -79,8 +95,8 @@ def gen_R(k: int) -> Graph:
     if k == 3:
         return _glued(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)], [((5,), 3)])
     # Outer block j starts at vertex k-1 + j*k.
-    bridges = [(j, k - 1 + j * k) for j in range(k - 1)]
-    return _glued(k - 1, bridges, [(range(k - 1), k - 1)] + [((), k)] * (k - 1))
+    bridges = ((j, k - 1 + j * k) for j in range(k - 1))
+    return _glued(k - 1, bridges, chain([(range(k - 1), k - 1)], repeat(((), k), k - 1)))
 
 
 def gen_S(t: int) -> Graph:
@@ -104,19 +120,18 @@ def gen_D(k: int) -> Graph:
     if k < 5:
         raise ParamOutOfRangeError("D family needs k >= 5")
     # Block j starts at vertex 1 + j*(k+2).
-    bridges = [(0, 1 + j * (k + 2)) for j in range(k - 1)]
-    return _glued(1, bridges, [((), k + 2)] * (k - 1))
+    bridges = ((0, 1 + j * (k + 2)) for j in range(k - 1))
+    return _glued(1, bridges, repeat(((), k + 2), k - 1))
 
 
 def gen_remark4_H(t: int) -> Graph:
-    """Two triangles whose marked vertices are joined by a path of order t."""
+    """Two triangles whose marked vertices 0 and 3 are joined by a path of
+    order t; its inner vertices, from 6 on, are the fill vertices of K1s."""
     if t < 5:
         raise ParamOutOfRangeError("remark4-H needs t >= 5")
-    edges = _clique_edges([0, 1, 2]) + _clique_edges([3, 4, 5])
-    inner = list(range(6, 6 + t - 2))
-    chain = [0] + inner + [3]
-    edges.extend(zip(chain, chain[1:]))
-    return build_graph(6 + t - 2, edges)
+    inner = range(6, t + 4)
+    path = zip(chain([0], inner), chain(inner, [3]))
+    return _glued(0, path, chain([((), 3), ((), 3)], repeat(((), 1), t - 2)))
 
 
 def gen_remark4_G(n: int) -> Graph:
@@ -153,35 +168,32 @@ def gen_remark7_G(n: int) -> Graph:
 
 def _gnp(n: int, p: float, rng: random.Random) -> Graph:
     """G(n, p): one ``rng.random()`` draw per pair u < v, in lexicographic order."""
+    _check_size(n, n * (n - 1) // 2)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def gen_random_connected(
-    n: int, edge_probability: float, seed: int, max_retries: int = 2000
-) -> Graph:
+def gen_random_connected(n: int, edge_probability: float, seed: int) -> Graph:
     """Uniform random graph conditioned on connectivity, deterministic per seed."""
     if n < 2:
         raise ParamOutOfRangeError("random graph needs n >= 2")
     if not (0 < edge_probability <= 1):
         raise ParamOutOfRangeError("edge probability must be in (0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(CONNECTED_RETRIES):
         g = _gnp(n, edge_probability, rng)
         if is_connected(g):
             return g
     raise RetriesExhaustedError(
-        f"no connected sample for n={n}, p={edge_probability} in {max_retries} tries"
+        f"no connected sample for n={n}, p={edge_probability} in {CONNECTED_RETRIES} tries"
     )
 
 
-def gen_random_bridgeless(
-    n: int, edge_probability: float, seed: int, max_retries: int = 5000
-) -> Graph:
+def gen_random_bridgeless(n: int, edge_probability: float, seed: int) -> Graph:
     """Random connected 2-edge-connected non-complete graph."""
     if n < 4:
         raise ParamOutOfRangeError("bridgeless non-complete sampling needs n >= 4")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(BRIDGELESS_RETRIES):
         g = _gnp(n, edge_probability, rng)
         if is_complete(g):
             continue
@@ -260,8 +272,7 @@ def gen_random_glued_blocks(seed: int, max_vertices: int = 40) -> Graph:
     return build_graph(n, edges)
 
 
-# The family names of `cfcgraph gen` and of the sharpness checks.  A family's
-# parameters are its generator's positional parameters, in order.
+# The family names of `cfcgraph gen` and of the sharpness checks.
 FAMILIES: Dict[str, Callable[..., Graph]] = {
     "H": gen_H,
     "R": gen_R,
@@ -278,3 +289,18 @@ FAMILIES: Dict[str, Callable[..., Graph]] = {
     # The edge probability as an integer percentage keeps command lines whole-number.
     "random": lambda n, p_percent, seed: gen_random_connected(n, p_percent / 100.0, seed),
 }
+
+
+def family_params(family: str, params: Sequence[int], label: str = "") -> Tuple[str, ...]:
+    """The parameter names of registry family ``family``: its generator's
+    positional parameters, in order.  An unknown family, or ``params`` of
+    another length, is an error naming the family ``label`` (as asked for)."""
+    if family not in FAMILIES:
+        raise ParamOutOfRangeError(f"unknown family {family!r}")
+    names = tuple(inspect.signature(FAMILIES[family]).parameters)
+    if len(params) != len(names):
+        raise ParamOutOfRangeError(
+            f"family {label or family!r} takes {len(names)} integer parameter(s)"
+            + (f": {' '.join(names)}" if names else "")
+        )
+    return names

@@ -16,7 +16,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .decomposition import BlockDecomposition, block_decomposition
 from .errors import ParamOutOfRangeError, UnknownTheoremError
-from .families import FAMILIES, gen_random_connected
+from .families import FAMILIES, family_params, gen_random_connected
 from .graph import (
     Graph,
     degree_view,
@@ -220,25 +220,23 @@ _THEOREMS = {
                   (33, 36, 0.5, 0.9)),
 }
 THEOREM_IDS = tuple(_THEOREMS)
-THEOREMS_WITH_K = tuple(t for t, row in _THEOREMS.items() if row.k is not None)
 
 
-def _theorem_row(theorem: str) -> _Theorem:
+def _row_k(theorem: str, k: Optional[int]) -> Tuple[_Theorem, Optional[int]]:
+    """The row of ``theorem`` and its k.  A row with a k rule takes its
+    least k when k is None, and refuses a smaller one; any other row
+    refuses every k but None."""
     if theorem not in _THEOREMS:
         raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
-    return _THEOREMS[theorem]
-
-
-def _row_k(row: _Theorem, k: Optional[int]) -> Optional[int]:
-    """k for a row with a k rule: its least k when k is None, and an error
-    below it.  Any other row takes k unchanged."""
+    row = _THEOREMS[theorem]
     if row.k is None:
-        return k
-    if k is None:
-        return row.k.least
-    if k < row.k.least:
+        if k is not None:
+            raise ParamOutOfRangeError(f"theorem {theorem} takes no k")
+    elif k is None:
+        k = row.k.least
+    elif k < row.k.least:
         raise UnknownTheoremError(f"the {row.k.bound} needs k >= {row.k.least}")
-    return k
+    return row, k
 
 
 def check_theorem(
@@ -246,12 +244,11 @@ def check_theorem(
 ) -> TheoremCheck:
     """Evaluate one theorem's row on ``g`` from one block decomposition: its
     hypothesis clauses, then, when they all hold, its conclusion.  3.1 and
-    3.4 take ``k``, their least k when it is None; the other theorems ignore
-    it.  The conclusion is None when the hypothesis fails, or when it holds
+    3.4 take ``k``, their least k when it is None; the other theorems refuse
+    one.  The conclusion is None when the hypothesis fails, or when it holds
     and its search is undecided: skipped past the sweep cap, or out of
     ``budget``.  Every TheoremCheck is built here."""
-    row = _theorem_row(theorem)
-    k = _row_k(row, k)
+    row, k = _row_k(theorem, k)
     d = block_decomposition(g)
     clauses, details = row.clauses(g, d, k)
     hyp = all(clauses.values())
@@ -282,8 +279,7 @@ def run_harness(
     ``trials``.  A trial is inconclusive when its hypothesis holds and its
     conclusion is None (the search was skipped or exhausted ``budget``): it
     is counted in ``inconclusive_count`` and in no other count."""
-    row = _theorem_row(theorem)
-    k = _row_k(row, k)
+    row, k = _row_k(theorem, k)
     if row.k is None:
         lo, hi, p_min, p_max = row.ranges
     else:
@@ -334,25 +330,25 @@ def run_harness(
     )
 
 
-# Sharpness family -> (registry family, its one parameter or None, theorem id,
-# the bound missed): "degree" when the theorem's degree clause fails at the
-# family's minimum degree delta and holds at delta + 1, "order" when
-# order_range is the only one of the theorem's clauses the family fails.
+# Sharpness family -> (registry family, theorem id, the bound missed):
+# "degree" when the theorem's degree clause fails at the family's minimum
+# degree delta and holds at delta + 1, "order" when order_range is the only
+# one of the theorem's clauses the family fails.
 SHARPNESS = {
-    "S": ("S", "t", "4.1", "degree"),
-    "remark4-H": ("remark4-H", "t", "4.2", "degree"),
-    "remark4-G": ("remark4-G", "n", "4.2", "degree"),
-    "remark5": ("path", "t", "4.3", "degree"),
-    "remark6-H": ("remark6-H", "n", "4.4", "degree"),
-    "remark6-G": ("remark6-G", None, "4.4", "order"),
-    "remark7": ("remark7-G", "n", "4.5", "order"),
+    "S": ("S", "4.1", "degree"),
+    "remark4-H": ("remark4-H", "4.2", "degree"),
+    "remark4-G": ("remark4-G", "4.2", "degree"),
+    "remark5": ("path", "4.3", "degree"),
+    "remark6-H": ("remark6-H", "4.4", "degree"),
+    "remark6-G": ("remark6-G", "4.4", "order"),
+    "remark7": ("remark7-G", "4.5", "order"),
 }
 
 
-def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict[str, object]:
+def check_sharpness(family: str, *params: int, budget: Optional[int] = None) -> Dict[str, object]:
     """Certify that a sharpness family misses its theorem's bound by one
-    unit (``margin_ok``) and has cfc >= 3.  ``params`` is the family's one
-    parameter (``t`` or ``n``), or empty for a family without one.
+    unit (``margin_ok``) and has cfc >= 3.  ``params`` are the registry
+    family's, keyed by ``family_params``' names in the payload.
     ``refutation`` names the certificate of ``two_coloring_certificate``;
     ``holds`` is None when the margin is met but no certificate decides
     cfc >= 3: "skipped", or "budget-exhausted" when the sweep runs past
@@ -361,12 +357,9 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     if family not in SHARPNESS:
         raise UnknownTheoremError(f"unknown sharpness family {family!r}")
     _check_budget(budget)
-    generator, param, theorem_id, bound = SHARPNESS[family]
-    if list(params) != ([param] if param else []):
-        takes = f"parameter {param}" if param else "no parameter"
-        given = ", ".join(sorted(params)) or "none"
-        raise ParamOutOfRangeError(f"sharpness family {family!r} takes {takes}, given {given}")
-    g = FAMILIES[generator](*params.values())
+    generator, theorem_id, bound = SHARPNESS[family]
+    names = family_params(generator, params, family)
+    g = FAMILIES[generator](*params)
     n = g.vertex_count
     if family == "remark5" and n < 5:
         # Remark 5's path: delta = 1 and cfc = ceil(log2 n) >= 3 from n = 5.
@@ -383,7 +376,7 @@ def check_sharpness(family: str, budget: Optional[int] = None, **params) -> Dict
     cfc_at_least_3 = None if two_colorable is None else not two_colorable
     return {
         "family": family,
-        "params": dict(sorted(params.items())),
+        "params": dict(zip(names, params)),
         "n": n,
         "m": g.edge_count,
         "min_degree": delta,

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cfcgraph import cli, theorems
 from cfcgraph.cli import build_parser, main
 from cfcgraph.coloring import CfcVerdict
-from cfcgraph.families import FAMILIES
+from cfcgraph.families import FAMILIES, family_params
 from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
 from stdlib_equivalence import payload, render_agrees
@@ -229,8 +229,9 @@ def test_gen_random_percent_probability(tmp_path):
 
 
 def test_verify_sharpness_ok(capsys):
-    assert main(["verify", "sharpness:remark4-H", "--t", "5"]) == 0
+    assert main(["sharpness", "remark4-H", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert (payload["command"], payload["params"]) == ("sharpness", {"t": 5})
     assert payload["holds"] is True
     assert payload["refutation"] == "shape"
 
@@ -238,7 +239,7 @@ def test_verify_sharpness_ok(capsys):
 def test_verify_sharpness_without_a_certificate_is_inconclusive(capsys):
     # S(4) has 34 edges and Lemma 2.2's shape: past the sweep cap nothing
     # decides cfc >= 3, so the claim is neither held nor refuted.
-    assert main(["verify", "sharpness:S", "--t", "4"]) == 4
+    assert main(["sharpness", "S", "4"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert (payload["margin_ok"], payload["refutation"]) == (True, "skipped")
     assert payload["cfc_at_least_3"] is None
@@ -247,13 +248,13 @@ def test_verify_sharpness_without_a_certificate_is_inconclusive(capsys):
 
 def test_verify_sharpness_out_of_budget_is_inconclusive(capsys):
     # S(3) needs a sweep to refute cfc = 2; one step does not finish it.
-    assert main(["verify", "sharpness:S", "--t", "3", "--budget", "1"]) == 4
+    assert main(["sharpness", "S", "3", "--budget", "1"]) == 4
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert (payload["margin_ok"], payload["refutation"]) == (True, "budget-exhausted")
     assert (payload["cfc_at_least_3"], payload["holds"]) == (None, None)
     assert captured.err == ""
-    assert main(["verify", "sharpness:S", "--t", "3", "--budget", "100000"]) == 0
+    assert main(["sharpness", "S", "3", "--budget", "100000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["refutation"], payload["holds"]) == ("sweep", True)
 
@@ -328,15 +329,16 @@ def test_verify_out_writes_the_first_counterexample(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["verify", "sharpness:remark5", "--t", "4"], "the sharp path example needs order >= 5"),
-        (["verify", "sharpness:nope"], "unknown sharpness family 'nope'"),
+        (["sharpness", "remark5", "4"], "the sharp path example needs order >= 5"),
+        (["sharpness", "nope"], "unknown sharpness family 'nope'"),
         (["verify", "4.3", "--n-min", "10", "--n-max", "5"], "empty order range: n_min 10 > n_max 5"),
         (["verify", "4.3", "--n-min", "10"], "empty order range: n_min 10 > n_max 8"),
         (["verify", "4.3", "--trials", "-3"], "trials must be >= 0, got -3"),
         (["verify", "2.2", "--trials", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
-        (["verify", "sharpness:S", "--t", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
+        (["sharpness", "S", "3", "--budget", "-1"], "budget must be >= 0, got -1"),
         (["verify", "3.4", "--k", "4"], "the degree-sum cut-edge bound needs k >= 5"),
         (["verify", "3.1", "--k", "2", "--trials", "0"], "the cut-edge bound needs k >= 3"),
+        (["verify", "2.4", "--k", "3", "--trials", "2"], "theorem 2.4 takes no k"),
     ],
 )
 def test_verify_error_exits_name_their_cause(argv, message, capsys):
@@ -377,40 +379,52 @@ def test_repeated_runs_are_byte_identical(c5_file):
 
 
 @pytest.mark.parametrize(
-    "argv,named",
-    [
-        (["sharpness:S"], "takes parameter t, given none"),
-        (["sharpness:remark6-G", "--t", "9"], "takes no parameter, given t"),
-        (["sharpness:S", "--t", "3", "--n", "7"], "takes parameter t, given n, t"),
-    ],
+    "family,params",
+    [("S", []), ("S", ["3", "7"]), ("remark6-G", ["9"]), ("remark5", []), ("remark5", ["6", "1"])],
 )
-def test_verify_sharpness_parameter_mismatch_is_usage(argv, named, capsys):
-    assert main(["verify", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert named in captured.err
+def test_wrong_arity_is_the_registry_message_from_gen_and_sharpness(family, params, capsys):
+    # remark5 is the registry's path; the message names the family as typed.
+    registry = SHARPNESS[family][0]
+    gen = _outcome(["gen", registry, *params], capsys)
+    sharpness = _outcome(["sharpness", family, *params], capsys)
+    assert gen[:2] == sharpness[:2] == (2, "")
+    assert sharpness[2] == gen[2].replace(repr(registry), repr(family))
+    assert repr(family) in sharpness[2] and "integer parameter(s)" in sharpness[2]
 
 
 @pytest.mark.parametrize(
-    "argv,named",
+    "argv,rejected",
     [
-        (["2.4", "--t", "5", "--trials", "2"], "does not take --t"),
-        (["2.4", "--n", "5", "--trials", "2"], "does not take --n"),
-        (["2.4", "--k", "3", "--trials", "2"], "does not take --k"),
-        (["sharpness:remark4-H", "--t", "5", "--out", "x.edges"], "does not take --out"),
-        (
-            ["sharpness:S", "--t", "3", "--trials", "5", "--seed", "1", "--k", "2"],
-            "does not take --trials, --seed, --k",
+        pytest.param(
+            ["verify", "2.4", "--t", "5", "--trials", "2"], "--t 5", id="argv0-does not take --t"
         ),
-        (["sharpness:S", "--t", "3", "--n-min", "4", "--n-max", "6"], "--n-min, --n-max"),
+        pytest.param(
+            ["verify", "2.4", "--n", "5", "--trials", "2"], "--n 5", id="argv1-does not take --n"
+        ),
+        pytest.param(
+            ["sharpness", "remark4-H", "5", "--out", "x.edges"],
+            "--out x.edges",
+            id="argv3-does not take --out",
+        ),
+        pytest.param(
+            ["sharpness", "S", "3", "--trials", "5", "--seed", "1", "--k", "2"],
+            "--trials 5 --seed 1 --k 2",
+            id="argv4-does not take --trials, --seed, --k",
+        ),
+        pytest.param(
+            ["sharpness", "S", "3", "--n-min", "4", "--n-max", "6"],
+            "--n-min 4 --n-max 6",
+            id="argv5---n-min, --n-max",
+        ),
     ],
 )
-def test_verify_rejects_flags_the_check_does_not_read(argv, named, tmp_path, monkeypatch, capsys):
+def test_verify_rejects_flags_the_check_does_not_read(argv, rejected, tmp_path, monkeypatch, capsys):
+    # Each subcommand has only the flags it reads, written in full, so
+    # argparse refuses any other (`--t` is not taken for `--trials`).
     monkeypatch.chdir(tmp_path)
-    assert main(["verify", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert named in captured.err
+    code, out, err = _outcome(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {rejected}\n" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -485,6 +499,7 @@ def test_gen_every_family(family, capsys):
     err = capsys.readouterr().err
     assert f"takes {len(names)} integer parameter(s)" in err
     assert " ".join(names) in err
+    assert family_params(family, [0] * len(names)) == tuple(names)
 
 
 def _readme_paragraph(start: str) -> str:
@@ -502,12 +517,13 @@ def test_readme_lists_match_the_registries():
     verify = _readme_paragraph("`verify` accepts the theorem ids")
     ids = re.search(r"theorem ids `([^`]+)`", verify).group(1).split()
     assert ids == list(THEOREM_IDS)
-    sharp = re.findall(r"`([^`]+)`", verify[verify.index("(families"):])
+    sharpness = _readme_paragraph("`sharpness` accepts the families")
+    sharp = re.findall(r"`([^`]+)`", sharpness[sharpness.index("("):sharpness.index(")")])
     assert [item.split()[0] for item in sharp] == list(SHARPNESS)
     for item in sharp:
-        name, *param = item.split()
-        _, expected, _, _ = SHARPNESS[name]
-        assert param == ([expected] if expected else []), item
+        name, *params = item.split()
+        registry = FAMILIES[SHARPNESS[name][0]]
+        assert params == list(inspect.signature(registry).parameters), item
 
 
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
@@ -557,15 +573,16 @@ def test_main_reuses_one_parser(c5_file, tmp_path, monkeypatch, capsys):
         ["gen", "S", "3"],
         ["verify", "2.2", "--trials", "3", "--seed", "1"],
         ["cfc", c5_file, "--format", "dot"],  # argparse usage error
-        ["verify", "2.4", "--t", "5"],  # a flag the check does not read
+        ["verify", "2.4", "--t", "5"],  # a flag verify does not have
         ["analyze", "--format", "text", c5_file],
         ["gen", "path", "4", "--format", "dot"],
+        ["sharpness", "remark4-H", "5"],
     ]
     fresh = []
     for argv in sequence:
         build_parser.cache_clear()
         fresh.append(_outcome(argv, capsys))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
 
     built = []
     init = argparse.ArgumentParser.__init__
@@ -667,6 +684,35 @@ def test_hostile_header_fails_at_the_header_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert f"n: {MAX_VERTEX_COUNT}\n" in proc.stdout
     assert "connected: False\n" in proc.stdout
+
+
+def test_gen_refuses_an_oversized_family_in_bounded_memory(tmp_path):
+    # Each of these would have more vertices or edges than the parser
+    # reads; it is refused before its edge list is built, under a 1 GiB
+    # address-space limit, and no file is written.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    out = tmp_path / "big.edges"
+    for params in (
+        ["path", str(MAX_VERTEX_COUNT + 1)],
+        ["cycle", str(MAX_VERTEX_COUNT + 1)],
+        ["complete", "6000"],
+        ["H", "100000000", "3"],
+        ["H", "3", "100000000"],
+        ["R", "100000000"],
+        ["D", "100000000"],
+        ["remark4-H", "100000000"],
+        ["random", "100000", "50", "0"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfcgraph.cli", "gen", *params, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), params
+        assert re.fullmatch(rf"error: order \d+ or edge count \d+ is above {MAX_VERTEX_COUNT}\n", proc.stderr)
+        assert not out.exists()
 
 
 @settings(max_examples=300, deadline=None)

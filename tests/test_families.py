@@ -127,9 +127,33 @@ def test_random_connected_full_probability_is_complete():
     assert cfc.is_complete(fam.gen_random_connected(6, 1.0, seed=1))
 
 
-def test_random_connected_exhausts_retries_when_too_sparse():
-    with pytest.raises(RetriesExhaustedError):
-        fam.gen_random_connected(30, 0.01, seed=0, max_retries=5)
+def test_random_connected_exhausts_retries_when_too_sparse(monkeypatch):
+    monkeypatch.setattr(fam, "CONNECTED_RETRIES", 5)
+    with pytest.raises(RetriesExhaustedError, match="in 5 tries$"):
+        fam.gen_random_connected(30, 0.01, seed=0)
+
+
+# A family on each side of a size cap of 20, in place of MAX_VERTEX_COUNT:
+# (family, largest params that fit, params one step past the cap).
+SIZE_CAP_CASES = [
+    ("path", (20,), (21,)),
+    ("cycle", (20,), (21,)),
+    ("complete", (6,), (7,)),  # 15 and 21 edges
+    ("H", (3, 4), (3, 5)),  # 20 and 32 edges
+    ("R", (3,), (4,)),  # order 8 and 15, 9 and 24 edges
+    ("S", (3,), (4,)),  # 19 and 34 edges
+    ("remark4-H", (15,), (16,)),  # 20 and 21 edges, of which 15 and 16 on the path
+    ("random", (6, 50, 0), (7, 50, 0)),  # 15 and 21 possible edges
+]
+
+
+@pytest.mark.parametrize("family,fits,too_large", SIZE_CAP_CASES, ids=[c[0] for c in SIZE_CAP_CASES])
+def test_generators_refuse_graphs_past_the_size_cap(family, fits, too_large, monkeypatch):
+    monkeypatch.setattr(fam, "MAX_VERTEX_COUNT", 20)
+    g = fam.FAMILIES[family](*fits)
+    assert max(g.vertex_count, g.edge_count) <= 20
+    with pytest.raises(ParamOutOfRangeError, match="is above 20$"):
+        fam.FAMILIES[family](*too_large)
 
 
 def test_degree_filtered_samples_respect_cut_edge_bound():

@@ -26,8 +26,11 @@ re-recorded when Lemma 2.2 came to be checked as its contrapositive: its
 hypothesis is the one clause ``outside_shape`` (C(G) fails the lemma's
 shape), which one of the five trials passes (``hypothesis_pass_count``
 4 -> 1), in place of ``oracle_feasible`` and ``cfc_equals_two``; no trial
-fails the conclusion on either reading.  A mismatch means the CLI's output
-changed.
+fails the conclusion on either reading.  ``verify-sharpness-S`` was
+re-recorded as ``sharpness S 3`` when the sharpness checks moved from
+``verify sharpness:S --t 3`` to their own subcommand: only its
+``"command"`` changed, ``"verify"`` -> ``"sharpness"``.  A mismatch means
+the CLI's output changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.
 """

@@ -99,6 +99,12 @@ def test_cut_edge_bounds_reject_small_k_first(theorem, k, message):
             check_theorem(g, theorem, k=k)
 
 
+def test_a_theorem_without_a_k_rule_refuses_k():
+    for theorem in ("2.2", "4.1"):
+        with pytest.raises(ParamOutOfRangeError, match=f"^theorem {theorem} takes no k$"):
+            check_theorem(fam.gen_path(4), theorem, k=3)
+
+
 def test_harness_thm_3_1_no_counterexamples():
     report = run_harness("3.1", trials=60, seed=7, k=3, n_max=12)
     assert report.conclusion_fail_count == 0
@@ -128,17 +134,17 @@ def test_harness_lemma_2_3():
 @pytest.mark.parametrize(
     "family,params",
     [
-        ("S", {"t": 3}),
-        ("remark4-H", {"t": 5}),
-        ("remark4-G", {"n": 15}),
-        ("remark5", {"t": 6}),
-        ("remark6-H", {"n": 12}),
-        ("remark6-G", {}),
-        ("remark7", {"n": 11}),
+        ("S", (3,)),
+        ("remark4-H", (5,)),
+        ("remark4-G", (15,)),
+        ("remark5", (6,)),
+        ("remark6-H", (12,)),
+        ("remark6-G", ()),
+        ("remark7", (11,)),
     ],
 )
 def test_sharpness_families_hold(family, params):
-    result = check_sharpness(family, **params)
+    result = check_sharpness(family, *params)
     assert result["margin_ok"], result
     assert result["holds"], result
     assert result["cfc_at_least_3"] is True
@@ -147,24 +153,25 @@ def test_sharpness_families_hold(family, params):
 # Every sharpness payload over these parameter ranges, in this order.
 # remark4-H stops at t = 15: from t = 16 it no longer misses 4.2's bound by
 # one unit (see the next test).
+# The digest was re-pinned when the payload's params came to be keyed by the
+# registry's names: remark5's path order is "n", no longer "t".
 SHARPNESS_RANGES = {
-    "S": ("t", range(3, 20)),
-    "remark4-H": ("t", range(5, 16)),
-    "remark4-G": ("n", range(15, 76, 5)),
-    "remark5": ("t", range(5, 40)),
-    "remark6-H": ("n", range(12, 77, 4)),
-    "remark6-G": (None, [None]),
-    "remark7": ("n", range(11, 33, 3)),
+    "S": range(3, 20),
+    "remark4-H": range(5, 16),
+    "remark4-G": range(15, 76, 5),
+    "remark5": range(5, 40),
+    "remark6-H": range(12, 77, 4),
+    "remark6-G": [None],
+    "remark7": range(11, 33, 3),
 }
-SHARPNESS_DIGEST = "ae161321e0338c1bc698285c4bd4677b24898682e6b72d0881761e836ed2b83d"
+SHARPNESS_DIGEST = "b8de4e9b2ecccb6a77a4d9c23c4c5438d21aa483ab1afd0361e704d349a78043"
 
 
 def test_sharpness_payloads_digest():
     digest = hashlib.sha256()
-    for family, (param, values) in SHARPNESS_RANGES.items():
+    for family, values in SHARPNESS_RANGES.items():
         for value in values:
-            params = {} if param is None else {param: value}
-            payload = check_sharpness(family, **params)
+            payload = check_sharpness(family, *([] if value is None else [value]))
             digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == SHARPNESS_DIGEST
 
@@ -174,28 +181,28 @@ def test_remark4_h_misses_theorem_4_2_by_more_than_one_unit_from_order_20(capsys
     # delta >= 3 and 5*delta >= n - 4, so from n = 20 (t = 16) a minimum
     # degree of 3 is still short and the example shows nothing about 4.2.
     for t in range(16, 40):
-        result = check_sharpness("remark4-H", t=t)
+        result = check_sharpness("remark4-H", t)
         assert (result["min_degree"], result["n"]) == (2, t + 4)
         assert (result["margin_ok"], result["cfc_at_least_3"], result["holds"]) == (
             False,
             True,
             False,
         )
-    assert main(["verify", "sharpness:remark4-H", "--t", "16"]) == 5
+    assert main(["sharpness", "remark4-H", "16"]) == 5
     assert json.loads(capsys.readouterr().out)["holds"] is False
 
 
 def test_order_sharpness_needs_order_range_to_be_the_only_failing_clause(monkeypatch):
     # remark6-G's bridges form a 3-star, so against 4.1 it fails
     # linear_forest as well as order_range: not a miss of the order bound.
-    monkeypatch.setitem(theorems.SHARPNESS, "remark6-G", ("remark6-G", None, "4.1", "order"))
+    monkeypatch.setitem(theorems.SHARPNESS, "remark6-G", ("remark6-G", "4.1", "order"))
     assert check_sharpness("remark6-G")["margin_ok"] is False
 
 
 def test_sharpness_refutation_modes():
-    assert check_sharpness("S", t=3)["refutation"] == "sweep"
-    assert check_sharpness("remark4-H", t=5)["refutation"] == "shape"
-    assert check_sharpness("S", t=5)["refutation"] == "skipped"
+    assert check_sharpness("S", 3)["refutation"] == "sweep"
+    assert check_sharpness("remark4-H", 5)["refutation"] == "shape"
+    assert check_sharpness("S", 5)["refutation"] == "skipped"
 
 
 def test_remark5_path_value():
@@ -230,7 +237,7 @@ def test_lemma_2_3_excludes_complete_k2():
         ("2.3", {}, (5, 9), (0.25, 0.55)),
         ("3.1", {}, (9, 14), (0.5, 0.9)),
         ("3.4", {"k": 6, "n_max": 50, "budget": 7}, (42, 50), (0.5, 0.9)),
-        ("4.5", {"k": 4, "n_min": 34}, (34, 36), (0.5, 0.9)),
+        ("4.5", {"n_min": 34}, (34, 36), (0.5, 0.9)),
     ],
     ids=["2.3", "3.1", "3.4", "4.5"],
 )
@@ -259,12 +266,13 @@ def test_harness_samples_the_row_ranges(theorem, kwargs, orders, probabilities, 
         ("3.1", {"k": 2}, UnknownTheoremError, "the cut-edge bound needs k >= 3"),
         ("3.4", {"k": 3}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
         ("3.4", {"k": 4}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
+        ("4.1", {"k": 3}, ParamOutOfRangeError, "theorem 4.1 takes no k"),
         ("4.3", {"n_min": 10}, ParamOutOfRangeError, "empty order range: n_min 10 > n_max 8"),
         ("2.4", {"n_min": 1}, ParamOutOfRangeError, "order range must start at 2 or more, got n_min 1"),
         ("2.2", {"budget": -1}, ParamOutOfRangeError, "budget must be >= 0, got -1"),
         ("2.4", {"trials": -1}, ParamOutOfRangeError, "trials must be >= 0, got -1"),
     ],
-    ids=["3.1-k2", "3.4-k3", "3.4-k4", "empty-range", "range-below-2", "negative-budget", "negative-trials"],
+    ids=["3.1-k2", "3.4-k3", "3.4-k4", "4.1-k3", "empty-range", "range-below-2", "negative-budget", "negative-trials"],
 )
 def test_harness_rejects_bad_arguments_before_sampling(theorem, kwargs, error, message, monkeypatch):
     def no_sampling(*args, **kw):
