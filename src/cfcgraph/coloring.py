@@ -4,11 +4,11 @@ one component larger than a single edge (that one of order at most four).
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .decomposition import (
     BlockDecomposition,
@@ -150,7 +150,8 @@ def _serve_pairs(
     for c, members in sorted(classes.items(), key=lambda item: (len(item[1]), item[0])):
         if not unserved:
             break
-        adj = _adjacency_without(g, colors, c)
+        # The ends of the class's edges hold lists, which s is appended to.
+        adj = _adjacency_without(g, members)
         adj.append([])
         for a, b in members:
             adj[a].append(s)
@@ -178,13 +179,18 @@ def _serve_pairs(
     return served, unserved
 
 
-def _adjacency_without(g: Graph, colors: Sequence[int], color: int) -> List[List[int]]:
-    """Adjacency lists of G - E_color."""
-    adj: List[List[int]] = [[] for _ in range(g.vertex_count)]
-    for (x, y), c in zip(g.edges, colors):
-        if c != color:
-            adj[x].append(y)
-            adj[y].append(x)
+def _adjacency_without(g: Graph, removed: Iterable[Edge]) -> List[Sequence[int]]:
+    """The neighbours of each vertex in g without the edges ``removed``, in
+    ascending order.  Each end of a removed edge gets a new list, g's
+    filtered once by the set of its removed neighbours; every other vertex
+    keeps g's tuple, so the cost is O(n) plus the ends' degrees."""
+    adj: List[Sequence[int]] = list(g.adjacency)
+    dropped: DefaultDict[int, Set[int]] = defaultdict(set)
+    for x, y in removed:
+        dropped[x].add(y)
+        dropped[y].add(x)
+    for x, ys in dropped.items():
+        adj[x] = [y for y in adj[x] if y not in ys]
     return adj
 
 
@@ -218,7 +224,8 @@ class WitnessPaths(Mapping):
             return pair
         c, a, b = self._served[pair]
         g, colors = self._coloring.graph, self._coloring.colors
-        to_u, to_v = _two_disjoint_paths(_adjacency_without(g, colors, c), pair, (a, b))
+        color_class = [e for e, k in zip(g.edges, colors) if k == c]
+        to_u, to_v = _two_disjoint_paths(_adjacency_without(g, color_class), pair, (a, b))
         return tuple(to_u) + tuple(reversed(to_v))
 
 

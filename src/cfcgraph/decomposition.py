@@ -220,7 +220,8 @@ def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
     still contains an edge, and for any cut vertex at most one incident block
     (the root-side one) may pick an edge touching it, so the result is a
     matching.  Each block takes its least edge avoiding the attachment, so
-    one scan of the sorted edges finds them all.
+    one scan of the sorted edges finds them all; it stops once every
+    nontrivial block (a block that is not a cut edge) has its edge.
     """
     parent, head = d._parent, d._head
     toward: Dict[int, int] = {}
@@ -229,8 +230,11 @@ def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
         while x != 0:
             toward.setdefault(head[x], x)
             x = parent[x]
+    wanted = d.block_count - len(d.cut_edges)
     chosen: Dict[int, Edge] = {}
     for h, e in d._edges_by_head():
+        if len(chosen) == wanted:
+            break
         if h in chosen or e in d.cut_edges:
             continue
         if not d.cut_vertices or toward.get(h, parent[h]) not in e:

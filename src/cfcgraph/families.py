@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import random
-from itertools import chain, repeat
+from itertools import chain, combinations, compress, repeat, starmap
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import NotConnectedError, ParamOutOfRangeError, RetriesExhaustedError
@@ -167,9 +167,14 @@ def gen_remark7_G(n: int) -> Graph:
 
 
 def _gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """G(n, p): one ``rng.random()`` draw per pair u < v, in lexicographic order."""
-    _check_size(n, n * (n - 1) // 2)
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    """G(n, p): one ``rng.random()`` draw per pair u < v, in lexicographic
+    order, the pair kept when the draw is below ``p``.  The pairs come
+    canonical and sorted, so they make the ``Graph`` as they are; the draws
+    are made one by one as the pairs are read."""
+    pairs = n * (n - 1) // 2
+    _check_size(n, pairs)
+    draws = map(float(p).__gt__, starmap(rng.random, repeat((), pairs)))
+    return Graph(n, tuple(compress(combinations(range(n), 2), draws)))
 
 
 def gen_random_connected(n: int, edge_probability: float, seed: int) -> Graph:

@@ -191,9 +191,32 @@ def nonadjacent_pairs(g: Graph) -> List[Edge]:
 
 
 def min_nonadjacent_degree_sum(g: Graph) -> Optional[int]:
-    """Minimum of deg(x)+deg(y) over nonadjacent pairs; None for complete graphs."""
-    deg = [len(a) for a in g.adjacency]
-    return min((deg[u] + deg[v] for u, v in nonadjacent_pairs(g)), default=None)
+    """Minimum of deg(x)+deg(y) over nonadjacent pairs; None for complete graphs.
+
+    The vertices are scanned in ascending degree.  The first later vertex
+    not adjacent to x gives x's least sum, so x's scan stops there, or as
+    soon as the sum reaches the best so far; the whole scan stops once
+    2 deg(x) does.  x reads at most deg(x) + 1 later vertices, so the cost
+    is O(n log n + m) rather than one step per pair.
+    """
+    n = g.vertex_count
+    adjacency = g.adjacency
+    order = sorted(range(n), key=lambda x: len(adjacency[x]))
+    deg = [len(adjacency[x]) for x in order]
+    best = 2 * n  # above every degree sum
+    for i in range(n):
+        dx = deg[i]
+        if 2 * dx >= best:
+            break
+        neighbours = set(adjacency[order[i]])
+        for j in range(i + 1, n):
+            s = dx + deg[j]
+            if s >= best:
+                break
+            if order[j] not in neighbours:
+                best = s
+                break
+    return best if best < 2 * n else None
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -16,7 +16,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .decomposition import BlockDecomposition, block_decomposition
 from .errors import ParamOutOfRangeError, UnknownTheoremError
-from .families import FAMILIES, family_params, gen_random_connected
+from .families import FAMILIES, _check_size, family_params, gen_random_connected
 from .graph import (
     Graph,
     degree_view,
@@ -225,7 +225,8 @@ THEOREM_IDS = tuple(_THEOREMS)
 def _row_k(theorem: str, k: Optional[int]) -> Tuple[_Theorem, Optional[int]]:
     """The row of ``theorem`` and its k.  A row with a k rule takes its
     least k when k is None, and refuses a smaller one; any other row
-    refuses every k but None."""
+    refuses every k but None.  An unknown theorem raises
+    UnknownTheoremError, a refused k ParamOutOfRangeError."""
     if theorem not in _THEOREMS:
         raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
     row = _THEOREMS[theorem]
@@ -235,7 +236,7 @@ def _row_k(theorem: str, k: Optional[int]) -> Tuple[_Theorem, Optional[int]]:
     elif k is None:
         k = row.k.least
     elif k < row.k.least:
-        raise UnknownTheoremError(f"the {row.k.bound} needs k >= {row.k.least}")
+        raise ParamOutOfRangeError(f"the {row.k.bound} needs k >= {row.k.least}")
     return row, k
 
 
@@ -275,10 +276,12 @@ def run_harness(
     Before the first sample it resolves k as ``check_theorem`` does, takes
     the row's order and edge-probability ranges, lets ``n_min``/``n_max``
     override the order range, and rejects an empty order range, one that
-    starts below 2, a negative ``budget`` (None means unlimited) and negative
-    ``trials``.  A trial is inconclusive when its hypothesis holds and its
-    conclusion is None (the search was skipped or exhausted ``budget``): it
-    is counted in ``inconclusive_count`` and in no other count."""
+    starts below 2, one whose top order the generators' size cap
+    (``families._check_size``) refuses, a negative ``budget`` (None means
+    unlimited) and negative ``trials``.  A trial is inconclusive when its
+    hypothesis holds and its conclusion is None (the search was skipped or
+    exhausted ``budget``): it is counted in ``inconclusive_count`` and in no
+    other count."""
     row, k = _row_k(theorem, k)
     if row.k is None:
         lo, hi, p_min, p_max = row.ranges
@@ -290,6 +293,7 @@ def run_harness(
         raise ParamOutOfRangeError(f"empty order range: n_min {lo} > n_max {hi}")
     if lo < 2:
         raise ParamOutOfRangeError(f"order range must start at 2 or more, got n_min {lo}")
+    _check_size(hi, hi * (hi - 1) // 2)
     _check_budget(budget)
     if trials < 0:
         raise ParamOutOfRangeError(f"trials must be >= 0, got {trials}")

@@ -1,7 +1,8 @@
 """Differential check of the edge-list bulk parser, the graph the parser
 builds from edge keys, the blocks built on first read, C(G) as the structural
-pass reads it off the DFS, the solver's bridge-forest bound h(G), and the JSON
-writer, using only the standard library, for interpreters without pytest.
+pass reads it off the DFS, the solver's bridge-forest bound h(G), the JSON
+writer and the least degree sum of a nonadjacent pair, using only the
+standard library, for interpreters without pytest.
 
     PYTHONPATH=src python tests/stdlib_equivalence.py
 
@@ -16,7 +17,9 @@ bridge-subgraph oracle, on random connected graphs.
 C(G) give it, with each component's diameter found by a search from every
 vertex.
 ``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
-plus a newline on random nested payloads.  Exits 1 on the first mismatch,
+plus a newline on random nested payloads.  ``min_nonadjacent_degree_sum``
+must be the least degree sum over all nonadjacent pairs, on random graphs of
+up to 40 vertices from edgeless to complete, disconnected ones included.  Exits 1 on the first mismatch,
 naming its input.
 
 The generators and checks are also the ones the pytest suite runs, with
@@ -29,11 +32,19 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 from cfcgraph.cli import _render
 from cfcgraph.decomposition import block_decomposition
 from cfcgraph.errors import EdgeListParseError
-from cfcgraph.graph import Graph, _parse_lines, _parse_plain, build_graph, parse_edge_list
+from cfcgraph.graph import (
+    Graph,
+    _parse_lines,
+    _parse_plain,
+    build_graph,
+    min_nonadjacent_degree_sum,
+    parse_edge_list,
+)
 from cfcgraph.solver import bridge_forest_bound
 from conftest import block_oracle, bridge_subgraph_oracle
 
@@ -138,6 +149,17 @@ def bound_agrees(g: Graph) -> bool:
     return bridge_forest_bound(block_decomposition(g).profile) == h
 
 
+def degree_sum_agrees(g: Graph) -> bool:
+    """``min_nonadjacent_degree_sum(g)`` is the least deg(x) + deg(y) over
+    all pairs x < y not joined by an edge, None when every pair is."""
+    deg = [len(a) for a in g.adjacency]
+    sums = (
+        deg[x] + deg[y] for x, y in combinations(range(g.vertex_count), 2)
+        if (x, y) not in g.edge_set
+    )
+    return min_nonadjacent_degree_sum(g) == min(sums, default=None)
+
+
 def render_agrees(payload) -> bool:
     return _render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -180,6 +202,14 @@ def connected_graph(rng: random.Random) -> Graph:
     p = rng.random() ** 2
     chords = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
     return build_graph(n, sorted(tree.union(chords)))
+
+
+def any_graph(rng: random.Random) -> Graph:
+    """A graph on 1-40 vertices with each pair an edge with one probability
+    in [0.02, 1]: from edgeless and disconnected graphs to complete ones."""
+    n = rng.randint(1, 40)
+    p = rng.uniform(0.02, 1.0)
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def string(rng: random.Random) -> str:
@@ -246,9 +276,14 @@ def main() -> int:
         if not bound_agrees(g):
             print(f"h(G) mismatch on {g!r}", file=sys.stderr)
             return 1
+    for _ in range(CASES):
+        g = any_graph(rng)
+        if not degree_sum_agrees(g):
+            print(f"degree sum mismatch on {g!r}", file=sys.stderr)
+            return 1
     print(f"{CASES} texts ({bulk} read in bulk), {CASES} keys-built graphs, "
-          f"{CASES} block decompositions, {CASES} C(G) profiles, {CASES} payloads and "
-          f"{CASES} h(G) bounds agree "
+          f"{CASES} block decompositions, {CASES} C(G) profiles, {CASES} payloads, "
+          f"{CASES} h(G) bounds and {CASES} least degree sums agree "
           f"on Python {sys.version.split()[0]}")
     return 0
 

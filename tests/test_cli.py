@@ -356,6 +356,18 @@ def test_verify_order_range_below_two_is_usage_at_every_seed(capsys):
         assert (captured.out, captured.err) == ("", "error: order range must start at 2 or more, got n_min 1\n")
 
 
+def test_verify_order_range_past_the_size_cap_is_usage_at_every_seed(capsys):
+    # n_max is checked against the generators' size cap before the first
+    # sample, so no trial below the cap runs and the seed does not matter.
+    for seed in range(4):
+        argv = ["verify", "4.1", "--n-min", "1440", "--n-max", "1460", "--seed", str(seed)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: order 1460 or edge count 1065070 is above 1048576\n"
+        )
+
+
 def test_analyze_of_a_graph_without_vertices_is_usage(tmp_path, capsys):
     path = tmp_path / "empty.edges"
     path.write_text("0 0\n")

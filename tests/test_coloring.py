@@ -288,6 +288,38 @@ def test_verifier_matches_pairwise_path_search():
     assert 300 < verified < 900
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_adjacency_without_matches_filtering_the_edges(seed):
+    # For every color class of a random 1-4 coloring: g's adjacency lists
+    # without the class's edges, in ascending order.
+    rng = random.Random(seed)
+    g = gen_random_connected(rng.randint(2, 30), rng.uniform(0.1, 0.9), seed)
+    palette = rng.randint(1, 4)
+    colors = [rng.randint(1, palette) for _ in g.edges]
+    for c in set(colors):
+        expected = [[] for _ in range(g.vertex_count)]
+        for (x, y), k in zip(g.edges, colors):
+            if k != c:
+                expected[x].append(y)
+                expected[y].append(x)
+        removed = [e for e, k in zip(g.edges, colors) if k == c]
+        adj = coloring_module._adjacency_without(g, removed)
+        assert list(map(list, adj)) == [sorted(a) for a in expected]
+        # The ends of removed edges get lists of their own; the rest share g's tuples.
+        ends = {x for e in removed for x in e}
+        assert all((type(a) is list) == (x in ends) for x, a in enumerate(adj))
+
+
+def test_adjacency_without_a_one_color_star():
+    # K1,300 in one color: removing the class leaves no edge, and removing
+    # the odd leaves' edges keeps the even leaves in ascending order.
+    g = cfc.build_graph(301, [(0, leaf) for leaf in range(1, 301)])
+    assert coloring_module._adjacency_without(g, g.edges) == [[] for _ in range(301)]
+    adj = coloring_module._adjacency_without(g, g.edges[::2])
+    assert adj[0] == list(range(2, 301, 2))
+    assert adj[1:] == [[] if leaf % 2 else (0,) for leaf in range(1, 301)]
+
+
 def test_verifier_scales_to_a_chain_of_chorded_cycles():
     # The ladder on 2 x 30 vertices: a 60-cycle with 28 chords, a chain of 29
     # four-cycles with exponentially many paths between its ends.

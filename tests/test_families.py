@@ -178,6 +178,22 @@ def test_glued_blocks_satisfy_two_coloring_hypothesis():
         assert two_coloring_hypothesis_holds(cfc.block_decomposition(g).profile)
 
 
+# gen_random_connected over a grid of (n, p), seeds 0-49: one SHA-256 over
+# repr((n, p, seed, vertex_count, edges)) in grid order, recorded before G(n, p)
+# built its Graph from the drawn pairs directly.  It pins every draw.
+RANDOM_CONNECTED_GRID = [(n, p) for n in range(2, 41) for p in (0.25, 0.5, 0.9)]
+RANDOM_CONNECTED_DIGEST = "8f9e9a9b6bfca6ea86c6d12d065cdd08ccbe90165a1007bda919a64489792bd8"
+
+
+def test_random_connected_keeps_its_samples():
+    digest = hashlib.sha256()
+    for n, p in RANDOM_CONNECTED_GRID:
+        for seed in range(50):
+            g = fam.gen_random_connected(n, p, seed)
+            digest.update(repr((n, p, seed, g.vertex_count, g.edges)).encode())
+    assert digest.hexdigest() == RANDOM_CONNECTED_DIGEST
+
+
 # Every extremal generator's exact vertex numbering over a parameter grid,
 # one SHA-256 per family over repr((params, vertex_count, edges)) in grid
 # order, recorded before the generators shared one clique-gluing builder.

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,14 @@ from cfcgraph.graph import (
     _parse_plain,
     nonadjacent_pairs,
 )
-from stdlib_equivalence import edge_list, edge_list_text, keys_graph_agrees, parse_agrees
+from stdlib_equivalence import (
+    any_graph,
+    degree_sum_agrees,
+    edge_list,
+    edge_list_text,
+    keys_graph_agrees,
+    parse_agrees,
+)
 
 
 def test_build_triangle():
@@ -86,6 +96,24 @@ def test_min_nonadjacent_degree_sum():
     assert cfc.min_nonadjacent_degree_sum(k4) is None
     p3 = cfc.build_graph(3, [(0, 1), (1, 2)])
     assert cfc.min_nonadjacent_degree_sum(p3) == 2
+
+
+def test_min_nonadjacent_degree_sum_matches_brute_force():
+    # The early-stopping scan against every nonadjacent pair, on 500 random
+    # graphs (n 1-40, p 0.02-1) and on complete, edgeless and disconnected ones.
+    rng = random.Random(24)
+    for _ in range(500):
+        g = any_graph(rng)
+        assert degree_sum_agrees(g), g
+    for n in (1, 2, 5, 40):
+        complete = cfc.build_graph(n, combinations(range(n), 2))
+        assert cfc.min_nonadjacent_degree_sum(complete) is None
+    for n in (2, 3, 40):
+        assert cfc.min_nonadjacent_degree_sum(cfc.build_graph(n, [])) == 0
+    two_k5 = cfc.build_graph(10, [*combinations(range(5), 2), *combinations(range(5, 10), 2)])
+    assert cfc.min_nonadjacent_degree_sum(two_k5) == 8
+    k20_and_a_vertex = cfc.build_graph(21, combinations(range(20), 2))
+    assert cfc.min_nonadjacent_degree_sum(k20_and_a_vertex) == 19
 
 
 def test_min_nonadjacent_degree_sum_d_family():

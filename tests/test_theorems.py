@@ -95,7 +95,7 @@ def test_unknown_theorem():
 def test_cut_edge_bounds_reject_small_k_first(theorem, k, message):
     # k is checked before the graph, so a disconnected one gets the same error.
     for g in (fam.gen_path(4), cfc.build_graph(4, [(0, 1), (2, 3)])):
-        with pytest.raises(UnknownTheoremError, match=f"^{message}$"):
+        with pytest.raises(ParamOutOfRangeError, match=f"^{message}$"):
             check_theorem(g, theorem, k=k)
 
 
@@ -263,16 +263,19 @@ def test_harness_samples_the_row_ranges(theorem, kwargs, orders, probabilities, 
 @pytest.mark.parametrize(
     "theorem,kwargs,error,message",
     [
-        ("3.1", {"k": 2}, UnknownTheoremError, "the cut-edge bound needs k >= 3"),
-        ("3.4", {"k": 3}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
-        ("3.4", {"k": 4}, UnknownTheoremError, "the degree-sum cut-edge bound needs k >= 5"),
+        ("3.1", {"k": 2}, ParamOutOfRangeError, "the cut-edge bound needs k >= 3"),
+        ("3.4", {"k": 3}, ParamOutOfRangeError, "the degree-sum cut-edge bound needs k >= 5"),
+        ("3.4", {"k": 4}, ParamOutOfRangeError, "the degree-sum cut-edge bound needs k >= 5"),
         ("4.1", {"k": 3}, ParamOutOfRangeError, "theorem 4.1 takes no k"),
         ("4.3", {"n_min": 10}, ParamOutOfRangeError, "empty order range: n_min 10 > n_max 8"),
         ("2.4", {"n_min": 1}, ParamOutOfRangeError, "order range must start at 2 or more, got n_min 1"),
+        ("4.1", {"n_min": 1440, "n_max": 1460}, ParamOutOfRangeError,
+         "order 1460 or edge count 1065070 is above 1048576"),
         ("2.2", {"budget": -1}, ParamOutOfRangeError, "budget must be >= 0, got -1"),
         ("2.4", {"trials": -1}, ParamOutOfRangeError, "trials must be >= 0, got -1"),
     ],
-    ids=["3.1-k2", "3.4-k3", "3.4-k4", "4.1-k3", "empty-range", "range-below-2", "negative-budget", "negative-trials"],
+    ids=["3.1-k2", "3.4-k3", "3.4-k4", "4.1-k3", "empty-range", "range-below-2", "range-past-size-cap",
+         "negative-budget", "negative-trials"],
 )
 def test_harness_rejects_bad_arguments_before_sampling(theorem, kwargs, error, message, monkeypatch):
     def no_sampling(*args, **kw):
