@@ -196,7 +196,8 @@ def test_random_connected_keeps_its_samples():
 
 # Every extremal generator's exact vertex numbering over a parameter grid,
 # one SHA-256 per family over repr((params, vertex_count, edges)) in grid
-# order, recorded before the generators shared one clique-gluing builder.
+# order, recorded before the generators shared one clique-gluing builder
+# (path, cycle and complete: before they handed their edges to Graph directly).
 # The metric tests above would pass a renumbered graph; these would not.
 EXTREMAL_GRIDS = {
     "H": [(k, t) for k in range(3, 12) for t in range(3, 12)],
@@ -208,6 +209,9 @@ EXTREMAL_GRIDS = {
     "remark6-H": [(n,) for n in range(12, 77, 4)],
     "remark6-G": [()],
     "remark7-G": [(n,) for n in range(11, 33, 3)],
+    "path": [(n,) for n in range(1, 41)],
+    "cycle": [(n,) for n in range(3, 41)],
+    "complete": [(n,) for n in range(1, 21)],
 }
 EXTREMAL_DIGESTS = {
     "H": "40d7adaecaa77e6d308390651bb7835808be7f44c577525f66682e7ae1dc85be",
@@ -219,6 +223,9 @@ EXTREMAL_DIGESTS = {
     "remark6-H": "a5124c5ed078a572b7e34c52385cbccc5702457c5652887a216f2a9f2051a23d",
     "remark6-G": "4c6908f9fe6f278ad146bc4675617b6ded73ba621c0dda6bfa328f93d1e336b1",
     "remark7-G": "081c638f38cd612517911b4e7367fd315b45b5c00fd38e794be26e0d4caefe4a",
+    "path": "60433e5f5eadd8ea323ba8c4fef3308bc2971b96c30404756282a81b275a2470",
+    "cycle": "c6d60c553b369475109838eb5b50d3c4ea56f9d28c99729cd5182e344c2d4655",
+    "complete": "489393efb88a5c964dcd2b2df5344264dd59d3ea8f3164569b3ec430e2aa904d",
 }
 
 
@@ -229,3 +236,18 @@ def test_extremal_generators_keep_their_edge_lists(family):
         g = fam.FAMILIES[family](*params)
         digest.update(repr((params, g.vertex_count, g.edges)).encode())
     assert digest.hexdigest() == EXTREMAL_DIGESTS[family]
+
+
+# gen_random_glued_blocks at the seeds and sizes the tests and the benchmark
+# draw: one SHA-256 over repr((seed, max_vertices, vertex_count, edges)),
+# recorded before the generator stopped building a Graph per block.
+GLUED_BLOCKS_GRID = [(seed, 40) for seed in range(2000)] + [(seed, 16) for seed in range(500)]
+GLUED_BLOCKS_DIGEST = "3c06e58c92429bb2c76ea9cad513232359d8693b5307318a7a19b7f60f505eb5"
+
+
+def test_glued_blocks_keep_their_samples():
+    digest = hashlib.sha256()
+    for seed, max_vertices in GLUED_BLOCKS_GRID:
+        g = fam.gen_random_glued_blocks(seed, max_vertices)
+        digest.update(repr((seed, max_vertices, g.vertex_count, g.edges)).encode())
+    assert digest.hexdigest() == GLUED_BLOCKS_DIGEST
