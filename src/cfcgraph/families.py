@@ -6,6 +6,10 @@ vertex of its clique.  Numbering convention: structural spine first, then
 clique fill-ins in block order, so labels are stable for golden tests.
 ``_glued`` implements it; each extremal generator is one call naming its
 spine, its cut edges and its cliques.
+
+Every generator hands its edges, canonical and sorted, straight to
+``Graph`` and builds each graph once.  ``Graph`` still refuses a repeated or
+out-of-range edge, so a generator bug raises ValueError.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from itertools import chain, combinations, compress, repeat, starmap
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import NotConnectedError, ParamOutOfRangeError, RetriesExhaustedError
-from .graph import MAX_VERTEX_COUNT, Graph, build_graph, is_complete, is_connected
+from .graph import MAX_VERTEX_COUNT, Graph, canonical_edge, is_complete, is_connected
 from .decomposition import block_decomposition
 
 # Samples drawn before the random generators give up.
@@ -37,33 +41,39 @@ def _glued(
 ) -> Graph:
     """Spine vertices 0..spine-1 joined by ``edges``, which may also name
     clique vertices.  Each ``(attached, order)`` of ``cliques`` adds a
-    K_order made of the ``attached`` spine vertices and fresh fill vertices,
-    numbered on from every vertex before them.  The size is checked clique
-    by clique, and ``edges`` is read only then, so both may be lazy."""
+    K_order made of the ``attached`` spine vertices, in ascending order, and
+    fresh fill vertices, numbered on from every vertex before them; its
+    edges come out canonical.  The size is checked clique by clique, and
+    ``edges`` is read only then, so both may be lazy.  ``edges`` may name a
+    pair either way round, but no edge twice, nor a clique edge."""
     n, m, clique_edges = spine, 0, []
     for attached, order in cliques:
         fill = order - len(attached)
         n, m = n + fill, m + order * (order - 1) // 2
         _check_size(n, m)
-        vertices = [*attached, *range(n - fill, n)]
-        clique_edges += [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
-    edges = list(edges)
+        clique_edges += combinations([*attached, *range(n - fill, n)], 2)
+    edges = list(starmap(canonical_edge, edges))
     _check_size(n, m + len(edges))
-    return build_graph(n, edges + clique_edges)
+    return Graph(n, tuple(sorted(edges + clique_edges)))
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ParamOutOfRangeError("path needs order >= 1")
     _check_size(n, n - 1)
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, tuple(zip(range(n - 1), range(1, n))))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ParamOutOfRangeError("cycle needs order >= 3")
     _check_size(n, n)
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, _cycle_edges(n))
+
+
+def _cycle_edges(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The n >= 3 edges of the cycle 0, 1, ..., n-1, canonical and sorted."""
+    return ((0, 1), (0, n - 1), *zip(range(1, n - 1), range(2, n)))
 
 
 def gen_complete(n: int) -> Graph:
@@ -212,24 +222,24 @@ def gen_random_bridgeless(n: int, edge_probability: float, seed: int) -> Graph:
     )
 
 
-def _random_block(rng: random.Random, max_order: int) -> Graph:
+def _random_block(rng: random.Random, max_order: int) -> Tuple[int, set]:
     """A small random 2-edge-connected building block (cycle, clique, or a
-    cycle with chords)."""
+    cycle with chords) of order ``r``, 4 <= ``max_order`` <= 7, as ``(r,
+    edges)``: its canonical edges on vertices 0..r-1, as a set, since a chord
+    may repeat a cycle edge."""
     kind = rng.choice(("cycle", "clique", "chorded"))
-    if kind == "cycle":
-        r = rng.randint(3, min(7, max_order))
-        return gen_cycle(r)
     if kind == "clique":
         r = rng.randint(3, min(6, max_order))
-        return gen_complete(r)
-    r = rng.randint(4, min(7, max_order)) if max_order >= 4 else 3
-    edges = [(i, (i + 1) % r) for i in range(r)]
-    for _ in range(rng.randint(1, 3)):
-        u = rng.randrange(r)
-        v = rng.randrange(r)
-        if u != v:
-            edges.append((min(u, v), max(u, v)))
-    return build_graph(r, edges)
+        return r, set(combinations(range(r), 2))
+    r = rng.randint(3 if kind == "cycle" else 4, max_order)
+    edges = set(_cycle_edges(r))
+    if kind == "chorded":
+        for _ in range(rng.randint(1, 3)):
+            u = rng.randrange(r)
+            v = rng.randrange(r)
+            if u != v:
+                edges.add(canonical_edge(u, v))
+    return r, edges
 
 
 def gen_random_glued_blocks(seed: int, max_vertices: int = 40) -> Graph:
@@ -237,44 +247,53 @@ def gen_random_glued_blocks(seed: int, max_vertices: int = 40) -> Graph:
     2-edge-connected blocks chained by bridges whose induced subgraph is a
     linear forest with at most one component of order 3 or 4.
 
-    The resulting graph is always connected and non-complete.
+    The resulting graph is always connected and non-complete, with at most
+    ``max_vertices`` >= 4 vertices: no connected, non-complete,
+    2-edge-connected graph has fewer.
     """
+    if max_vertices < 4:
+        raise ParamOutOfRangeError("glued blocks need max_vertices >= 4")
     rng = random.Random(seed)
-    # At most 5 blocks of <= 7 vertices plus 2 connector vertices: n <= 37.
+    # At most 5 blocks of <= 7 vertices plus 2 connector vertices, and one
+    # block alone below 16 vertices: n <= min(37, max_vertices).
+    max_order = min(7, max_vertices)
     block_count = rng.randint(1, max(1, min(5, (max_vertices - 2) // 7)))
-    blocks = [_random_block(rng, 7) for _ in range(block_count)]
-    if block_count == 1 and is_complete(blocks[0]):
+    blocks = [_random_block(rng, max_order) for _ in range(block_count)]
+    r, first = blocks[0]
+    if block_count == 1 and len(first) == r * (r - 1) // 2:
         # A lone complete block would make the whole graph complete.
-        blocks[0] = gen_cycle(rng.randint(4, 7))
+        r = rng.randint(4, max_order)
+        blocks[0] = r, _cycle_edges(r)
 
     edges = []
     offsets = []
     base = 0
-    for b in blocks:
+    for r, block_edges in blocks:
         offsets.append(base)
-        edges.extend((u + base, v + base) for u, v in b.edges)
-        base += b.vertex_count
+        edges += [(u + base, v + base) for u, v in block_edges]
+        base += r
     n = base
 
     # Chain consecutive blocks; one connector may carry 1 or 2 middle
-    # vertices, which makes its bridge component order 3 or 4.
+    # vertices, which makes its bridge component order 3 or 4.  Block i's
+    # vertices come before block i+1's, and the middle vertices after both.
     long_connector = rng.randrange(block_count - 1) if block_count > 1 else None
     used = {i: set() for i in range(block_count)}
     for i in range(block_count - 1):
-        a_choices = [v for v in range(blocks[i].vertex_count) if v not in used[i]]
-        b_choices = [v for v in range(blocks[i + 1].vertex_count) if v not in used[i + 1]]
+        a_choices = [v for v in range(blocks[i][0]) if v not in used[i]]
+        b_choices = [v for v in range(blocks[i + 1][0]) if v not in used[i + 1]]
         a = offsets[i] + rng.choice(a_choices)
         b = offsets[i + 1] + rng.choice(b_choices)
         used[i].add(a - offsets[i])
         used[i + 1].add(b - offsets[i + 1])
         if i == long_connector and rng.random() < 0.7:
             middles = rng.randint(1, 2)
-            chain = [a] + [n + j for j in range(middles)] + [b]
+            path = [a, *range(n, n + middles), b]
             n += middles
-            edges.extend(zip(chain, chain[1:]))
+            edges += map(canonical_edge, path, path[1:])
         else:
             edges.append((a, b))
-    return build_graph(n, edges)
+    return Graph(n, tuple(sorted(edges)))
 
 
 # The family names of `cfcgraph gen` and of the sharpness checks.

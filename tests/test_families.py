@@ -113,6 +113,9 @@ def test_param_validation():
         fam.gen_remark4_G(12)
     with pytest.raises(ParamOutOfRangeError):
         fam.gen_remark7_G(35)
+    for max_vertices in (3, 0, -5):
+        with pytest.raises(ParamOutOfRangeError, match="max_vertices >= 4"):
+            fam.gen_random_glued_blocks(0, max_vertices)
 
 
 def test_generators_are_deterministic():
@@ -167,12 +170,20 @@ def test_degree_filtered_samples_respect_cut_edge_bound():
     assert found > 0
 
 
-def test_glued_blocks_satisfy_two_coloring_hypothesis():
+# (max_vertices, seeds): the default, and the small caps at which the lone
+# block, and the cycle that replaces a complete one, must keep to the cap.
+GLUED_HYPOTHESIS_CASES = [(40, range(50))] + [(mv, range(500)) for mv in range(4, 11)]
+
+
+@pytest.mark.parametrize(
+    "max_vertices,seeds", GLUED_HYPOTHESIS_CASES, ids=[str(c[0]) for c in GLUED_HYPOTHESIS_CASES]
+)
+def test_glued_blocks_satisfy_two_coloring_hypothesis(max_vertices, seeds):
     from cfcgraph.coloring import two_coloring_hypothesis_holds
 
-    for seed in range(50):
-        g = fam.gen_random_glued_blocks(seed)
-        assert g.vertex_count <= 40
+    for seed in seeds:
+        g = fam.gen_random_glued_blocks(seed, max_vertices)
+        assert g.vertex_count <= max_vertices
         assert cfc.is_connected(g)
         assert not cfc.is_complete(g)
         assert two_coloring_hypothesis_holds(cfc.block_decomposition(g).profile)
