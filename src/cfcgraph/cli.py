@@ -7,12 +7,16 @@ verification failed.
 All JSON output is deterministic for fixed flags (sorted keys, no
 timestamps).  ``main`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and it holds nothing
-derived from any input.
+derived from any input.  Each call runs with the cyclic garbage collector
+paused and gives the caller's collector state back on every exit: a command
+makes no reference cycles, so reference counting frees all it drops, while
+the collector would only re-walk a large graph as it is built.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Dict, List, Optional
@@ -318,17 +322,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Resolved per call rather than stored in the shared parser, so a
-    # rebound module-level command function is the one that runs.
-    command = globals()["cmd_" + args.subcommand]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        # Resolved per call rather than stored in the shared parser, so a
+        # rebound module-level command function is the one that runs.
+        command = globals()["cmd_" + args.subcommand]
         return command(args)
-    except (CfcError, FileNotFoundError) as exc:
+    # An unreadable or unwritable path (OSError) and a file that is not
+    # UTF-8 text are usage errors, as a malformed one is.
+    except (CfcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (HypothesisViolatedError, CompleteGraphError)):
             return EXIT_HYPOTHESIS
         return EXIT_BUDGET if isinstance(exc, BudgetExhaustedError) else EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

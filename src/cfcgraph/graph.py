@@ -25,8 +25,8 @@ Edge = Tuple[int, int]
 # Largest vertex count an edge-list file may declare.  Every vertex, even an
 # isolated one, costs memory, so a larger header is refused before anything
 # is allocated.  Peak RSS of `analyze` at this order (child ru_maxrss, Python
-# 3.11.7): 97 MB for a one-edge header, 645 MB (about 0.63 KB a vertex) for the
-# path, of which parsing reaches 335 MB and parsing plus decomposition 529 MB.
+# 3.11.7): 97 MB for a one-edge header, 641 MB (about 0.63 KB a vertex) for the
+# path, of which parsing reaches 334 MB and parsing plus decomposition 531 MB.
 MAX_VERTEX_COUNT = 1 << 20
 
 

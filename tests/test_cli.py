@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import inspect
 import json
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cfcgraph import cli, theorems
 from cfcgraph.cli import build_parser, main
 from cfcgraph.coloring import CfcVerdict
+from cfcgraph.errors import BudgetExhaustedError, EdgeListParseError, HypothesisViolatedError
 from cfcgraph.families import FAMILIES, family_params
 from cfcgraph.graph import MAX_VERTEX_COUNT, parse_edge_list
 from cfcgraph.theorems import SHARPNESS, THEOREM_IDS
@@ -118,6 +120,35 @@ def test_analyze_repeated_edge_is_usage(tmp_path, capsys):
 
 def test_analyze_missing_file_is_usage(capsys):
     assert main(["analyze", "/nonexistent/path.edges"]) == 2
+
+
+# Each case names a command line; "{c5}", "{dir}" and "{latin1}" stand for a
+# readable edge list, a directory and a file that is not UTF-8 text.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["analyze", "{c5}", "--out", "{dir}"],
+        ["cfc", "{c5}", "--out", "{dir}"],
+        ["color2", "{c5}", "--out", "{dir}"],
+        ["check", "{c5}", "{dir}"],
+        ["analyze", "{latin1}"],
+        ["color2", "{latin1}"],
+        ["cfc", "{latin1}"],
+        ["check", "{latin1}", "{c5}"],
+        ["check", "{c5}", "{latin1}"],
+    ],
+    ids=lambda argv: "_".join(a.strip("{}-") for a in argv),
+)
+def test_unreadable_paths_and_non_utf8_files_are_usage(argv, c5_file, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.edges"
+    latin1.write_bytes("# caf\u00e9\n2 1\n0 1\n".encode("latin-1"))
+    names = {"{c5}": c5_file, "{dir}": str(tmp_path), "{latin1}": str(latin1)}
+    assert main([names.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_color2_success(c5_file, tmp_path, capsys):
@@ -373,6 +404,98 @@ def test_analyze_of_a_graph_without_vertices_is_usage(tmp_path, capsys):
     path.write_text("0 0\n")
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == "error: line 1: graph must have at least one vertex\n"
+
+
+def _set_collector(collecting):
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after a test that switches it."""
+    collecting = gc.isenabled()
+    yield
+    _set_collector(collecting)
+
+
+def _raise(exc):
+    raise exc
+
+
+# How the stand-in for `cmd_analyze` ends, and what `main` then does.
+PAUSE_EXITS = {
+    "exit-0": (lambda: 0, 0),
+    "exit-5": (lambda: 5, 5),
+    "parse-error-2": (lambda: _raise(EdgeListParseError("bad", 1)), 2),
+    "hypothesis-3": (lambda: _raise(HypothesisViolatedError("no")), 3),
+    "budget-4": (lambda: _raise(BudgetExhaustedError(2, 3, 9)), 4),
+    "file-not-found-2": (lambda: _raise(FileNotFoundError("gone")), 2),
+    "keyboard-interrupt": (lambda: _raise(KeyboardInterrupt()), KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("ending", list(PAUSE_EXITS))
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+    ending, collecting, collector_state, monkeypatch, capsys
+):
+    body, expected = PAUSE_EXITS[ending]
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        return body()
+
+    monkeypatch.setattr(cli, "cmd_analyze", command)
+    _set_collector(collecting)
+    if expected is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["analyze", "g.edges"])
+    else:
+        assert main(["analyze", "g.edges"]) == expected
+    assert seen == [False]
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_an_argparse_exit_restores_the_callers_collector_state(collecting, collector_state, capsys):
+    _set_collector(collecting)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "g.edges", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert gc.isenabled() is collecting
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, collector_state, capsys):
+    """Every command on the golden inputs frees all it drops by reference
+    counting alone, which is what lets `main` pause the collector."""
+    inputs = sorted((Path(__file__).parent / "golden" / "inputs").glob("*.edges"))
+    argvs = []
+    for path in inputs:
+        coloring = str(tmp_path / f"{path.stem}.coloring")
+        argvs += [
+            ["analyze", str(path)],
+            ["analyze", str(path), "--format", "text"],
+            ["color2", str(path), "--out", coloring],
+            ["check", str(path), coloring],
+            ["cfc", str(path), "--budget", "400000"],
+        ]
+    argvs += [["gen", "H", "3", "3"], ["gen", "random", "8", "60", "5", "--format", "dot"]]
+    argvs += [["verify", theorem, "--trials", "3"] for theorem in THEOREM_IDS]
+    argvs += [["sharpness", "S", "3"], ["sharpness", "remark4-H", "5"]]
+    main(["gen", "path", "3"])  # builds the shared parser
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    found = {}
+    for argv in argvs:
+        main(argv)
+        capsys.readouterr()
+        found[" ".join(argv)] = gc.collect()
+    assert {argv: count for argv, count in found.items() if count} == {}
 
 
 def test_console_entry_point_runs():
