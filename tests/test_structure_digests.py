@@ -7,6 +7,9 @@ blocks and of each block's edges and vertices, C(G)'s component orders, and
 which edge serves each pair.  ``DECOMPOSITION_DIGEST`` was re-pinned when
 C(G) came to be read off the DFS arrays: its value is the one the record
 below gave with the earlier, separate walk of C(G).
+``RANDOM_SERVE_PAIRS_DIGEST`` covers the random colourings alone, so that a
+change to ``construct_two_coloring`` that moves ``SERVE_PAIRS_DIGEST`` is seen
+to leave the verifier as it was.
 """
 import functools
 import hashlib
@@ -39,6 +42,7 @@ LARGE = [("path", (2000,)), ("H", (200, 3))]
 LARGE_PAIR_SAMPLE = 400
 
 DECOMPOSITION_DIGEST = "acea18b31c0347adb939f94cbf8c8a63a6033de11e6254950a92af2f199b31cb"
+RANDOM_SERVE_PAIRS_DIGEST = "114070e8af27494de616129167f14482c341876d8730bf014e5356d3d37fb66c"
 SERVE_PAIRS_DIGEST = "b977757f218144dcc3da30bbe9c010022d620a0cf9fe137d44be56d0121e297a"
 
 
@@ -82,9 +86,10 @@ def test_block_decomposition_digest():
     assert digest.hexdigest() == DECOMPOSITION_DIGEST
 
 
-def test_serve_pairs_digest():
-    """A random 2- and 3-colouring of every graph, so that verdicts fail as
-    well as hold, and the constructed 2-colouring wherever it applies."""
+def _serve_pairs_digest(constructed):
+    """Digest of ``_serve_pairs`` on a random 2- and 3-colouring of every
+    graph, so that verdicts fail as well as hold, and, when ``constructed``,
+    on the constructed 2-colouring wherever it applies."""
     rng = random.Random(7)
     digest = hashlib.sha256()
     failing = holding = 0
@@ -92,7 +97,11 @@ def test_serve_pairs_digest():
         if pairs is None:
             pairs = nonadjacent_pairs(g)
         colorings = [[rng.randint(1, t) for _ in g.edges] for t in (2, 3)]
-        if not is_complete(g) and two_coloring_hypothesis_holds(block_decomposition(g).profile):
+        if (
+            constructed
+            and not is_complete(g)
+            and two_coloring_hypothesis_holds(block_decomposition(g).profile)
+        ):
             colorings.append(construct_two_coloring(g).colors)
         for colors in colorings:
             served, unserved = _serve_pairs(g, colors, list(pairs))
@@ -100,5 +109,13 @@ def test_serve_pairs_digest():
             holding += not unserved
             digest.update(repr((sorted(served.items()), unserved)).encode())
     assert failing and holding
-    assert digest.hexdigest() == SERVE_PAIRS_DIGEST
+    return digest.hexdigest()
 
+
+def test_serve_pairs_digest():
+    assert _serve_pairs_digest(constructed=True) == SERVE_PAIRS_DIGEST
+
+
+def test_serve_pairs_digest_on_random_colourings():
+    """The verifier alone: a change to the construction leaves this one."""
+    assert _serve_pairs_digest(constructed=False) == RANDOM_SERVE_PAIRS_DIGEST
