@@ -21,7 +21,7 @@ from .decomposition import (
     BlockDecomposition,
     CutEdgeProfile,
     block_decomposition,
-    select_block_matching,
+    select_block_edges,
 )
 from .graph import (
     Graph,

@@ -38,7 +38,7 @@ from .errors import (
     NotConnectedError,
 )
 from .families import FAMILIES, family_params
-from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list
+from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list, read_text
 from .solver import exact_cfc
 from .theorems import check_sharpness, run_harness
 
@@ -176,8 +176,7 @@ def cmd_color2(args) -> int:
 
 def cmd_check(args) -> int:
     g = read_edge_list(args.input)
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        coloring = parse_coloring(fh.read(), g)
+    coloring = parse_coloring(read_text(args.coloring), g)
     verdict = verify_conflict_free_connected(coloring)
     payload = {
         "command": "check",
@@ -330,9 +329,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # rebound module-level command function is the one that runs.
         command = globals()["cmd_" + args.subcommand]
         return command(args)
-    # An unreadable or unwritable path (OSError) and a file that is not
-    # UTF-8 text are usage errors, as a malformed one is.
-    except (CfcError, OSError, UnicodeDecodeError) as exc:
+    # An unreadable or unwritable path (OSError) is a usage error, as a
+    # malformed file is.
+    except (CfcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (HypothesisViolatedError, CompleteGraphError)):
             return EXIT_HYPOTHESIS

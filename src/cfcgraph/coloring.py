@@ -1,6 +1,8 @@
 """Edge colorings, conflict-free connectivity verification, and the explicit
 two-coloring for graphs whose bridge subgraph is a linear forest with at most
-one component larger than a single edge (that one of order at most four).
+one component larger than a single edge (that one of order at most four):
+one color-2 edge in each nontrivial block, and one on that component's second
+bridge.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .decomposition import (
     CutEdgeProfile,
     _lowpoint,
     block_decomposition,
-    select_block_matching,
+    select_block_edges,
 )
 from .errors import (
     CompleteGraphError,
@@ -305,12 +307,16 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
     """The explicit conflict-free connection 2-coloring.
 
     ``d`` is g's block decomposition, computed here when not given.
-    Matching edges (one per nontrivial block) get color 2; the largest bridge
+    The least edge of each nontrivial block gets color 2; the largest bridge
     component, read from its least end, is colored 1 / 1,2 / 1,2,1 depending
-    on order; every other edge gets color 1.  Under the hypothesis the
-    vertices on two bridges are the inner vertices of that component, so its
-    second edge is found without walking it: between the two inner vertices
-    of a P4, or from the inner vertex of a P3 to its larger other end.
+    on order; every other edge gets color 1.  A nontrivial block B is
+    2-connected, so B minus its color-2 edge e is connected, and any two
+    edges of B lie on a common cycle: between distinct vertices B has a route
+    without e and one through e, so the color-2 edges need not be a matching.
+    Under the hypothesis the vertices on two bridges are the inner vertices
+    of that component, so its second edge is found without walking it:
+    between the two inner vertices of a P4, or from the inner vertex of a P3
+    to its larger other end.
     """
     if is_complete(g):
         raise CompleteGraphError("complete graphs need only one color")
@@ -323,7 +329,7 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
             f"of order 3..4 (orders {list(profile.component_orders)})"
         )
 
-    twos = set(select_block_matching(d))
+    twos = set(select_block_edges(d))
     if profile.max_component_edges >= 2:
         # Bridges lie in no nontrivial block, so only the path's second edge
         # differs from color 1.

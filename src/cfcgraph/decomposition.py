@@ -1,6 +1,6 @@
 """Structural analysis: cut edges, blocks, cut vertices, the bridge-induced
-subgraph C(G) with its linear-forest classification, and the per-block
-matching selection used by the two-coloring construction.
+subgraph C(G) with its linear-forest classification, and the one edge per
+nontrivial block that the two-coloring construction colors 2.
 
 ``block_decomposition`` is the one structural pass and the only entry point:
 one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
@@ -8,7 +8,7 @@ and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
 marks each vertex with the head of its block.  The block count, the cut
 vertices, the cut edges and C(G)'s component orders come straight from the
 DFS arrays; ``d.blocks`` groups the edges by block head only when first read,
-and ``select_block_matching`` reads the same arrays without building a block.
+and ``select_block_edges`` reads the same arrays without building a block.
 The verifier's per-edge rule in ``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
@@ -52,7 +52,6 @@ class BlockDecomposition:
     profile: CutEdgeProfile
     _graph: Graph = field(repr=False)
     _disc: List[int] = field(repr=False, compare=False)
-    _parent: List[int] = field(repr=False, compare=False)
     _head: List[int] = field(repr=False, compare=False)
 
     @property
@@ -203,46 +202,19 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         profile=profile,
         _graph=g,
         _disc=disc,
-        _parent=parent,
         _head=head,
     )
 
 
-def select_block_matching(d: BlockDecomposition) -> Tuple[Edge, ...]:
-    """Choose one edge per nontrivial block so the choices form a matching;
-    returns them sorted.
-
-    The block-cut tree is rooted at the lowest-index cut vertex c (or at the
-    unique block when there is none); each nontrivial block avoids the cut
-    vertex on its path toward c, its attachment.  A block attaches at its top
-    vertex, except on the DFS tree path from the root to c, where it attaches
-    at its deepest vertex on that path.  A 2-connected block minus one vertex
-    still contains an edge, and for any cut vertex at most one incident block
-    (the root-side one) may pick an edge touching it, so the result is a
-    matching.  Each block takes its least edge avoiding the attachment, so
-    one scan of the sorted edges finds them all; it stops once every
-    nontrivial block (a block that is not a cut edge) has its edge.
-    """
-    parent, head = d._parent, d._head
-    toward: Dict[int, int] = {}
-    if d.cut_vertices:
-        x = min(d.cut_vertices)
-        while x != 0:
-            toward.setdefault(head[x], x)
-            x = parent[x]
+def select_block_edges(d: BlockDecomposition) -> Tuple[Edge, ...]:
+    """The least edge of each nontrivial block (a block that is not a cut
+    edge), sorted.  One scan of the sorted edges finds them all; it stops once
+    every nontrivial block has its edge."""
     wanted = d.block_count - len(d.cut_edges)
     chosen: Dict[int, Edge] = {}
     for h, e in d._edges_by_head():
         if len(chosen) == wanted:
             break
-        if h in chosen or e in d.cut_edges:
-            continue
-        if not d.cut_vertices or toward.get(h, parent[h]) not in e:
+        if h not in chosen and e not in d.cut_edges:
             chosen[h] = e
-    matching = sorted(chosen.values())
-    # Matching property is guaranteed by construction; check defensively.
-    used = set()
-    for u, v in matching:
-        assert u not in used and v not in used, "chosen edges are not a matching"
-        used.update((u, v))
-    return tuple(matching)
+    return tuple(sorted(chosen.values()))

@@ -353,9 +353,30 @@ def _parse_lines(text: str) -> Graph:
     return Graph._from_keys(n, sorted(seen))
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``.  A byte that is not UTF-8 is
+    an EdgeListParseError at the line that holds the first such byte,
+    numbered as the parsers number lines; only then is the file re-read as
+    bytes to find it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line is the last line of the good prefix plus one
+        # character; its line breaks count as they do in the decoded text.
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise EdgeListParseError(
+            f"{path} is not UTF-8 text (byte 0x{data[exc.start]:02x})", lineno
+        ) from None
+
+
 def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(read_text(path))
 
 
 def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:

@@ -151,6 +151,25 @@ def test_unreadable_paths_and_non_utf8_files_are_usage(argv, c5_file, tmp_path, 
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["analyze", "{bad}"], "3 2\n0 1\n1 2 # caf\u00e9\n"),
+        (["check", "{ok}", "{bad}"], "coloring 2\n0 1 1\n1 2 2 # caf\u00e9\n"),
+    ],
+    ids=["edge-list", "coloring"],
+)
+def test_non_utf8_input_names_its_file_and_line(argv, bad, tmp_path, capsys):
+    ok, bad_path = tmp_path / "ok.edges", tmp_path / "bad.txt"
+    ok.write_text("3 2\n0 1\n1 2\n")
+    bad_path.write_bytes(bad.encode("latin-1"))
+    names = {"{ok}": str(ok), "{bad}": str(bad_path)}
+    assert main([names.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 3: {bad_path} is not UTF-8 text (byte 0xe9)\n"
+
+
 def test_color2_success(c5_file, tmp_path, capsys):
     out_path = tmp_path / "coloring.txt"
     assert main(["color2", "--out", str(out_path), c5_file]) == 0

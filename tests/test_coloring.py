@@ -129,7 +129,7 @@ def test_construct_two_coloring_h33():
     cmap = coloring.as_dict()
     # the two adjacent bridges form one order-3 component, colored 1, 2
     assert (cmap[(0, 1)], cmap[(1, 2)]) == (1, 2)
-    # one matching edge per nontrivial block plus the second bridge
+    # one edge per nontrivial block plus the second bridge
     assert sum(1 for c in coloring.colors if c == 2) == 4
     assert cfc.verify_conflict_free_connected(coloring).is_conflict_free_connected
 
@@ -171,7 +171,7 @@ def test_construct_two_coloring_from_given_decomposition(seed):
     g = gen_random_glued_blocks(seed, max_vertices=16)
     d = cfc.block_decomposition(g)
     coloring = cfc.construct_two_coloring(g, d)
-    # The matching is read off the DFS arrays: no Block is built.
+    # The block edges are read off the DFS arrays: no Block is built.
     assert "blocks" not in vars(d)
     assert coloring == cfc.construct_two_coloring(g)
 
@@ -199,6 +199,52 @@ def test_construct_two_coloring_colors_the_oracle_middle_edge():
             seen.add((len(seq), seq[1] < seq[2]))
     # P4s, and P3s whose inner vertex is below and above its larger end.
     assert {(3, True), (3, False), (4, True), (4, False)} <= seen
+
+
+def _constructed_color_2_edges(g):
+    """g's constructed 2-coloring, checked by the verifier and by conftest's
+    brute force, and its color-2 edges."""
+    coloring = cfc.construct_two_coloring(g)
+    assert cfc.verify_conflict_free_connected(coloring).is_conflict_free_connected, g
+    assert coloring_is_conflict_free_connected(g, coloring.colors), g
+    return [e for e, c in zip(g.edges, coloring.colors) if c == 2]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_construct_two_coloring_on_friendship_graphs(k):
+    """F_k, k triangles on hub 0: every color-2 edge meets the hub."""
+    edges = [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+    twos = _constructed_color_2_edges(cfc.build_graph(2 * k + 1, edges))
+    assert len(twos) == k and all(0 in e for e in twos)
+
+
+def test_construct_two_coloring_matches_brute_force_on_random_graphs():
+    """G(n, p) samples with at most 16 edges that satisfy the hypothesis,
+    some of whose color-2 block edges share a vertex."""
+    rng = random.Random(5)
+    checked = shared = 0
+    while checked < 1500:
+        g = gen_random_connected(rng.randint(5, 12), rng.uniform(0.15, 0.45), rng.randrange(10**6))
+        if g.edge_count > 16 or cfc.is_complete(g):
+            continue
+        d = cfc.block_decomposition(g)
+        if not cfc.two_coloring_hypothesis_holds(d.profile):
+            continue
+        checked += 1
+        block_edges = cfc.select_block_edges(d)
+        assert set(block_edges) <= set(_constructed_color_2_edges(g))
+        shared += len({x for e in block_edges for x in e}) < 2 * len(block_edges)
+    assert shared
+
+
+def test_construct_two_coloring_matches_brute_force_on_glued_blocks():
+    checked = 0
+    for seed in range(1000):
+        g = gen_random_glued_blocks(seed, 16)
+        if g.edge_count <= 16:
+            _constructed_color_2_edges(g)
+            checked += 1
+    assert checked > 500
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))

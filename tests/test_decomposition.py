@@ -17,7 +17,7 @@ from cfcgraph.families import (
     gen_S,
 )
 
-from conftest import bridge_oracle, relabelled
+from conftest import block_oracle, bridge_oracle, relabelled
 from stdlib_equivalence import blocks_agree, connected_graph, profile_agrees
 
 
@@ -120,36 +120,29 @@ def test_cut_edge_profile_examples():
     assert not cfc.block_decomposition(star).profile.is_linear_forest
 
 
-def test_select_block_matching_single_block():
+def _least_block_edges_by_oracle(g):
+    """The least edge of each nontrivial block of ``block_oracle``, sorted."""
+    return tuple(sorted(b[0] for b in block_oracle(g) if len(b) > 1))
+
+
+def test_select_block_edges_single_block():
     c5 = cfc.build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    # With no cut vertex there is no attachment to avoid: vertex 0 may be used.
-    assert cfc.select_block_matching(cfc.block_decomposition(c5)) == ((0, 1),)
+    assert cfc.select_block_edges(cfc.block_decomposition(c5)) == ((0, 1),)
 
 
-def test_select_block_matching_when_vertex_0_is_the_least_cut_vertex():
-    # Two triangles sharing vertex 0: each block avoids it.
+def test_select_block_edges_may_share_a_cut_vertex():
+    # Two triangles sharing vertex 0: each block's least edge meets it.
     g = cfc.build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     d = cfc.block_decomposition(g)
     assert d.cut_vertices == frozenset({0})
-    assert cfc.select_block_matching(d) == ((1, 2), (3, 4)) == _matching_by_rooting_rule(g, d)
-
-
-def _assert_matching(edges):
-    used = set()
-    for u, v in edges:
-        assert u not in used and v not in used
-        used.update((u, v))
+    assert cfc.select_block_edges(d) == ((0, 1), (0, 3)) == _least_block_edges_by_oracle(g)
 
 
 @pytest.mark.parametrize("g,expected", [(gen_H(3, 3), 3), (gen_R(4), 4)])
-def test_select_block_matching_families(g, expected):
-    d = cfc.block_decomposition(g)
-    matching = cfc.select_block_matching(d)
-    assert len(matching) == expected
-    _assert_matching(matching)
-    nontrivial = [b for b in d.blocks if not b.is_trivial]
-    for e in matching:
-        assert any(e in b.edges for b in nontrivial)
+def test_select_block_edges_families(g, expected):
+    edges = cfc.select_block_edges(cfc.block_decomposition(g))
+    assert len(edges) == expected
+    assert edges == _least_block_edges_by_oracle(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -198,8 +191,9 @@ def test_decomposition_invariants(seed):
     # trivial blocks are exactly the cut edges
     assert sum(1 for b in d.blocks if b.is_trivial) == len(d.cut_edges)
     assert d.cut_edges == bridge_oracle(g)
-    # matching property of the selection
-    _assert_matching(cfc.select_block_matching(d))
+    # the selection is the least edge of each nontrivial block
+    nontrivial = [b for b in d.blocks if not b.is_trivial]
+    assert cfc.select_block_edges(d) == tuple(sorted(b.edges[0] for b in nontrivial))
     # linear forest iff max degree <= 2 within the bridge subgraph
     profile = d.profile
     degree_in_c = {}
@@ -308,33 +302,17 @@ def test_structural_pass_rejects_disconnected_graphs(seed):
         cfc.block_decomposition(g)
 
 
-def _matching_by_rooting_rule(g, d):
-    """Each nontrivial block's least edge avoiding its vertex nearest (by
-    networkx distance) to the least cut vertex; with no cut vertex, the one
-    block's least edge."""
-    if not d.cut_vertices:
-        return tuple(sorted(b.edges[0] for b in d.blocks if not b.is_trivial))
-    h = nx.Graph(list(g.edges))
-    dist = nx.single_source_shortest_path_length(h, min(d.cut_vertices))
-    chosen = []
-    for b in d.blocks:
-        if not b.is_trivial:
-            nearest = min(b.vertices, key=dist.__getitem__)
-            chosen.append(min(e for e in b.edges if nearest not in e))
-    return tuple(sorted(chosen))
-
-
-def test_block_matching_follows_rooting_rule():
+def test_block_edges_are_the_oracle_blocks_least_edges():
     rng = random.Random(7)
     graphs = [
         gen_random_connected(rng.randint(2, 14), rng.uniform(0.1, 0.7), seed=rng.randrange(10**6))
         for _ in range(150)
     ]
     graphs += [relabelled(gen_random_glued_blocks(seed), rng) for seed in range(150)]
-    with_cut = 0
+    shared = 0
     for g in graphs:
-        d = cfc.block_decomposition(g)
-        with_cut += bool(d.cut_vertices)
-        assert cfc.select_block_matching(d) == _matching_by_rooting_rule(g, d)
-    # both branches of the rule are exercised
-    assert 0 < with_cut < len(graphs)
+        edges = cfc.select_block_edges(cfc.block_decomposition(g))
+        assert edges == _least_block_edges_by_oracle(g), g
+        shared += len({x for e in edges for x in e}) < 2 * len(edges)
+    # some selections are not matchings
+    assert shared

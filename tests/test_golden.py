@@ -29,7 +29,12 @@ shape), which one of the five trials passes (``hypothesis_pass_count``
 fails the conclusion on either reading.  ``verify-sharpness-S`` was
 re-recorded as ``sharpness S 3`` when the sharpness checks moved from
 ``verify sharpness:S --t 3`` to their own subcommand: only its
-``"command"`` changed, ``"verify"`` -> ``"sharpness"``.  A mismatch means
+``"command"`` changed, ``"verify"`` -> ``"sharpness"``.  ``color2-H-3-3``
+and ``color2-glued-blocks-3`` were re-recorded when ``construct_two_coloring``
+came to colour the least edge of each nontrivial block, whether or not those
+edges form a matching: only the colours of their ``coloring`` rows changed
+(H-3-3's colour-2 block edges 3-4, 5-6, 7-8 -> 0-3, 1-5, 2-7; glued-blocks-3's
+5-8 -> 5-6), and both still verify.  A mismatch means
 the CLI's output changed.
 Regenerate the references only for an intended output change, never to make
 a refactor pass.

@@ -17,6 +17,8 @@ from cfcgraph.graph import (
     _parse_lines,
     _parse_plain,
     nonadjacent_pairs,
+    read_edge_list,
+    read_text,
 )
 from stdlib_equivalence import (
     any_graph,
@@ -345,3 +347,32 @@ def test_edge_set_is_computed_on_first_use():
     assert "edge_set" not in vars(g)
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert g.edge_set == frozenset(g.edges)
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"\xe9\n2 1\n0 1\n", 1),
+        (b"# caf\xe9\n2 1\n0 1\n", 1),
+        (b"2 1\n0 1\n\xe9", 3),
+        (b"2 1\n0 1\n\n\xc3", 4),  # a sequence cut short by the end of file
+        (b"# \xe2\x82\n2 1\n0 1\n", 1),  # ... and by a line break
+        (b"# \xe2\x82\xac\n# \xff\n2 1\n0 1\n", 2),
+        (b"2 1\r\n0 1\r\n# \xe9\r\n", 3),
+        (b"2 1\r0 1\r\xe9", 3),
+    ],
+)
+def test_non_utf8_input_fails_at_the_line_of_its_first_bad_byte(data, line, tmp_path):
+    path = tmp_path / "input.edges"
+    path.write_bytes(data)
+    with pytest.raises(EdgeListParseError) as exc:
+        read_edge_list(path)
+    assert exc.value.line_number == line
+    assert str(path) in str(exc.value)
+
+
+def test_read_text_of_utf8_is_the_text_mode_read(tmp_path):
+    path = tmp_path / "input.edges"
+    path.write_bytes("# caf\u00e9\r\n2 1\r\n0 1\r\n".encode("utf-8"))
+    assert read_text(path) == "# caf\u00e9\n2 1\n0 1\n"
+    assert read_edge_list(path).edges == ((0, 1),)

@@ -9,7 +9,9 @@ C(G) came to be read off the DFS arrays: its value is the one the record
 below gave with the earlier, separate walk of C(G).
 ``RANDOM_SERVE_PAIRS_DIGEST`` covers the random colourings alone, so that a
 change to ``construct_two_coloring`` that moves ``SERVE_PAIRS_DIGEST`` is seen
-to leave the verifier as it was.
+to leave the verifier as it was.  ``SERVE_PAIRS_DIGEST`` was re-pinned when
+the construction came to colour the least edge of each nontrivial block, not
+a matching: the random-colouring digest, recorded first, did not move.
 """
 import functools
 import hashlib
@@ -43,7 +45,7 @@ LARGE_PAIR_SAMPLE = 400
 
 DECOMPOSITION_DIGEST = "acea18b31c0347adb939f94cbf8c8a63a6033de11e6254950a92af2f199b31cb"
 RANDOM_SERVE_PAIRS_DIGEST = "114070e8af27494de616129167f14482c341876d8730bf014e5356d3d37fb66c"
-SERVE_PAIRS_DIGEST = "b977757f218144dcc3da30bbe9c010022d620a0cf9fe137d44be56d0121e297a"
+SERVE_PAIRS_DIGEST = "fd7afe1e4b2073673f90fc537fa66648d2d7bfb57b4d785f16de0eb75f1ae91d"
 
 
 @functools.lru_cache(maxsize=None)
