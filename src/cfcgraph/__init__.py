@@ -12,8 +12,6 @@ from .coloring import (
     cfc_path_formula,
     construct_two_coloring,
     is_conflict_free_path,
-    make_coloring,
-    two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
 from .decomposition import (
@@ -25,13 +23,12 @@ from .decomposition import (
 )
 from .graph import (
     Graph,
-    VertexDegreeView,
     build_graph,
     canonical_edge,
-    degree_view,
     format_edge_list,
     is_complete,
     is_connected,
+    min_degree,
     min_nonadjacent_degree_sum,
     parse_edge_list,
     read_edge_list,

@@ -38,7 +38,7 @@ from .errors import (
     NotConnectedError,
 )
 from .families import FAMILIES, family_params
-from .graph import Graph, degree_view, format_edge_list, is_complete, read_edge_list, read_text
+from .graph import Graph, format_edge_list, is_complete, min_degree, read_edge_list, read_text
 from .solver import exact_cfc
 from .theorems import check_sharpness, run_harness
 
@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
         "command": "analyze",
         "n": g.vertex_count,
         "m": g.edge_count,
-        "min_degree": degree_view(g).min_degree,
+        "min_degree": min_degree(g),
         "connected": decomp is not None,
         "complete": is_complete(g),
     }
@@ -224,7 +224,7 @@ def cmd_gen(args) -> int:
         return EXIT_OK
     comments = [
         f"family {family} params {' '.join(str(x) for x in args.params)}",
-        f"n={g.vertex_count} m={g.edge_count} delta={degree_view(g).min_degree} "
+        f"n={g.vertex_count} m={g.edge_count} delta={min_degree(g)} "
         f"cut_edges={len(block_decomposition(g).cut_edges)}",
     ]
     _write_output(format_edge_list(g, comments), args.out)

@@ -14,7 +14,6 @@ from typing import DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequen
 
 from .decomposition import (
     BlockDecomposition,
-    CutEdgeProfile,
     _lowpoint,
     block_decomposition,
     select_block_edges,
@@ -27,7 +26,15 @@ from .errors import (
     NotAPathError,
     NotConnectedError,
 )
-from .graph import Edge, Graph, canonical_edge, is_complete, is_connected, nonadjacent_pairs
+from .graph import (
+    Edge,
+    Graph,
+    _int_field,
+    canonical_edge,
+    is_complete,
+    is_connected,
+    nonadjacent_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,6 @@ class CfcVerdict:
     is_conflict_free_connected: bool
     witness_paths: Optional[Mapping[Tuple[int, int], Tuple[int, ...]]]
     failing_pair: Optional[Tuple[int, int]]
-
-
-def make_coloring(g: Graph, color_map: Dict[Edge, int]) -> EdgeColoring:
-    if set(color_map) != set(g.edges):
-        raise ValueError("color map must cover exactly the graph's edges")
-    return EdgeColoring(graph=g, colors=tuple(color_map[e] for e in g.edges))
 
 
 def cfc_path_formula(edge_count: int) -> int:
@@ -291,18 +292,6 @@ def _two_disjoint_paths(
     return paths[0], paths[1]
 
 
-def two_coloring_hypothesis_holds(profile: CutEdgeProfile) -> bool:
-    """Shape condition on the bridge subgraph: a linear forest that is empty,
-    or has all components of order 2 except possibly the largest, which has
-    order at most 4."""
-    if not profile.is_linear_forest:
-        return False
-    orders = profile.component_orders
-    if not orders:
-        return True
-    return all(o == 2 for o in orders[:-1]) and orders[-1] <= 4
-
-
 def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> EdgeColoring:
     """The explicit conflict-free connection 2-coloring.
 
@@ -323,7 +312,7 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
     if d is None:
         d = block_decomposition(g)
     profile = d.profile
-    if not two_coloring_hypothesis_holds(profile):
+    if not profile.construction_applies:
         raise HypothesisViolatedError(
             "bridge subgraph is not a linear forest with at most one component "
             f"of order 3..4 (orders {list(profile.component_orders)})"
@@ -353,7 +342,8 @@ def format_coloring(coloring: EdgeColoring) -> str:
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     """Parse the coloring text format against a known graph.  The header's
-    t must be the number of distinct colors in the body.  An edge outside g
+    t must be the number of distinct colors in the body.  t is ASCII digits,
+    and u, v and c are too, optionally after a minus sign.  An edge outside g
     or a color below 1 fails at its line; a missing edge of g, at the header."""
     color_map: Dict[Edge, int] = {}
     header_line = None
@@ -363,14 +353,18 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
             continue
         parts = line.split()
         if header_line is None:
-            if parts[0] != "coloring" or len(parts) != 2 or not parts[1].isdecimal():
+            # isdecimal refuses a sign, _int_field other digits and a t past int's limit.
+            try:
+                if parts[0] != "coloring" or len(parts) != 2 or not parts[1].isdecimal():
+                    raise ValueError
+                header_line, t = lineno, _int_field(parts[1])
+            except ValueError:
                 raise EdgeListParseError("expected header 'coloring t', t a whole number", lineno)
-            header_line, t = lineno, int(parts[1])
             continue
         if len(parts) != 3:
             raise EdgeListParseError("expected line 'u v c'", lineno)
         try:
-            u, v, c = (int(x) for x in parts)
+            u, v, c = map(_int_field, parts)
         except ValueError:
             raise EdgeListParseError("fields must be integers", lineno)
         e = canonical_edge(u, v)
@@ -387,7 +381,7 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         raise EdgeListParseError(
             f"header says {t} colors, the body uses {len(set(color_map.values()))}", header_line
         )
-    try:
-        return make_coloring(g, color_map)
-    except ValueError as exc:
-        raise EdgeListParseError(str(exc), header_line)
+    # Each edge is g's and none repeats, so only a count can fall short.
+    if len(color_map) != g.edge_count:
+        raise EdgeListParseError("color map must cover exactly the graph's edges", header_line)
+    return EdgeColoring(graph=g, colors=tuple(color_map[e] for e in g.edges))

@@ -97,6 +97,13 @@ class CutEdgeProfile:
         forest whose every component has at most three edges."""
         return self.is_linear_forest and self.max_component_edges <= 3
 
+    @property
+    def construction_applies(self) -> bool:
+        """The two-coloring construction's hypothesis: Lemma 2.2's shape with
+        every component but the largest (the last order) a single edge."""
+        orders = self.component_orders
+        return self.lemma_2_2_shape and (len(orders) < 2 or orders[-2] == 2)
+
 
 def _lowpoint(
     adj: Sequence[Sequence[int]], root: int, disc: List[int], low: List[int],

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import combinations, islice, repeat
 from operator import eq
@@ -127,12 +127,6 @@ class Graph:
         return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
 
-@dataclass(frozen=True)
-class VertexDegreeView:
-    degrees: Tuple[int, ...]
-    min_degree: int
-
-
 def build_graph(vertex_count: int, edge_list: Iterable[Tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, collapsing duplicates.
 
@@ -176,11 +170,10 @@ def is_complete(g: Graph) -> bool:
     return g.edge_count == n * (n - 1) // 2
 
 
-def degree_view(g: Graph) -> VertexDegreeView:
+def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
-        raise EmptyGraphError("degree view is undefined for the empty graph")
-    degrees = tuple(map(len, g.adjacency))
-    return VertexDegreeView(degrees=degrees, min_degree=min(degrees))
+        raise EmptyGraphError("minimum degree is undefined for the empty graph")
+    return min(map(len, g.adjacency))
 
 
 def nonadjacent_pairs(g: Graph) -> List[Edge]:
@@ -224,7 +217,8 @@ def parse_edge_list(text: str) -> Graph:
 
     First non-comment line is ``n m``, followed by m lines ``u v`` with
     0-based endpoints, each edge once in either orientation.  Lines starting
-    with ``#`` are comments.  A header n above MAX_VERTEX_COUNT is an error
+    with ``#`` are comments.  Every field is ASCII digits, optionally after a
+    minus sign (``_int_field``).  A header n above MAX_VERTEX_COUNT is an error
     at the header line, raised before anything of size n is allocated.
 
     Plain text takes a bulk path (``_parse_plain``); all other text, and
@@ -239,6 +233,7 @@ def parse_edge_list(text: str) -> Graph:
 # any of them would split a line the bulk path reads as one.
 _OTHER_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _PLAIN_HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*")
+_INT_FIELD = re.compile("-?[0-9]+")
 # Deletes ASCII digits and turns a tab into a space: a plain body becomes
 # " \n" per line.  The other table turns it into JSON list items.
 _SEPARATORS = {ord(c): None for c in "0123456789"}
@@ -305,6 +300,14 @@ def _parse_plain(text: str) -> Optional[Graph]:
     return Graph._from_keys(n, keys)
 
 
+def _int_field(field: str) -> int:
+    """An integer field of the text formats: ASCII digits after an optional
+    minus sign.  "+1", "2_0" or a non-ASCII digit raises ValueError."""
+    if _INT_FIELD.fullmatch(field) is None:
+        raise ValueError(f"not an integer field: {field!r}")
+    return int(field)
+
+
 def _parse_lines(text: str) -> Graph:
     """``parse_edge_list`` line by line, raising EdgeListParseError at the
     first bad line."""
@@ -319,7 +322,7 @@ def _parse_lines(text: str) -> Graph:
             if len(parts) != 2:
                 raise EdgeListParseError("expected header 'n m'", lineno)
             try:
-                n, expected_m = int(parts[0]), int(parts[1])
+                n, expected_m = _int_field(parts[0]), _int_field(parts[1])
             except ValueError:
                 raise EdgeListParseError("header fields must be integers", lineno)
             if n < 0:
@@ -333,7 +336,7 @@ def _parse_lines(text: str) -> Graph:
         if len(parts) != 2:
             raise EdgeListParseError("expected edge line 'u v'", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int_field(parts[0]), _int_field(parts[1])
         except ValueError:
             raise EdgeListParseError("edge endpoints must be integers", lineno)
         if u == v:

@@ -27,14 +27,15 @@ and the budget counts those steps, not wall time.
 
 ``cfc_bracket`` is the only bound on ``exact_cfc``: the search starts at its
 lower bound, and a search that runs out of budget reports its upper bound.
-The lower bound is 3 when the cut-edge profile fails Lemma 2.2's necessary
-shape (``CutEdgeProfile.lemma_2_2_shape``), else 2, raised to h(G)
-(``bridge_forest_bound``): two vertices of one component T of C(G), the
-subgraph of the cut edges, are joined in G only by T's own path, so cfc(G)
-is at least cfc(T), which is at least T's maximum degree and the path
-formula of T's longest path.  No t below cfc has a coloring, so starting
-higher skips only sweeps that find nothing: the value and the witness stay
-those of a search from t = 2, and only the counters fall.
+The lower bound is h(G) (``bridge_forest_bound``), at least 2: two vertices
+of one component T of C(G), the subgraph of the cut edges, are joined in G
+only by T's own path, so cfc(G) is at least cfc(T), which is at least T's
+maximum degree and the path formula of T's longest path.  h(G) <= 2 exactly
+within Lemma 2.2's necessary shape (``CutEdgeProfile.lemma_2_2_shape``): a
+vertex on three cut edges gives h >= 3 and a path of four ceil(log2 5) = 3,
+so the lemma bounds nothing that h does not.  No t below cfc has a coloring,
+so starting higher skips only sweeps that find nothing: the value and the
+witness stay those of a search from t = 2, and only the counters fall.
 ``two_coloring_certificate`` decides cfc = 2 by the construction, else by
 Lemma 2.2's shape, else by ``two_coloring_sweep``, which alone reads
 ``ORACLE_EDGE_CAP`` and answers None past it or past the budget.
@@ -51,7 +52,6 @@ from .coloring import (
     _serve_pairs,
     cfc_path_formula,
     construct_two_coloring,
-    two_coloring_hypothesis_holds,
     verify_conflict_free_connected,
 )
 from .decomposition import BlockDecomposition, CutEdgeProfile, block_decomposition
@@ -344,7 +344,7 @@ def two_coloring_certificate(
     block decomposition ``d``, have a conflict-free 2-coloring?  "constructive":
     the construction's coloring, verified; "shape": False, C(g) fails Lemma
     2.2's shape; otherwise ``two_coloring_sweep``'s answer and certificate."""
-    if two_coloring_hypothesis_holds(d.profile):
+    if d.profile.construction_applies:
         coloring = construct_two_coloring(g, d)
         return verify_conflict_free_connected(coloring).is_conflict_free_connected, "constructive"
     if not d.profile.lemma_2_2_shape:
@@ -398,12 +398,12 @@ def bridge_forest_bound(profile: CutEdgeProfile) -> int:
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:
     """Cheap lower/upper bounds on cfc without search.  The lower bound is
-    the larger of Lemma 2.2's (2 when C(G) has its shape, else 3) and
-    ``bridge_forest_bound``; the upper bound is 2 when the construction's
-    hypothesis holds, else m."""
+    ``bridge_forest_bound``, at least 2, which is 3 or more exactly outside
+    Lemma 2.2's shape; the upper bound is 2 when the construction applies,
+    else m."""
     if is_complete(g):
         return 1, 1
-    d = block_decomposition(g)
-    lower = max(2 if d.profile.lemma_2_2_shape else 3, bridge_forest_bound(d.profile))
-    upper = 2 if two_coloring_hypothesis_holds(d.profile) else g.edge_count
+    profile = block_decomposition(g).profile
+    lower = max(2, bridge_forest_bound(profile))
+    upper = 2 if profile.construction_applies else g.edge_count
     return lower, upper

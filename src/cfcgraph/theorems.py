@@ -17,12 +17,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from .decomposition import BlockDecomposition, block_decomposition
 from .errors import ParamOutOfRangeError, UnknownTheoremError
 from .families import FAMILIES, _check_size, family_params, gen_random_connected
-from .graph import (
-    Graph,
-    degree_view,
-    is_complete,
-    min_nonadjacent_degree_sum,
-)
+from .graph import Graph, is_complete, min_degree, min_nonadjacent_degree_sum
 from .solver import _check_budget, two_coloring_certificate, two_coloring_sweep
 
 
@@ -75,7 +70,9 @@ class TheoremReport:
 
 def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
     """The two candidate order thresholds (the displayed one and the one the
-    derivation actually ends with), as ceilings of exact rationals."""
+    derivation actually ends with), as ceilings of exact rationals over k - 4;
+    a k below the 3.4 row's least raises ParamOutOfRangeError."""
+    _row_k("3.4", k)
     base = (k // 2) * k * (k - 2)
     displayed = Fraction(base + k * k - 5 * k + 3, k - 4)
     derived = Fraction(base + k * k - 5 * k + 2, k - 4)
@@ -97,7 +94,7 @@ def _thm_3_1_clauses(g: Graph, d: BlockDecomposition, k: int):
     n = g.vertex_count
     clauses = {
         "order_at_least_k_squared": n >= k * k,
-        "min_degree_bound": k * degree_view(g).min_degree >= n - k + 1,
+        "min_degree_bound": k * min_degree(g) >= n - k + 1,
     }
     return clauses, {"k": k, "cut_edges": len(d.cut_edges)}
 
@@ -175,7 +172,7 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
 
     def clauses(g: Graph, d: BlockDecomposition, k: Optional[int]):
         n = g.vertex_count
-        delta = degree_view(g).min_degree
+        delta = min_degree(g)
         result = {"order_range": n >= lo and (hi is None or n <= hi)}
         if linear_forest:
             result["linear_forest"] = d.profile.is_linear_forest
@@ -369,7 +366,7 @@ def check_sharpness(family: str, *params: int, budget: Optional[int] = None) -> 
         # Remark 5's path: delta = 1 and cfc = ceil(log2 n) >= 3 from n = 5.
         raise ParamOutOfRangeError("the sharp path example needs order >= 5")
     d = block_decomposition(g)
-    delta = degree_view(g).min_degree
+    delta = min_degree(g)
     theorem = _THEOREMS[theorem_id]
     if bound == "degree":
         margin_ok = not theorem.degree(g, n, delta) and theorem.degree(g, n, delta + 1)

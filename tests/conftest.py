@@ -32,6 +32,15 @@ def relabelled(g, rng):
     return cfc.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def sparse_connected(rng, n_max, chord_p):
+    """A random tree on 2..``n_max`` vertices plus each other pair with
+    probability ``chord_p``: C(G) is large and often leaves Lemma 2.2's shape."""
+    n = rng.randint(2, n_max)
+    tree = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = {(u, v) for v in range(n) for u in range(v) if rng.random() < chord_p}
+    return cfc.build_graph(n, sorted(tree | chords))
+
+
 def bridge_subgraph_oracle(g):
     """C(G) rebuilt from the remove-and-test bridges: per component its
     vertices, edges and path sequence (None unless a path, else its vertices

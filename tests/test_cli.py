@@ -793,11 +793,18 @@ def test_check_names_the_failing_pair(c5_file, c5_colorings, capsys):
         ("# C5\ncoloring 2\n0 1 1\n1 2 1\n2 3 1\n3 4 2\n0 3 1\n",
          "line 7: edge 0 3 is not in the graph"),
         ("coloring 2\n0 1 1\n1 2 0\n", "line 3: color 0 is below 1"),
+        ("coloring 2\n0 1 1\n1 2 -1\n", "line 3: color -1 is below 1"),
+        # Fields are ASCII digits, a minus sign allowed; int() reads these.
+        ("coloring 2\n0 1 1\n1 2 +2\n", "line 3: fields must be integers"),
+        ("coloring 2\n0 1_0 1\n", "line 2: fields must be integers"),
+        ("coloring 2\n0 \u0661 1\n", "line 2: fields must be integers"),
+        ("coloring \u0662\n0 1 1\n", "line 1: expected header 'coloring t', t a whole number"),
+        ("coloring " + "9" * 5000 + "\n", "line 1: expected header 'coloring t', t a whole number"),
     ],
 )
 def test_check_bad_coloring_file_is_usage(text, message, c5_file, tmp_path, capsys):
     path = tmp_path / "bad.coloring"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["check", c5_file, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -228,7 +228,7 @@ def test_construct_two_coloring_matches_brute_force_on_random_graphs():
         if g.edge_count > 16 or cfc.is_complete(g):
             continue
         d = cfc.block_decomposition(g)
-        if not cfc.two_coloring_hypothesis_holds(d.profile):
+        if not d.profile.construction_applies:
             continue
         checked += 1
         block_edges = cfc.select_block_edges(d)

@@ -17,7 +17,13 @@ from cfcgraph.families import (
     gen_S,
 )
 
-from conftest import block_oracle, bridge_oracle, relabelled
+from conftest import (
+    block_oracle,
+    bridge_oracle,
+    bridge_subgraph_oracle,
+    relabelled,
+    sparse_connected,
+)
 from stdlib_equivalence import blocks_agree, connected_graph, profile_agrees
 
 
@@ -225,17 +231,43 @@ def test_profile_of_one_vertex_graph_is_empty():
     profile = cfc.block_decomposition(cfc.build_graph(1, [])).profile
     assert profile.cut_edges == frozenset() and profile.component_orders == ()
     assert profile.max_component_edges == 0 and profile.lemma_2_2_shape
+    assert profile.construction_applies
     assert profile.max_degree == 0
 
 
 def test_lemma_2_2_shape():
-    assert cfc.block_decomposition(gen_S(3)).profile.lemma_2_2_shape
+    # S's two P3s of bridges: the shape, but not the construction's hypothesis
+    s3 = cfc.block_decomposition(gen_S(3)).profile
+    assert s3.component_orders == (3, 3) and s3.lemma_2_2_shape
+    assert not s3.construction_applies
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert not cfc.block_decomposition(star).profile.lemma_2_2_shape
     # a linear forest, but with a bridge run of four edges
     run = cfc.block_decomposition(gen_remark4_H(5)).profile
     assert run.is_linear_forest and run.max_component_edges == 4
-    assert not run.lemma_2_2_shape
+    assert not run.lemma_2_2_shape and not run.construction_applies
+    # a triangle with two pendant bridges and a pendant P4 of bridges: both
+    g = cfc.build_graph(8, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (5, 6), (6, 7)])
+    profile = cfc.block_decomposition(g).profile
+    assert profile.component_orders == (2, 2, 4) and profile.construction_applies
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=200, deadline=None)
+def test_construction_applies_matches_the_paper_on_the_oracle(seed):
+    # The construction's hypothesis as the paper states it, on the oracle's
+    # C(G): a linear forest whose components are single edges, except at
+    # most one of two or three edges.
+    rng = random.Random(seed)
+    for g in (connected_graph(rng), sparse_connected(rng, 14, 0.1)):
+        _, components = bridge_subgraph_oracle(g)
+        sizes = [len(edges) for _, edges, _ in components]
+        expected = (
+            all(seq is not None for _, _, seq in components)
+            and sum(k > 1 for k in sizes) <= 1
+            and max(sizes, default=0) <= 3
+        )
+        assert cfc.block_decomposition(g).profile.construction_applies == expected, g
 
 
 def test_cut_edge_profile_is_linear_in_bridge_run_length():

@@ -13,7 +13,7 @@ def test_h_family_metrics(k, t):
     g = fam.gen_H(k, t)
     n = g.vertex_count
     assert n == k * t
-    assert k * cfc.degree_view(g).min_degree == n - k
+    assert k * cfc.min_degree(g) == n - k
     assert len(cfc.block_decomposition(g).cut_edges) == k - 1
 
 
@@ -22,7 +22,7 @@ def test_r_family_metrics(k):
     g = fam.gen_R(k)
     n = g.vertex_count
     assert n == k * k - 1
-    assert k * cfc.degree_view(g).min_degree == n - k + 1
+    assert k * cfc.min_degree(g) == n - k + 1
     assert len(cfc.block_decomposition(g).cut_edges) == k - 1
 
 
@@ -38,7 +38,7 @@ def test_s_family_metrics(t):
     g = fam.gen_S(t)
     n = g.vertex_count
     assert n == 5 * t
-    assert 5 * cfc.degree_view(g).min_degree == n - 5
+    assert 5 * cfc.min_degree(g) == n - 5
     profile = cfc.block_decomposition(g).profile
     assert profile.component_orders == (3, 3)
     assert profile.is_linear_forest
@@ -64,7 +64,7 @@ def test_h34_has_cfc_two():
 def test_remark4_h():
     g = fam.gen_remark4_H(5)
     assert (g.vertex_count, g.edge_count) == (9, 10)
-    assert cfc.degree_view(g).min_degree == 2
+    assert cfc.min_degree(g) == 2
     profile = cfc.block_decomposition(g).profile
     # the connecting path's bridges form one component too long for cfc = 2
     assert profile.max_component_edges == 4
@@ -72,13 +72,13 @@ def test_remark4_h():
 
 def test_remark4_g():
     g = fam.gen_remark4_G(15)
-    assert 5 * cfc.degree_view(g).min_degree == g.vertex_count - 5
+    assert 5 * cfc.min_degree(g) == g.vertex_count - 5
     assert cfc.cfc_bracket(g)[0] == 3
 
 
 def test_remark6_h():
     g = fam.gen_remark6_H(16)
-    assert 4 * cfc.degree_view(g).min_degree == g.vertex_count - 4
+    assert 4 * cfc.min_degree(g) == g.vertex_count - 4
     assert not cfc.block_decomposition(g).profile.is_linear_forest
 
 
@@ -86,7 +86,7 @@ def test_remark6_g():
     g = fam.gen_remark6_G()
     n = g.vertex_count
     assert n == 15
-    assert 4 * cfc.degree_view(g).min_degree >= n - 3
+    assert 4 * cfc.min_degree(g) >= n - 3
     assert not cfc.block_decomposition(g).profile.is_linear_forest
 
 
@@ -98,8 +98,8 @@ def test_remark7_g():
     assert profile.component_orders == (5,)
     assert profile.max_component_edges == 4
     # middle path vertices keep degree 2
-    assert cfc.degree_view(g).degrees[1] == 2
-    assert cfc.degree_view(g).degrees[2] == 2
+    assert len(g.adjacency[1]) == 2
+    assert len(g.adjacency[2]) == 2
 
 
 def test_param_validation():
@@ -164,7 +164,7 @@ def test_degree_filtered_samples_respect_cut_edge_bound():
     found = 0
     for seed in range(300):
         g = fam.gen_random_connected(9, 0.6, seed=seed)
-        if 3 * cfc.degree_view(g).min_degree >= g.vertex_count - 2:
+        if 3 * cfc.min_degree(g) >= g.vertex_count - 2:
             found += 1
             assert len(cfc.block_decomposition(g).cut_edges) <= 1
     assert found > 0
@@ -179,14 +179,12 @@ GLUED_HYPOTHESIS_CASES = [(40, range(50))] + [(mv, range(500)) for mv in range(4
     "max_vertices,seeds", GLUED_HYPOTHESIS_CASES, ids=[str(c[0]) for c in GLUED_HYPOTHESIS_CASES]
 )
 def test_glued_blocks_satisfy_two_coloring_hypothesis(max_vertices, seeds):
-    from cfcgraph.coloring import two_coloring_hypothesis_holds
-
     for seed in seeds:
         g = fam.gen_random_glued_blocks(seed, max_vertices)
         assert g.vertex_count <= max_vertices
         assert cfc.is_connected(g)
         assert not cfc.is_complete(g)
-        assert two_coloring_hypothesis_holds(cfc.block_decomposition(g).profile)
+        assert cfc.block_decomposition(g).profile.construction_applies
 
 
 # gen_random_connected over a grid of (n, p), seeds 0-49: one SHA-256 over

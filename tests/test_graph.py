@@ -79,18 +79,21 @@ def test_is_complete():
 
 def test_degree_view():
     tri = cfc.build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert cfc.degree_view(tri).degrees == (2, 2, 2)
-    assert cfc.degree_view(tri).min_degree == 2
+    assert tuple(map(len, tri.adjacency)) == (2, 2, 2)
+    assert cfc.min_degree(tri) == 2
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert cfc.degree_view(star).degrees == (3, 1, 1, 1)
-    assert cfc.degree_view(star).min_degree == 1
+    assert tuple(map(len, star.adjacency)) == (3, 1, 1, 1)
+    assert cfc.min_degree(star) == 1
+    assert cfc.min_degree(cfc.build_graph(2, [])) == 0
+    with pytest.raises(EmptyGraphError):
+        cfc.min_degree(cfc.build_graph(0, []))
 
 
 def test_degree_view_h_family():
     from cfcgraph.families import gen_H
 
     # delta = (n - k) / k = (9 - 3) / 3 for k = 3, t = 3
-    assert cfc.degree_view(gen_H(3, 3)).min_degree == 2
+    assert cfc.min_degree(gen_H(3, 3)) == 2
 
 
 def test_min_nonadjacent_degree_sum():
@@ -136,7 +139,8 @@ def edge_lists(draw):
 def test_degree_sum_is_twice_edge_count(ne):
     n, edges = ne
     g = cfc.build_graph(n, edges)
-    assert sum(cfc.degree_view(g).degrees) == 2 * g.edge_count
+    assert sum(map(len, g.adjacency)) == 2 * g.edge_count
+    assert cfc.min_degree(g) == min(map(len, g.adjacency))
 
 
 @given(edge_lists(), st.randoms())
@@ -269,6 +273,13 @@ def test_nonadjacent_pairs_in_lexicographic_order():
         ("-1 0\n", 1, "vertex_count must be nonnegative, got -1"),
         ("3 2\n0 1\n1 2 0\n", 3, "expected edge line 'u v'"),
         ("3 2\n0 1\n1 x\n", 3, "edge endpoints must be integers"),
+        # Fields are ASCII digits, a minus sign allowed; int() reads these.
+        ("3 1\n0 2_0\n", 2, "edge endpoints must be integers"),
+        ("3 1\n0 \u0662\n", 2, "edge endpoints must be integers"),
+        ("3 1\n+0 1\n", 2, "edge endpoints must be integers"),
+        ("+3 1\n0 1\n", 1, "header fields must be integers"),
+        ("3 1_0\n0 1\n", 1, "header fields must be integers"),
+        ("\u0663 1\n0 1\n", 1, "header fields must be integers"),
         ("3 2\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
         ("3 2\n0 1\n\n1 3\n", 4, "edge (1, 3) has an endpoint outside [0, 3)"),
         ("3 2\n0 1\n-1 2\n", 3, "edge (-1, 2) has an endpoint outside [0, 3)"),

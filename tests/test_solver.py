@@ -27,7 +27,7 @@ from cfcgraph.families import (
 from cfcgraph.graph import nonadjacent_pairs
 from cfcgraph.solver import bridge_forest_bound
 
-from conftest import cfc_brute, has_two_coloring_brute, simple_paths_between
+from conftest import cfc_brute, has_two_coloring_brute, simple_paths_between, sparse_connected
 from stdlib_equivalence import bound_agrees, connected_graph
 
 
@@ -290,10 +290,16 @@ def test_bracket_lower_bound_is_sound(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=200, deadline=None)
 def test_bridge_forest_bound_within_lemma_2_2_shape(seed):
-    # Lemma 2.2's shape allows cfc = 2, so h(G) may not exceed 2 there.
-    profile = cfc.block_decomposition(connected_graph(random.Random(seed))).profile
-    if profile.lemma_2_2_shape:
-        assert bridge_forest_bound(profile) <= 2
+    # h(G) <= 2 exactly within Lemma 2.2's shape, so cfc_bracket reads the
+    # shape off h(G) alone: outside it a vertex on three cut edges gives
+    # h >= 3, and a path of four cut edges ceil(log2 5) = 3.
+    rng = random.Random(seed)
+    graphs = (connected_graph(rng), sparse_connected(rng, 30, 0), sparse_connected(rng, 30, 0.05))
+    for g in graphs:
+        profile = cfc.block_decomposition(g).profile
+        assert profile.lemma_2_2_shape == (bridge_forest_bound(profile) <= 2), g
+        if not cfc.is_complete(g):
+            assert cfc.cfc_bracket(g)[0] == (2 if profile.lemma_2_2_shape else _h(g)), g
 
 
 def test_path_values_match_formula():
@@ -443,7 +449,7 @@ def test_two_coloring_certificate_agrees_with_the_sweep_and_brute_force():
         d = cfc.block_decomposition(g)
         answer, certificate = two_coloring_certificate(g, d, None)
         seen[certificate, answer] += 1
-        if cfc.two_coloring_hypothesis_holds(d.profile):
+        if d.profile.construction_applies:
             assert certificate == "constructive"
         else:
             assert certificate == ("sweep" if d.profile.lemma_2_2_shape else "shape")

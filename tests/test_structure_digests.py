@@ -17,12 +17,7 @@ import functools
 import hashlib
 import random
 
-from cfcgraph import (
-    block_decomposition,
-    construct_two_coloring,
-    is_complete,
-    two_coloring_hypothesis_holds,
-)
+from cfcgraph import block_decomposition, construct_two_coloring, is_complete
 from cfcgraph.coloring import _serve_pairs
 from cfcgraph.families import FAMILIES, gen_random_connected, gen_random_glued_blocks
 from cfcgraph.graph import nonadjacent_pairs
@@ -102,7 +97,7 @@ def _serve_pairs_digest(constructed):
         if (
             constructed
             and not is_complete(g)
-            and two_coloring_hypothesis_holds(block_decomposition(g).profile)
+            and block_decomposition(g).profile.construction_applies
         ):
             colorings.append(construct_two_coloring(g).colors)
         for colors in colorings:

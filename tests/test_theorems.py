@@ -60,6 +60,14 @@ def test_thm_3_4_records_both_thresholds():
     assert report.details["order_thresholds"] == thresholds
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_thm_3_4_thresholds_refuse_k_below_5(k):
+    # The thresholds divide by k - 4: k = 4 would divide by zero, and k = 3
+    # by a negative number.
+    with pytest.raises(ParamOutOfRangeError, match="^the degree-sum cut-edge bound needs k >= 5$"):
+        thm_3_4_order_thresholds(k)
+
+
 def test_thm_4_4_constructive_mode():
     # 2-edge-connected non-complete with a high minimum degree
     g = fam.gen_random_bridgeless(17, 0.85, seed=3)
