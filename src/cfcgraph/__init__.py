@@ -15,9 +15,7 @@ from .coloring import (
     verify_conflict_free_connected,
 )
 from .decomposition import (
-    Block,
     BlockDecomposition,
-    CutEdgeProfile,
     block_decomposition,
     select_block_edges,
 )

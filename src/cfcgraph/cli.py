@@ -133,17 +133,16 @@ def cmd_analyze(args) -> int:
     }
     # The one-vertex graph has no blocks and reports no structure.
     if decomp is not None and decomp.block_count:
-        profile = decomp.profile
         payload.update(
             {
-                "cut_edge_count": len(profile.cut_edges),
-                "cut_edges": [list(e) for e in sorted(profile.cut_edges)],
-                "is_linear_forest": profile.is_linear_forest,
-                "component_orders": list(profile.component_orders),
-                "max_component_edges": profile.max_component_edges,
+                "cut_edge_count": len(decomp.cut_edges),
+                "cut_edges": [list(e) for e in sorted(decomp.cut_edges)],
+                "is_linear_forest": decomp.is_linear_forest,
+                "component_orders": list(decomp.component_orders),
+                "max_component_edges": decomp.max_component_edges,
                 "block_count": decomp.block_count,
                 # A block is trivial iff it is a single cut edge.
-                "nontrivial_block_count": decomp.block_count - len(profile.cut_edges),
+                "nontrivial_block_count": decomp.block_count - len(decomp.cut_edges),
                 "cut_vertices": sorted(decomp.cut_vertices),
             }
         )

@@ -311,24 +311,23 @@ def construct_two_coloring(g: Graph, d: Optional[BlockDecomposition] = None) -> 
         raise CompleteGraphError("complete graphs need only one color")
     if d is None:
         d = block_decomposition(g)
-    profile = d.profile
-    if not profile.construction_applies:
+    if not d.construction_applies:
         raise HypothesisViolatedError(
             "bridge subgraph is not a linear forest with at most one component "
-            f"of order 3..4 (orders {list(profile.component_orders)})"
+            f"of order 3..4 (orders {list(d.component_orders)})"
         )
 
     twos = set(select_block_edges(d))
-    if profile.max_component_edges >= 2:
+    if d.max_component_edges >= 2:
         # Bridges lie in no nontrivial block, so only the path's second edge
         # differs from color 1.
-        ends = Counter(chain.from_iterable(profile.cut_edges))
+        ends = Counter(chain.from_iterable(d.cut_edges))
         inner = sorted(x for x, k in ends.items() if k == 2)
         b = inner[0]
         if len(inner) == 2:
             c = inner[1]
         else:
-            c = max(u + v - b for u, v in profile.cut_edges if b in (u, v))
+            c = max(u + v - b for u, v in d.cut_edges if b in (u, v))
         twos.add(canonical_edge(b, c))
     return EdgeColoring(graph=g, colors=tuple(2 if e in twos else 1 for e in g.edges))
 

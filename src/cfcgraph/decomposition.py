@@ -3,12 +3,13 @@ subgraph C(G) with its linear-forest classification, and the one edge per
 nontrivial block that the two-coloring construction colors 2.
 
 ``block_decomposition`` is the one structural pass and the only entry point:
-one lowpoint DFS gives every field, C(G) included.  Callers read the cut edges
-and C(G) off it as ``d.cut_edges`` and ``d.profile``.  That DFS, ``_lowpoint``,
-marks each vertex with the head of its block.  The block count, the cut
-vertices, the cut edges and C(G)'s component orders come straight from the
-DFS arrays; ``d.blocks`` groups the edges by block head only when first read,
-and ``select_block_edges`` reads the same arrays without building a block.
+one lowpoint DFS gives every field of ``BlockDecomposition``, C(G) included,
+so callers read the cut edges as ``d.cut_edges`` and C(G)'s shape as
+``d.component_orders`` and ``d.max_degree``.  That DFS, ``_lowpoint``, marks
+each vertex with the head of its block.  The block count, the cut vertices,
+the cut edges and C(G)'s component orders come straight from the DFS arrays;
+``d.blocks`` groups the edges by block head only when first read, and
+``select_block_edges`` reads the same arrays without building a block.
 The verifier's per-edge rule in ``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
@@ -24,64 +25,27 @@ from .graph import Edge, Graph
 
 
 @dataclass(frozen=True)
-class Block:
-    """One block: its edges (canonical, sorted).  ``vertices``, the sorted
-    vertex set, is computed on first use."""
-
-    edges: Tuple[Edge, ...]
-
-    @cached_property
-    def vertices(self) -> Tuple[int, ...]:
-        return tuple(sorted({x for e in self.edges for x in e}))
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.edges) == 1
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
-    """What ``block_decomposition`` finds in ``_graph``.  ``blocks``, sorted
-    by first edge, is built on first read from the DFS arrays: an edge
-    belongs to the block of the tree edge into its deeper end, since a back
-    edge closes a cycle through that tree edge, and ``g.edges`` is sorted,
-    so grouping it in order yields sorted blocks in that order."""
+    """What ``block_decomposition`` finds in ``_graph``: the block count, the
+    cut vertices, and C(G), the subgraph of the cut edges, as its edges, the
+    orders of its components in ascending order and its maximum degree (0
+    with no edge).  C(G)'s components are trees, so the largest has one edge
+    fewer than vertices.
+
+    ``blocks``, each the sorted tuple of its edges, sorted by first edge, is
+    built on first read from the DFS arrays: an edge belongs to the block of
+    the tree edge into its deeper end, since a back edge closes a cycle
+    through that tree edge, and ``g.edges`` is sorted, so grouping it in
+    order yields sorted blocks in that order."""
 
     block_count: int
     cut_vertices: FrozenSet[int]
-    profile: CutEdgeProfile
-    _graph: Graph = field(repr=False)
-    _disc: List[int] = field(repr=False, compare=False)
-    _head: List[int] = field(repr=False, compare=False)
-
-    @property
-    def cut_edges(self) -> FrozenSet[Edge]:
-        return self.profile.cut_edges
-
-    def _edges_by_head(self) -> Iterator[Tuple[int, Edge]]:
-        """Each edge of the graph in sorted order with its block's head."""
-        disc, head = self._disc, self._head
-        for e in self._graph.edges:
-            u, v = e
-            yield (head[u] if disc[u] > disc[v] else head[v]), e
-
-    @cached_property
-    def blocks(self) -> Tuple[Block, ...]:
-        blocks: Dict[int, List[Edge]] = {}
-        for h, e in self._edges_by_head():
-            blocks.setdefault(h, []).append(e)
-        return tuple(map(Block, map(tuple, blocks.values())))
-
-
-@dataclass(frozen=True)
-class CutEdgeProfile:
-    """C(G), the subgraph of the cut edges: its edges, the orders of its
-    components in ascending order, and its maximum degree (0 with no edge).
-    Its components are trees, so the largest has one edge fewer than vertices."""
-
     cut_edges: FrozenSet[Edge]
     component_orders: Tuple[int, ...]
     max_degree: int
+    _graph: Graph = field(repr=False)
+    _disc: List[int] = field(repr=False, compare=False)
+    _head: List[int] = field(repr=False, compare=False)
 
     @property
     def is_linear_forest(self) -> bool:
@@ -103,6 +67,20 @@ class CutEdgeProfile:
         every component but the largest (the last order) a single edge."""
         orders = self.component_orders
         return self.lemma_2_2_shape and (len(orders) < 2 or orders[-2] == 2)
+
+    def _edges_by_head(self) -> Iterator[Tuple[int, Edge]]:
+        """Each edge of the graph in sorted order with its block's head."""
+        disc, head = self._disc, self._head
+        for e in self._graph.edges:
+            u, v = e
+            yield (head[u] if disc[u] > disc[v] else head[v]), e
+
+    @cached_property
+    def blocks(self) -> Tuple[Tuple[Edge, ...], ...]:
+        blocks: Dict[int, List[Edge]] = {}
+        for h, e in self._edges_by_head():
+            blocks.setdefault(h, []).append(e)
+        return tuple(map(tuple, blocks.values()))
 
 
 def _lowpoint(
@@ -166,7 +144,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     simple graph has one edge between them, so it is a bridge.  Every bridge
     is thus a tree edge, each component of C(G) is a subtree, and in preorder
     a bridge's upper end is labelled with its component before the bridge is
-    read.  The one-vertex graph has no blocks and an empty profile.  Raises
+    read.  The one-vertex graph has no blocks and an empty C(G).  Raises
     EmptyGraphError when g has no vertex and NotConnectedError when the DFS
     reaches fewer than all vertices.
     """
@@ -198,15 +176,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             orders.append(1)
         component[h] = c
         orders[c] += 1
-    profile = CutEdgeProfile(
-        cut_edges=bridges,
-        component_orders=tuple(sorted(orders)),
-        max_degree=max(Counter(chain.from_iterable(bridges)).values(), default=0),
-    )
     return BlockDecomposition(
         block_count=len(heads),
         cut_vertices=frozenset(cut),
-        profile=profile,
+        cut_edges=bridges,
+        component_orders=tuple(sorted(orders)),
+        max_degree=max(Counter(chain.from_iterable(bridges)).values(), default=0),
         _graph=g,
         _disc=disc,
         _head=head,

@@ -129,7 +129,7 @@ def gen_D(k: int) -> Graph:
     """
     if k < 5:
         raise ParamOutOfRangeError("D family needs k >= 5")
-    # Block j starts at vertex 1 + j*(k+2).
+    # The j-th block starts at vertex 1 + j*(k+2).
     bridges = ((0, 1 + j * (k + 2)) for j in range(k - 1))
     return _glued(1, bridges, repeat(((), k + 2), k - 1))
 
@@ -275,8 +275,8 @@ def gen_random_glued_blocks(seed: int, max_vertices: int = 40) -> Graph:
     n = base
 
     # Chain consecutive blocks; one connector may carry 1 or 2 middle
-    # vertices, which makes its bridge component order 3 or 4.  Block i's
-    # vertices come before block i+1's, and the middle vertices after both.
+    # vertices, which makes its bridge component order 3 or 4.  The vertices
+    # of block i come before block i+1's, and the middle vertices after both.
     long_connector = rng.randrange(block_count - 1) if block_count > 1 else None
     used = {i: set() for i in range(block_count)}
     for i in range(block_count - 1):

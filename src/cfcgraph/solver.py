@@ -31,7 +31,7 @@ The lower bound is h(G) (``bridge_forest_bound``), at least 2: two vertices
 of one component T of C(G), the subgraph of the cut edges, are joined in G
 only by T's own path, so cfc(G) is at least cfc(T), which is at least T's
 maximum degree and the path formula of T's longest path.  h(G) <= 2 exactly
-within Lemma 2.2's necessary shape (``CutEdgeProfile.lemma_2_2_shape``): a
+within Lemma 2.2's necessary shape (``BlockDecomposition.lemma_2_2_shape``): a
 vertex on three cut edges gives h >= 3 and a path of four ceil(log2 5) = 3,
 so the lemma bounds nothing that h does not.  No t below cfc has a coloring,
 so starting higher skips only sweeps that find nothing: the value and the
@@ -54,7 +54,7 @@ from .coloring import (
     construct_two_coloring,
     verify_conflict_free_connected,
 )
-from .decomposition import BlockDecomposition, CutEdgeProfile, block_decomposition
+from .decomposition import BlockDecomposition, block_decomposition
 from .errors import (
     BudgetExhaustedError,
     CompleteGraphError,
@@ -344,10 +344,10 @@ def two_coloring_certificate(
     block decomposition ``d``, have a conflict-free 2-coloring?  "constructive":
     the construction's coloring, verified; "shape": False, C(g) fails Lemma
     2.2's shape; otherwise ``two_coloring_sweep``'s answer and certificate."""
-    if d.profile.construction_applies:
+    if d.construction_applies:
         coloring = construct_two_coloring(g, d)
         return verify_conflict_free_connected(coloring).is_conflict_free_connected, "constructive"
-    if not d.profile.lemma_2_2_shape:
+    if not d.lemma_2_2_shape:
         return False, "shape"
     return two_coloring_sweep(g, budget)
 
@@ -366,7 +366,7 @@ def _farthest(adjacency: Dict[int, List[int]], source: int) -> Tuple[List[int], 
     return reached, depth[reached[-1]]
 
 
-def bridge_forest_bound(profile: CutEdgeProfile) -> int:
+def bridge_forest_bound(d: BlockDecomposition) -> int:
     """h(G), a lower bound on cfc(G) read off C(G) alone: over the components
     T of C(G), the largest of T's maximum degree and ``cfc_path_formula`` of
     T's longest path; 0 when G has no cut edge.
@@ -377,13 +377,13 @@ def bridge_forest_bound(profile: CutEdgeProfile) -> int:
     degree is at least 3, and the longest path is walked only when the
     largest component is long enough for its formula to exceed that degree.
     """
-    longest, degree = profile.max_component_edges, profile.max_degree
-    if profile.is_linear_forest:
+    longest, degree = d.max_component_edges, d.max_degree
+    if d.is_linear_forest:
         return cfc_path_formula(longest) if longest else 0
     if cfc_path_formula(longest) <= degree:
         return degree
     adjacency: Dict[int, List[int]] = {}
-    for a, b in profile.cut_edges:
+    for a, b in d.cut_edges:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
     diameter = 0
@@ -403,7 +403,7 @@ def cfc_bracket(g: Graph) -> Tuple[int, int]:
     else m."""
     if is_complete(g):
         return 1, 1
-    profile = block_decomposition(g).profile
-    lower = max(2, bridge_forest_bound(profile))
-    upper = 2 if profile.construction_applies else g.edge_count
+    d = block_decomposition(g)
+    lower = max(2, bridge_forest_bound(d))
+    upper = 2 if d.construction_applies else g.edge_count
     return lower, upper

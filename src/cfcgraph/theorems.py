@@ -175,22 +175,22 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
         delta = min_degree(g)
         result = {"order_range": n >= lo and (hi is None or n <= hi)}
         if linear_forest:
-            result["linear_forest"] = d.profile.is_linear_forest
+            result["linear_forest"] = d.is_linear_forest
         result[name] = holds(g, n, delta)
         result["non_complete"] = not is_complete(g)
-        return result, {"min_degree": delta, "component_orders": list(d.profile.component_orders)}
+        return result, {"min_degree": delta, "component_orders": list(d.component_orders)}
 
     return _Theorem(clauses, _cfc_two_check, ranges, degree=holds)
 
 
 _THEOREMS = {
     # Lemma 2.2 as its contrapositive: C(G) outside the shape forces cfc != 2.
-    "2.2": _Theorem(lambda g, d, k: ({"outside_shape": not d.profile.lemma_2_2_shape}, {}),
+    "2.2": _Theorem(lambda g, d, k: ({"outside_shape": not d.lemma_2_2_shape}, {}),
                     _no_two_coloring, (4, 7, 0.3, 0.9)),
     # At least one bridge, and every bridge component of order 2.
     "2.3": _Theorem(lambda g, d, k: ({
         "has_cut_edges": bool(d.cut_edges),
-        "all_components_order_2": all(o == 2 for o in d.profile.component_orders),
+        "all_components_order_2": all(o == 2 for o in d.component_orders),
         "non_complete": not is_complete(g),
     }, {}), _cfc_two_check, (5, 9, 0.25, 0.55)),
     # 2-edge-connected; the one-vertex graph has no block, so it is not.

@@ -11,8 +11,8 @@ message, as the line loop on random edge-list texts, and the bulk path must
 agree with the line loop wherever it accepts a text.  A ``Graph`` built from
 the sorted keys ``u * n + v`` must match ``build_graph`` on the same edges in
 every field, equality, hash and repr.  ``block_decomposition``'s ``blocks``
-must match conftest's block oracle, and its profile of C(G) conftest's
-bridge-subgraph oracle, on random connected graphs.
+must match conftest's block oracle, and its fields and properties of C(G)
+conftest's bridge-subgraph oracle, on random connected graphs.
 ``solver.bridge_forest_bound`` must be h(G) as the oracle's components of
 C(G) give it, with each component's diameter found by a search from every
 vertex.
@@ -97,7 +97,7 @@ def blocks_agree(g: Graph) -> bool:
     d = block_decomposition(g)
     if "blocks" in vars(d):
         return False
-    blocks = [b.edges for b in d.blocks]
+    blocks = list(d.blocks)
     return (
         blocks == block_oracle(g)
         and d.block_count == len(blocks)
@@ -106,14 +106,14 @@ def blocks_agree(g: Graph) -> bool:
 
 
 def profile_agrees(g: Graph) -> bool:
-    """``block_decomposition(g).profile`` has the cut edges, ascending
-    component orders, linear-forest verdict, largest component size and
-    maximum degree of the bridge-subgraph oracle's C(G)."""
-    p = block_decomposition(g).profile
+    """``block_decomposition(g)`` has the cut edges, ascending component
+    orders, linear-forest verdict, largest component size and maximum degree
+    of the bridge-subgraph oracle's C(G)."""
+    d = block_decomposition(g)
     bridges, components = bridge_subgraph_oracle(g)
     ends = [x for c in components for e in c[1] for x in e]
     return (
-        p.cut_edges, p.component_orders, p.is_linear_forest, p.max_component_edges, p.max_degree
+        d.cut_edges, d.component_orders, d.is_linear_forest, d.max_component_edges, d.max_degree
     ) == (
         bridges,
         tuple(len(c[0]) for c in components),
@@ -124,7 +124,7 @@ def profile_agrees(g: Graph) -> bool:
 
 
 def bound_agrees(g: Graph) -> bool:
-    """``bridge_forest_bound`` of g's profile is h(G): over the components of
+    """``bridge_forest_bound`` of g's decomposition is h(G): over the components of
     the bridge-subgraph oracle's C(G), the largest of the maximum degree and
     ceil(log2(diameter + 1)), the diameter the longest distance a
     breadth-first search from any vertex reaches; 0 when C(G) is empty."""
@@ -146,7 +146,7 @@ def bound_agrees(g: Graph) -> bool:
                 depth += 1
             diameter = max(diameter, depth)
         h = max(h, max(len(ys) for ys in nbrs.values()), math.ceil(math.log2(diameter + 1)))
-    return bridge_forest_bound(block_decomposition(g).profile) == h
+    return bridge_forest_bound(block_decomposition(g)) == h
 
 
 def degree_sum_agrees(g: Graph) -> bool:

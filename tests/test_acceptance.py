@@ -116,7 +116,7 @@ def test_acceptance_06_extremal_metrics(report):
         n = g.vertex_count
         ok &= n == 5 * t
         ok &= 5 * cfc.min_degree(g) == n - 5
-        ok &= cfc.block_decomposition(g).profile.component_orders == (3, 3)
+        ok &= cfc.block_decomposition(g).component_orders == (3, 3)
     for k in (5, 6):
         g = fam.gen_D(k)
         ok &= g.vertex_count == k * k + k - 1
@@ -147,8 +147,8 @@ def test_acceptance_08_necessary_condition_sweep(report):
         if cfc.exact_cfc(g).value != 2:
             continue
         cfc_two_count += 1
-        profile = cfc.block_decomposition(g).profile
-        if not (profile.is_linear_forest and profile.max_component_edges <= 3):
+        d = cfc.block_decomposition(g)
+        if not (d.is_linear_forest and d.max_component_edges <= 3):
             violations += 1
     ok = violations == 0 and cfc_two_count > 0
     report(

@@ -115,8 +115,8 @@ def test_construct_two_coloring_order_four_bridge_path():
         8,
         [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)],
     )
-    profile = cfc.block_decomposition(g).profile
-    assert profile.component_orders == (4,)
+    d = cfc.block_decomposition(g)
+    assert d.component_orders == (4,)
     coloring = cfc.construct_two_coloring(g)
     cmap = coloring.as_dict()
     assert (cmap[(2, 3)], cmap[(3, 4)], cmap[(4, 5)]) == (1, 2, 1)
@@ -171,7 +171,7 @@ def test_construct_two_coloring_from_given_decomposition(seed):
     g = gen_random_glued_blocks(seed, max_vertices=16)
     d = cfc.block_decomposition(g)
     coloring = cfc.construct_two_coloring(g, d)
-    # The block edges are read off the DFS arrays: no Block is built.
+    # The block edges are read off the DFS arrays: no block is built.
     assert "blocks" not in vars(d)
     assert coloring == cfc.construct_two_coloring(g)
 
@@ -228,7 +228,7 @@ def test_construct_two_coloring_matches_brute_force_on_random_graphs():
         if g.edge_count > 16 or cfc.is_complete(g):
             continue
         d = cfc.block_decomposition(g)
-        if not d.profile.construction_applies:
+        if not d.construction_applies:
             continue
         checked += 1
         block_edges = cfc.select_block_edges(d)

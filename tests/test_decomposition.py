@@ -72,8 +72,8 @@ def test_block_decomposition_r3_witness():
     # C4 - bridge - middle vertex - bridge - K3: two nontrivial blocks,
     # two trivial ones, cut vertices at 3, 4, 5.
     d = cfc.block_decomposition(gen_R(3))
-    assert sum(1 for b in d.blocks if not b.is_trivial) == 2
-    assert sum(1 for b in d.blocks if b.is_trivial) == 2
+    assert sum(1 for b in d.blocks if len(b) > 1) == 2
+    assert sum(1 for b in d.blocks if len(b) == 1) == 2
     assert d.cut_vertices == frozenset({3, 4, 5})
     assert d.cut_edges == frozenset({(3, 4), (4, 5)})
 
@@ -112,18 +112,18 @@ def test_blocks_built_on_first_read_match_the_oracle(rng):
 
 def test_cut_edge_profile_examples():
     c4 = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    profile = cfc.block_decomposition(c4).profile
-    assert profile.cut_edges == frozenset() and profile.component_orders == ()
-    assert profile.is_linear_forest
-    assert profile.max_component_edges == 0
+    d = cfc.block_decomposition(c4)
+    assert d.cut_edges == frozenset() and d.component_orders == ()
+    assert d.is_linear_forest
+    assert d.max_component_edges == 0
 
-    s = cfc.block_decomposition(gen_S(3)).profile
+    s = cfc.block_decomposition(gen_S(3))
     assert s.component_orders == (3, 3)
     assert s.cut_edges == frozenset({(0, 1), (1, 2), (3, 4), (4, 5)})
     assert s.is_linear_forest and s.max_component_edges == 2
 
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not cfc.block_decomposition(star).profile.is_linear_forest
+    assert not cfc.block_decomposition(star).is_linear_forest
 
 
 def _least_block_edges_by_oracle(g):
@@ -177,7 +177,7 @@ def test_blocks_and_cut_vertices_match_networkx(seed):
         frozenset(cfc.canonical_edge(a, b) for a, b in c)
         for c in nx.biconnected_component_edges(h)
     }
-    assert {frozenset(b.edges) for b in d.blocks} == expected_blocks
+    assert {frozenset(b) for b in d.blocks} == expected_blocks
     assert d.cut_vertices == frozenset(nx.articulation_points(h))
 
 
@@ -191,24 +191,23 @@ def test_decomposition_invariants(seed):
     g = gen_random_connected(n, rng.uniform(0.25, 0.9), seed=seed)
     d = cfc.block_decomposition(g)
     # every edge in exactly one block
-    seen = [e for b in d.blocks for e in b.edges]
+    seen = [e for b in d.blocks for e in b]
     assert sorted(seen) == list(g.edges)
     assert len(seen) == len(set(seen))
     # trivial blocks are exactly the cut edges
-    assert sum(1 for b in d.blocks if b.is_trivial) == len(d.cut_edges)
+    assert sum(1 for b in d.blocks if len(b) == 1) == len(d.cut_edges)
     assert d.cut_edges == bridge_oracle(g)
     # the selection is the least edge of each nontrivial block
-    nontrivial = [b for b in d.blocks if not b.is_trivial]
-    assert cfc.select_block_edges(d) == tuple(sorted(b.edges[0] for b in nontrivial))
+    nontrivial = [b for b in d.blocks if len(b) > 1]
+    assert cfc.select_block_edges(d) == tuple(sorted(b[0] for b in nontrivial))
     # linear forest iff max degree <= 2 within the bridge subgraph
-    profile = d.profile
     degree_in_c = {}
-    for u, v in profile.cut_edges:
+    for u, v in d.cut_edges:
         degree_in_c[u] = degree_in_c.get(u, 0) + 1
         degree_in_c[v] = degree_in_c.get(v, 0) + 1
-    assert profile.is_linear_forest == all(x <= 2 for x in degree_in_c.values())
-    assert profile.max_degree == max(degree_in_c.values(), default=0)
-    assert list(profile.component_orders) == sorted(profile.component_orders)
+    assert d.is_linear_forest == all(x <= 2 for x in degree_in_c.values())
+    assert d.max_degree == max(degree_in_c.values(), default=0)
+    assert list(d.component_orders) == sorted(d.component_orders)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -228,28 +227,28 @@ def test_single_pass_profile_matches_oracle_on_glued_blocks(seed):
 
 
 def test_profile_of_one_vertex_graph_is_empty():
-    profile = cfc.block_decomposition(cfc.build_graph(1, [])).profile
-    assert profile.cut_edges == frozenset() and profile.component_orders == ()
-    assert profile.max_component_edges == 0 and profile.lemma_2_2_shape
-    assert profile.construction_applies
-    assert profile.max_degree == 0
+    d = cfc.block_decomposition(cfc.build_graph(1, []))
+    assert d.cut_edges == frozenset() and d.component_orders == ()
+    assert d.max_component_edges == 0 and d.lemma_2_2_shape
+    assert d.construction_applies
+    assert d.max_degree == 0
 
 
 def test_lemma_2_2_shape():
     # S's two P3s of bridges: the shape, but not the construction's hypothesis
-    s3 = cfc.block_decomposition(gen_S(3)).profile
+    s3 = cfc.block_decomposition(gen_S(3))
     assert s3.component_orders == (3, 3) and s3.lemma_2_2_shape
     assert not s3.construction_applies
     star = cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not cfc.block_decomposition(star).profile.lemma_2_2_shape
+    assert not cfc.block_decomposition(star).lemma_2_2_shape
     # a linear forest, but with a bridge run of four edges
-    run = cfc.block_decomposition(gen_remark4_H(5)).profile
+    run = cfc.block_decomposition(gen_remark4_H(5))
     assert run.is_linear_forest and run.max_component_edges == 4
     assert not run.lemma_2_2_shape and not run.construction_applies
     # a triangle with two pendant bridges and a pendant P4 of bridges: both
     g = cfc.build_graph(8, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (5, 6), (6, 7)])
-    profile = cfc.block_decomposition(g).profile
-    assert profile.component_orders == (2, 2, 4) and profile.construction_applies
+    d = cfc.block_decomposition(g)
+    assert d.component_orders == (2, 2, 4) and d.construction_applies
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -267,15 +266,15 @@ def test_construction_applies_matches_the_paper_on_the_oracle(seed):
             and sum(k > 1 for k in sizes) <= 1
             and max(sizes, default=0) <= 3
         )
-        assert cfc.block_decomposition(g).profile.construction_applies == expected, g
+        assert cfc.block_decomposition(g).construction_applies == expected, g
 
 
 def test_cut_edge_profile_is_linear_in_bridge_run_length():
     g = gen_path(20000)
     start = time.perf_counter()
-    profile = cfc.block_decomposition(g).profile
+    d = cfc.block_decomposition(g)
     elapsed = time.perf_counter() - start
-    assert profile.component_orders == (20000,)
+    assert d.component_orders == (20000,)
     assert elapsed < 2.0, f"{elapsed:.2f} s for a 19999-bridge path"
 
 
@@ -292,10 +291,8 @@ def _assert_decomposition_matches_reference(g):
     vertices = [tuple(sorted({x for e in edges for x in e})) for edges in blocks]
     cut = frozenset(nx.articulation_points(h))
     d = cfc.block_decomposition(g)
-    assert [b.edges for b in d.blocks] == blocks
-    # Each block's vertex set is computed when first read.
-    assert not any("vertices" in vars(b) for b in d.blocks)
-    assert [b.vertices for b in d.blocks] == vertices
+    assert list(d.blocks) == blocks
+    assert [tuple(sorted({x for e in b for x in e})) for b in d.blocks] == vertices
     assert d.cut_vertices == cut
     assert d.cut_edges == bridge_oracle(g)
     assert profile_agrees(g)

@@ -28,9 +28,9 @@ def test_r_family_metrics(k):
 
 def test_r_family_bridge_components():
     # k >= 4: the matching makes all bridge components single edges
-    profile = cfc.block_decomposition(fam.gen_R(5)).profile
-    assert all(o == 2 for o in profile.component_orders)
-    assert len(profile.component_orders) == 4
+    d = cfc.block_decomposition(fam.gen_R(5))
+    assert all(o == 2 for o in d.component_orders)
+    assert len(d.component_orders) == 4
 
 
 @pytest.mark.parametrize("t", [3, 4, 5, 6])
@@ -39,9 +39,9 @@ def test_s_family_metrics(t):
     n = g.vertex_count
     assert n == 5 * t
     assert 5 * cfc.min_degree(g) == n - 5
-    profile = cfc.block_decomposition(g).profile
-    assert profile.component_orders == (3, 3)
-    assert profile.is_linear_forest
+    d = cfc.block_decomposition(g)
+    assert d.component_orders == (3, 3)
+    assert d.is_linear_forest
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -54,9 +54,9 @@ def test_d_family_metrics(k):
 
 def test_h34_has_cfc_two():
     g = fam.gen_H(3, 4)
-    profile = cfc.block_decomposition(g).profile
+    d = cfc.block_decomposition(g)
     # the spine's two adjacent bridges make a single order-3 component
-    assert profile.component_orders == (3,)
+    assert d.component_orders == (3,)
     coloring = cfc.construct_two_coloring(g)
     assert cfc.verify_conflict_free_connected(coloring).is_conflict_free_connected
 
@@ -65,9 +65,9 @@ def test_remark4_h():
     g = fam.gen_remark4_H(5)
     assert (g.vertex_count, g.edge_count) == (9, 10)
     assert cfc.min_degree(g) == 2
-    profile = cfc.block_decomposition(g).profile
+    d = cfc.block_decomposition(g)
     # the connecting path's bridges form one component too long for cfc = 2
-    assert profile.max_component_edges == 4
+    assert d.max_component_edges == 4
 
 
 def test_remark4_g():
@@ -79,7 +79,7 @@ def test_remark4_g():
 def test_remark6_h():
     g = fam.gen_remark6_H(16)
     assert 4 * cfc.min_degree(g) == g.vertex_count - 4
-    assert not cfc.block_decomposition(g).profile.is_linear_forest
+    assert not cfc.block_decomposition(g).is_linear_forest
 
 
 def test_remark6_g():
@@ -87,16 +87,16 @@ def test_remark6_g():
     n = g.vertex_count
     assert n == 15
     assert 4 * cfc.min_degree(g) >= n - 3
-    assert not cfc.block_decomposition(g).profile.is_linear_forest
+    assert not cfc.block_decomposition(g).is_linear_forest
 
 
 def test_remark7_g():
     g = fam.gen_remark7_G(11)
     s = cfc.min_nonadjacent_degree_sum(g)
     assert 5 * s >= 2 * g.vertex_count - 9
-    profile = cfc.block_decomposition(g).profile
-    assert profile.component_orders == (5,)
-    assert profile.max_component_edges == 4
+    d = cfc.block_decomposition(g)
+    assert d.component_orders == (5,)
+    assert d.max_component_edges == 4
     # middle path vertices keep degree 2
     assert len(g.adjacency[1]) == 2
     assert len(g.adjacency[2]) == 2
@@ -184,7 +184,7 @@ def test_glued_blocks_satisfy_two_coloring_hypothesis(max_vertices, seeds):
         assert g.vertex_count <= max_vertices
         assert cfc.is_connected(g)
         assert not cfc.is_complete(g)
-        assert cfc.block_decomposition(g).profile.construction_applies
+        assert cfc.block_decomposition(g).construction_applies
 
 
 # gen_random_connected over a grid of (n, p), seeds 0-49: one SHA-256 over

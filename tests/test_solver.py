@@ -225,7 +225,7 @@ def _star(k):
 
 
 def _h(g):
-    return bridge_forest_bound(cfc.block_decomposition(g).profile)
+    return bridge_forest_bound(cfc.block_decomposition(g))
 
 
 def test_cfc_bracket():
@@ -296,10 +296,10 @@ def test_bridge_forest_bound_within_lemma_2_2_shape(seed):
     rng = random.Random(seed)
     graphs = (connected_graph(rng), sparse_connected(rng, 30, 0), sparse_connected(rng, 30, 0.05))
     for g in graphs:
-        profile = cfc.block_decomposition(g).profile
-        assert profile.lemma_2_2_shape == (bridge_forest_bound(profile) <= 2), g
+        d = cfc.block_decomposition(g)
+        assert d.lemma_2_2_shape == (bridge_forest_bound(d) <= 2), g
         if not cfc.is_complete(g):
-            assert cfc.cfc_bracket(g)[0] == (2 if profile.lemma_2_2_shape else _h(g)), g
+            assert cfc.cfc_bracket(g)[0] == (2 if d.lemma_2_2_shape else _h(g)), g
 
 
 def test_path_values_match_formula():
@@ -449,10 +449,10 @@ def test_two_coloring_certificate_agrees_with_the_sweep_and_brute_force():
         d = cfc.block_decomposition(g)
         answer, certificate = two_coloring_certificate(g, d, None)
         seen[certificate, answer] += 1
-        if d.profile.construction_applies:
+        if d.construction_applies:
             assert certificate == "constructive"
         else:
-            assert certificate == ("sweep" if d.profile.lemma_2_2_shape else "shape")
+            assert certificate == ("sweep" if d.lemma_2_2_shape else "shape")
         assert answer is cfc.exists_two_coloring(g).exists, (g, certificate)
         if g.edge_count <= 8:
             assert answer is (cfc_brute(g, tmax=2) == 2), (g, certificate)

@@ -66,13 +66,12 @@ def _generate_corpus(rng):
 
 def _decomposition_record(g):
     d = block_decomposition(g)
-    p = d.profile
     return (
-        [(b.edges, b.vertices) for b in d.blocks],
+        [(b, tuple(sorted({x for e in b for x in e}))) for b in d.blocks],
         sorted(d.cut_vertices),
-        p.is_linear_forest,
-        p.component_orders,
-        p.max_component_edges,
+        d.is_linear_forest,
+        d.component_orders,
+        d.max_component_edges,
     )
 
 
@@ -97,7 +96,7 @@ def _serve_pairs_digest(constructed):
         if (
             constructed
             and not is_complete(g)
-            and block_decomposition(g).profile.construction_applies
+            and block_decomposition(g).construction_applies
         ):
             colorings.append(construct_two_coloring(g).colors)
         for colors in colorings:

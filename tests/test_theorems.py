@@ -223,9 +223,9 @@ def test_remark5_path_value():
 def test_lemma_2_2_hypothesis_does_not_assume_the_shape(monkeypatch):
     # With the shape predicate forced false, C5 (cfc = 2) breaks the
     # lemma's conclusion; its hypothesis must still be decided by search.
-    from cfcgraph.decomposition import CutEdgeProfile
+    from cfcgraph.decomposition import BlockDecomposition
 
-    monkeypatch.setattr(CutEdgeProfile, "lemma_2_2_shape", property(lambda self: False))
+    monkeypatch.setattr(BlockDecomposition, "lemma_2_2_shape", property(lambda self: False))
     check = check_theorem(fam.gen_cycle(5), "2.2")
     assert check.hypothesis_holds
     assert check.is_counterexample
@@ -317,7 +317,7 @@ def test_cfc_two_oracle_refutes_by_shape_past_the_sweep_cap():
 
     s4 = fam.gen_S(4)
     d = cfc.block_decomposition(s4)
-    assert s4.edge_count > ORACLE_EDGE_CAP and d.profile.lemma_2_2_shape
+    assert s4.edge_count > ORACLE_EDGE_CAP and d.lemma_2_2_shape
     assert _cfc_two_check(s4, d, None, None) == (None, None)
 
 
