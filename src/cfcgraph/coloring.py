@@ -101,7 +101,7 @@ def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     u-v path, built from the pair's serving edge when it is read.
     """
     g = coloring.graph
-    served, unserved = _serve_pairs(g, coloring.colors, nonadjacent_pairs(g))
+    served, unserved = _serve_pairs(g, coloring.colors, list(nonadjacent_pairs(g)))
     # A served pair is joined by a path, so only an unserved pair (or no
     # vertex at all) can mean the graph is not connected.
     if (unserved or not g.vertex_count) and not is_connected(g):

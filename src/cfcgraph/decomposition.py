@@ -5,11 +5,12 @@ nontrivial block that the two-coloring construction colors 2.
 ``block_decomposition`` is the one structural pass and the only entry point:
 one lowpoint DFS gives every field of ``BlockDecomposition``, C(G) included,
 so callers read the cut edges as ``d.cut_edges`` and C(G)'s shape as
-``d.component_orders`` and ``d.max_degree``.  That DFS, ``_lowpoint``, marks
-each vertex with the head of its block.  The block count, the cut vertices,
-the cut edges and C(G)'s component orders come straight from the DFS arrays;
-``d.blocks`` groups the edges by block head only when first read, and
-``select_block_edges`` reads the same arrays without building a block.
+``d.component_orders``, ``d.max_degree`` and ``d.longest_cut_path``; no
+other module builds C(G).  That DFS, ``_lowpoint``, marks each vertex with
+the head of its block.  The block count, the cut vertices, the cut edges and
+C(G)'s component orders come straight from the DFS arrays; ``d.blocks`` and
+``d.longest_cut_path`` read them only when first read, and
+``select_block_edges`` reads them without building a block.
 The verifier's per-edge rule in ``coloring`` runs the same DFS once per edge.
 """
 from __future__ import annotations
@@ -36,7 +37,8 @@ class BlockDecomposition:
     built on first read from the DFS arrays: an edge belongs to the block of
     the tree edge into its deeper end, since a back edge closes a cycle
     through that tree edge, and ``g.edges`` is sorted, so grouping it in
-    order yields sorted blocks in that order."""
+    order yields sorted blocks in that order.  ``longest_cut_path`` is also
+    computed on first read."""
 
     block_count: int
     cut_vertices: FrozenSet[int]
@@ -81,6 +83,25 @@ class BlockDecomposition:
         for h, e in self._edges_by_head():
             blocks.setdefault(h, []).append(e)
         return tuple(map(tuple, blocks.values()))
+
+    @cached_property
+    def longest_cut_path(self) -> int:
+        """The edge count of a longest path of C(G), 0 with no cut edge.  Off
+        a linear forest the cut edges are read deeper end first, so
+        ``below[x]``, the longest cut-edge path hanging from x, is complete
+        when the edge above x joins it to the longest yet at the upper end."""
+        if self.is_linear_forest:
+            return self.max_component_edges
+        disc = self._disc
+        below: Dict[int, int] = {}
+        longest = 0
+        for upper, lower in sorted(
+            (sorted(e, key=disc.__getitem__) for e in self.cut_edges), key=lambda e: -disc[e[1]]
+        ):
+            hanging = below.get(lower, 0) + 1
+            longest = max(longest, below.get(upper, 0) + hanging)
+            below[upper] = max(below.get(upper, 0), hanging)
+        return longest
 
 
 def _lowpoint(

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import combinations, islice, repeat
 from operator import eq
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
     EdgeListParseError,
@@ -176,11 +176,11 @@ def min_degree(g: Graph) -> int:
     return min(map(len, g.adjacency))
 
 
-def nonadjacent_pairs(g: Graph) -> List[Edge]:
+def nonadjacent_pairs(g: Graph) -> Iterator[Edge]:
     """Every pair (u, v), u < v, of nonadjacent vertices, in lexicographic
-    order."""
+    order, each made only when read."""
     edge_set = g.edge_set
-    return [p for p in combinations(range(g.vertex_count), 2) if p not in edge_set]
+    return (p for p in combinations(range(g.vertex_count), 2) if p not in edge_set)
 
 
 def min_nonadjacent_degree_sum(g: Graph) -> Optional[int]:

@@ -23,14 +23,16 @@ included (b depends only on the graph and the pair).
 ``colorings_examined`` is the odometer rank of the last coloring decided,
 checked or skipped: the witness's rank plus one, or t ** (m - 1) for a sweep
 that finds none.  ``verification_steps`` counts only the pair checks made,
-and the budget counts those steps, not wall time.
+and the budget counts those steps, not wall time.  A budget of B steps never
+reaches a pair past position B, so only the first B + 1 pairs get a record.
 
 ``cfc_bracket`` is the only bound on ``exact_cfc``: the search starts at its
 lower bound, and a search that runs out of budget reports its upper bound.
 The lower bound is h(G) (``bridge_forest_bound``), at least 2: two vertices
 of one component T of C(G), the subgraph of the cut edges, are joined in G
 only by T's own path, so cfc(G) is at least cfc(T), which is at least T's
-maximum degree and the path formula of T's longest path.  h(G) <= 2 exactly
+maximum degree and the path formula of T's longest path; both are read off
+the block decomposition, which alone builds C(G).  h(G) <= 2 exactly
 within Lemma 2.2's necessary shape (``BlockDecomposition.lemma_2_2_shape``): a
 vertex on three cut edges gives h >= 3 and a path of four ceil(log2 5) = 3,
 so the lemma bounds nothing that h does not.  No t below cfc has a coloring,
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain, count, islice
+from typing import Iterator, List, Optional, Tuple
 
 from .coloring import (
     EdgeColoring,
@@ -127,12 +129,15 @@ def _simple_paths(
             on_path[path.pop()] = False
 
 
-def _pairs(g: Graph) -> List[list]:
+def _pairs(g: Graph, budget: Optional[int] = None) -> List[list]:
     """Per nonadjacent pair: ``[u, v, masks, pull, jump]``, the paths pulled
     so far, the generator that pulls more, and the pair's ``_jump`` once it
     has failed; no path is generated until the sweep reads it.  The sweep
     drops ``pull`` once it is spent, and ``masks`` too when the pair has more
     paths than the cap.
+
+    With a ``budget`` of B only the first B + 1 pairs get one: the record at
+    B makes the sweep raise there rather than succeed, and it checks none past.
 
     Edge i of the canonical order is bit m-1-i, so the last edge is the
     least significant.
@@ -146,7 +151,7 @@ def _pairs(g: Graph) -> List[list]:
         incident[b].append((a, bit))
     out = []
     # Adjacent pairs are always conflict-free connected via their single edge.
-    for u, v in nonadjacent_pairs(g):
+    for u, v in islice(nonadjacent_pairs(g), None if budget is None else budget + 1):
         masks: List[Tuple[int, int]] = []
         out.append([u, v, masks, _simple_paths(incident, u, v, masks), None])
     return out
@@ -299,7 +304,7 @@ def exact_cfc(g: Graph, budget: Optional[int] = None) -> CfcResult:
     lower, upper = cfc_bracket(g)
     if lower == 1:
         return CfcResult(1, EdgeColoring(graph=g, colors=(1,) * g.edge_count), stats)
-    pairs = _pairs(g)
+    pairs = _pairs(g, budget)
     for t in count(lower):
         colors = _sweep(g, t, upper, pairs, stats, budget)
         if colors is not None:
@@ -318,7 +323,7 @@ def exists_two_coloring(g: Graph, budget: Optional[int] = None) -> TwoColoringSe
     if is_complete(g):
         raise CompleteGraphError("two-coloring search expects a non-complete graph")
     stats = SearchStats()
-    colors = _sweep(g, 2, g.edge_count, _pairs(g), stats, budget)
+    colors = _sweep(g, 2, g.edge_count, _pairs(g, budget), stats, budget)
     witness = EdgeColoring(graph=g, colors=colors) if colors is not None else None
     return TwoColoringSearch(exists=colors is not None, witness=witness, stats=stats)
 
@@ -352,48 +357,18 @@ def two_coloring_certificate(
     return two_coloring_sweep(g, budget)
 
 
-def _farthest(adjacency: Dict[int, List[int]], source: int) -> Tuple[List[int], int]:
-    """Breadth-first search of the tree holding ``source``: the vertices in
-    the order reached, and the distance of the last one, which is as far
-    from ``source`` as any."""
-    depth = {source: 0}
-    reached = [source]
-    for x in reached:
-        for y in adjacency[x]:
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                reached.append(y)
-    return reached, depth[reached[-1]]
-
-
 def bridge_forest_bound(d: BlockDecomposition) -> int:
     """h(G), a lower bound on cfc(G) read off C(G) alone: over the components
     T of C(G), the largest of T's maximum degree and ``cfc_path_formula`` of
     T's longest path; 0 when G has no cut edge.
 
     The edges at a vertex of T pairwise form 2-edge paths, so they need
-    distinct colors.  The formula is monotone, so on a linear forest h is the
-    formula of the largest component, at no cost.  Otherwise the maximum
-    degree is at least 3, and the longest path is walked only when the
-    largest component is long enough for its formula to exceed that degree.
+    distinct colors.  The formula is monotone, so the longest path of C(G)
+    gives the largest formula of any component.
     """
-    longest, degree = d.max_component_edges, d.max_degree
-    if d.is_linear_forest:
-        return cfc_path_formula(longest) if longest else 0
-    if cfc_path_formula(longest) <= degree:
-        return degree
-    adjacency: Dict[int, List[int]] = {}
-    for a, b in d.cut_edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    diameter = 0
-    seen = set()
-    for root in adjacency:
-        if root not in seen:
-            reached, _ = _farthest(adjacency, root)
-            seen.update(reached)
-            diameter = max(diameter, _farthest(adjacency, reached[-1])[1])
-    return max(degree, cfc_path_formula(diameter))
+    if not d.cut_edges:
+        return 0
+    return max(d.max_degree, cfc_path_formula(d.longest_cut_path))
 
 
 def cfc_bracket(g: Graph) -> Tuple[int, int]:

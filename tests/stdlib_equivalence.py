@@ -11,11 +11,12 @@ message, as the line loop on random edge-list texts, and the bulk path must
 agree with the line loop wherever it accepts a text.  A ``Graph`` built from
 the sorted keys ``u * n + v`` must match ``build_graph`` on the same edges in
 every field, equality, hash and repr.  ``block_decomposition``'s ``blocks``
-must match conftest's block oracle, and its fields and properties of C(G)
-conftest's bridge-subgraph oracle, on random connected graphs.
+must match conftest's block oracle, and its fields and properties of C(G),
+the longest path of C(G) included, conftest's bridge-subgraph oracle, with
+each component's diameter found by a search from every vertex, on random
+connected graphs.
 ``solver.bridge_forest_bound`` must be h(G) as the oracle's components of
-C(G) give it, with each component's diameter found by a search from every
-vertex.
+C(G) give it.
 ``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
 plus a newline on random nested payloads.  ``min_nonadjacent_degree_sum``
 must be the least degree sum over all nonadjacent pairs, on random graphs of
@@ -105,47 +106,57 @@ def blocks_agree(g: Graph) -> bool:
     )
 
 
+def tree_shape(vertices, edges):
+    """``(maximum degree, diameter)`` of a component of the bridge-subgraph
+    oracle's C(G), the diameter the longest distance a breadth-first search
+    from any vertex reaches."""
+    nbrs = {x: [] for x in vertices}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    diameter = 0
+    for source in vertices:
+        seen, frontier, depth = {source}, [source], 0
+        while True:
+            frontier = [y for x in frontier for y in nbrs[x] if y not in seen]
+            if not frontier:
+                break
+            seen.update(frontier)
+            depth += 1
+        diameter = max(diameter, depth)
+    return max(len(ys) for ys in nbrs.values()), diameter
+
+
 def profile_agrees(g: Graph) -> bool:
     """``block_decomposition(g)`` has the cut edges, ascending component
-    orders, linear-forest verdict, largest component size and maximum degree
-    of the bridge-subgraph oracle's C(G)."""
+    orders, linear-forest verdict, largest component size, maximum degree
+    and longest path of the bridge-subgraph oracle's C(G), the longest path
+    being the largest component diameter."""
     d = block_decomposition(g)
     bridges, components = bridge_subgraph_oracle(g)
     ends = [x for c in components for e in c[1] for x in e]
     return (
-        d.cut_edges, d.component_orders, d.is_linear_forest, d.max_component_edges, d.max_degree
+        d.cut_edges, d.component_orders, d.is_linear_forest, d.max_component_edges, d.max_degree,
+        d.longest_cut_path,
     ) == (
         bridges,
         tuple(len(c[0]) for c in components),
         all(c[2] is not None for c in components),
         max((len(c[1]) for c in components), default=0),
         max(Counter(ends).values(), default=0),
+        max((tree_shape(*c[:2])[1] for c in components), default=0),
     )
 
 
 def bound_agrees(g: Graph) -> bool:
     """``bridge_forest_bound`` of g's decomposition is h(G): over the components of
     the bridge-subgraph oracle's C(G), the largest of the maximum degree and
-    ceil(log2(diameter + 1)), the diameter the longest distance a
-    breadth-first search from any vertex reaches; 0 when C(G) is empty."""
+    ceil(log2(diameter + 1)); 0 when C(G) is empty."""
     _, components = bridge_subgraph_oracle(g)
     h = 0
     for vertices, edges, _ in components:
-        nbrs = {x: [] for x in vertices}
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        diameter = 0
-        for source in vertices:
-            seen, frontier, depth = {source}, [source], 0
-            while True:
-                frontier = [y for x in frontier for y in nbrs[x] if y not in seen]
-                if not frontier:
-                    break
-                seen.update(frontier)
-                depth += 1
-            diameter = max(diameter, depth)
-        h = max(h, max(len(ys) for ys in nbrs.values()), math.ceil(math.log2(diameter + 1)))
+        degree, diameter = tree_shape(vertices, edges)
+        h = max(h, degree, math.ceil(math.log2(diameter + 1)))
     return bridge_forest_bound(block_decomposition(g)) == h
 
 

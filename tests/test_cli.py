@@ -876,6 +876,25 @@ def test_gen_refuses_an_oversized_family_in_bounded_memory(tmp_path):
         assert not out.exists()
 
 
+def test_cfc_budget_bounds_the_pair_records(tmp_path):
+    # With --budget 10 the sweep holds at most 11 pair records, not one per
+    # nonadjacent pair, so path 20000 (about 2 * 10**8 pairs) stops at its
+    # bracket under a 1 GiB address-space limit.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    path = tmp_path / "path.edges"
+    path.write_text("20000 19999\n" + "".join(f"{v} {v + 1}\n" for v in range(19999)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfcgraph.cli", "cfc", "--budget", "10", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 4, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["status"], payload["bracket"]) == ("budget-exhausted", [15, 19999])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_render_matches_json_dumps(rng):

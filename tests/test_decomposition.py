@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cfcgraph as cfc
 from cfcgraph.errors import EmptyGraphError, NotConnectedError
 from cfcgraph.families import (
+    gen_cycle,
     gen_H,
     gen_path,
     gen_R,
@@ -101,6 +102,26 @@ def test_blocks_built_on_first_read(n, edges, block_count, cut_vertices):
     assert blocks_agree(g)
     d = cfc.block_decomposition(g)
     assert d.block_count == block_count and d.cut_vertices == cut_vertices
+
+
+def test_longest_cut_path_built_on_first_read():
+    # A caterpillar (path of 8 edges, a leaf on its middle vertex), a spider
+    # of three 3-edge legs rooted at its centre, and a star: C(G) is the
+    # whole tree, not a linear forest.  Cycle 5 has no cut edge.
+    for g, longest in (
+        (cfc.build_graph(10, [(v, v + 1) for v in range(8)] + [(4, 9)]), 8),
+        (
+            cfc.build_graph(
+                10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+            ),
+            6,
+        ),
+        (cfc.build_graph(4, [(0, 1), (0, 2), (0, 3)]), 2),
+        (gen_cycle(5), 0),
+    ):
+        d = cfc.block_decomposition(g)
+        assert "longest_cut_path" not in vars(d)
+        assert d.longest_cut_path == longest and "longest_cut_path" in vars(d)
 
 
 @settings(max_examples=300, deadline=None)

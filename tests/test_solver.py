@@ -80,6 +80,35 @@ def test_budget_exhaustion_reports_bracket():
         assert (exc.value.lower, exc.value.upper) == (2, g.edge_count)
 
 
+def test_a_budget_builds_only_the_pair_records_it_can_reach(monkeypatch):
+    # A budget of B steps gets the sweep only the first B + 1 pair records.
+    # For every budget up to past the pair count the outcome is the one
+    # with every record: the unbudgeted result when it takes at most B
+    # steps, else the same bracket at step B + 1.
+    from cfcgraph import solver
+
+    def outcome(search, g, budget):
+        try:
+            return search(g, budget=budget)
+        except BudgetExhaustedError as exc:
+            return exc.lower, exc.upper, exc.steps
+
+    every_record = solver._pairs
+    for g in (gen_cycle(6), gen_path(7), _star(4), gen_H(3, 3), gen_remark4_H(5)):
+        pair_count = len(every_record(g))
+        for search in (cfc.exact_cfc, cfc.exists_two_coloring):
+            unbudgeted = search(g)
+            for budget in range(pair_count + 3):
+                got = outcome(search, g, budget)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_pairs", lambda g, budget=None: every_record(g))
+                    assert got == outcome(search, g, budget), (g, search, budget)
+                if unbudgeted.stats.verification_steps <= budget:
+                    assert got == unbudgeted, (g, search, budget)
+                else:
+                    assert got[2] == budget + 1, (g, search, budget)
+
+
 def test_negative_budget_is_out_of_range():
     from cfcgraph.theorems import run_harness
 

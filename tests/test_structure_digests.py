@@ -61,7 +61,7 @@ def _generate_corpus(rng):
             yield FAMILIES[family](*params), None
     for family, params in LARGE:
         g = FAMILIES[family](*params)
-        yield g, sorted(rng.sample(nonadjacent_pairs(g), LARGE_PAIR_SAMPLE))
+        yield g, sorted(rng.sample(list(nonadjacent_pairs(g)), LARGE_PAIR_SAMPLE))
 
 
 def _decomposition_record(g):
@@ -91,7 +91,7 @@ def _serve_pairs_digest(constructed):
     failing = holding = 0
     for g, pairs in _corpus():
         if pairs is None:
-            pairs = nonadjacent_pairs(g)
+            pairs = list(nonadjacent_pairs(g))
         colorings = [[rng.randint(1, t) for _ in g.edges] for t in (2, 3)]
         if (
             constructed
