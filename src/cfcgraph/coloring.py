@@ -33,7 +33,6 @@ from .graph import (
     canonical_edge,
     is_complete,
     is_connected,
-    nonadjacent_pairs,
 )
 
 
@@ -92,51 +91,79 @@ def is_conflict_free_path(coloring: EdgeColoring, path: Sequence[int]) -> bool:
 def verify_conflict_free_connected(coloring: EdgeColoring) -> CfcVerdict:
     """Decide whether every vertex pair is joined by a conflict-free path.
 
-    Exact for any number of colors, in O(m (n + m)) time plus the pair
-    bookkeeping (see ``_serve_pairs``).  Adjacent pairs are served by their
-    own edge.
+    Exact for any number of colors, in O(m (n + m)) time for the runs of
+    ``_edge_runs``.  Adjacent pairs are served by their own edge.  The
+    unserved pairs are bitset rows, O(n^2 / 64) machine words in all: row u
+    has bit v > u while u and v are nonadjacent and unserved.  After a run,
+    a reached u keeps the bits of the vertices it did not reach or reached
+    with its own label; the sweep stops once every row is empty.
 
-    ``failing_pair`` is the lexicographically first unserved pair.  On
-    success ``witness_paths`` maps every pair (u < v) to a conflict-free
-    u-v path, built from the pair's serving edge when it is read.
+    ``failing_pair`` is the lexicographically first unserved pair: the lowest
+    bit of the least nonempty row.  On success ``witness_paths`` maps every
+    pair (u < v) to a conflict-free u-v path; a pair's serving edge is found
+    again when its path is read.
     """
     g = coloring.graph
-    served, unserved = _serve_pairs(g, coloring.colors, list(nonadjacent_pairs(g)))
+    n = g.vertex_count
+    bit = [1 << v for v in range(n)]
+    rows = [(1 << n) - (b << 1) for b in bit]
+    for u, v in g.edges:
+        rows[u] ^= bit[v]
+    live = n - rows.count(0)
+    if live:
+        for _, _, _, order, _, _, label in _edge_runs(g, coloring.colors):
+            # same[x]: the vertices labelled x.  A label is w itself or an
+            # earlier vertex's, so preorder meets it before the rest.
+            reached = 0
+            same: Dict[int, int] = {}
+            for w in order:
+                b = bit[w]
+                reached |= b
+                x = label[w]
+                same[x] = b if x == w else same[x] | b
+            keep = ~reached
+            for u in order:
+                row = rows[u]
+                if row:
+                    row &= keep | same[label[u]]
+                    rows[u] = row
+                    live -= not row
+            if not live:
+                break
     # A served pair is joined by a path, so only an unserved pair (or no
     # vertex at all) can mean the graph is not connected.
-    if (unserved or not g.vertex_count) and not is_connected(g):
+    if (live or not n) and not is_connected(g):
         raise NotConnectedError("verification requires a connected graph")
-    if unserved:
-        return CfcVerdict(
-            is_conflict_free_connected=False, witness_paths=None, failing_pair=unserved[0]
-        )
+    if live:
+        u, row = next((u, row) for u, row in enumerate(rows) if row)
+        pair = (u, (row & -row).bit_length() - 1)
+        return CfcVerdict(is_conflict_free_connected=False, witness_paths=None, failing_pair=pair)
     return CfcVerdict(
-        is_conflict_free_connected=True,
-        witness_paths=WitnessPaths(coloring, served),
-        failing_pair=None,
+        is_conflict_free_connected=True, witness_paths=WitnessPaths(coloring), failing_pair=None
     )
 
 
-def _serve_pairs(
-    g: Graph, colors: Sequence[int], pairs: List[Edge]
-) -> Tuple[Dict[Edge, Tuple[int, int, int]], List[Edge]]:
-    """Split ``pairs`` into those joined by a conflict-free path under
-    ``colors`` (aligned with ``g.edges``) and the rest.
+def _edge_runs(
+    g: Graph, colors: Sequence[int]
+) -> Iterator[Tuple[int, int, int, List[int], int, List[int], List[int]]]:
+    """One ``decomposition._lowpoint`` run per edge ab of g, under ``colors``
+    (aligned with ``g.edges``): color classes smallest first (ties by color),
+    then each class's edges in order.
 
-    Returns ``(served, unserved)``: ``served`` maps each served pair to its
-    serving edge ab and that edge's color c as ``(c, a, b)``; ``unserved``
-    keeps the given order.  It rests on Menger's theorem: a u-v path uses
-    color c exactly once, on edge ab, iff G - E_c (G without the edges of
-    color c) has two vertex-disjoint paths from {u, v} to {a, b}.  For each
-    edge ab, color classes smallest first, ``decomposition._lowpoint`` runs
-    on G - E_c plus a vertex s adjacent to a and b; its block heads label
+    It rests on Menger's theorem: a u-v path uses color c exactly once, on
+    edge ab, iff G - E_c (G without the edges of color c) has two
+    vertex-disjoint paths from {u, v} to {a, b}.  The run for ab searches
+    G - E_c plus a vertex s = n adjacent to a and b; its block heads label
     every vertex reached with the vertex of s's blocks under which it hangs,
-    and the pairs reached with different labels are served by ab.  The sweep
-    stops as soon as every pair is served.
+    so ab serves exactly the pairs reached with different labels.
+
+    Yields ``(c, a, b, order, start, disc, label)``: ``order`` lists the
+    vertices reached, a vertex w was reached iff ``disc[w] >= start``, and
+    ``label[w]`` is its label.  ``disc`` and ``label`` are the same lists in
+    every run, overwritten by the next one, so a consumer reads them before
+    it asks for the next run; it stops the sweep by not asking.
     """
     n = g.vertex_count
-    unserved = pairs
-    served: Dict[Edge, Tuple[int, int, int]] = {}
     classes: Dict[int, List[Edge]] = {}
     for e, c in zip(g.edges, colors):
         classes.setdefault(c, []).append(e)
@@ -151,8 +178,6 @@ def _serve_pairs(
     label = [0] * (n + 1)
     clock = 0
     for c, members in sorted(classes.items(), key=lambda item: (len(item[1]), item[0])):
-        if not unserved:
-            break
         # The ends of the class's edges hold lists, which s is appended to.
         adj = _adjacency_without(g, members)
         adj.append([])
@@ -161,7 +186,6 @@ def _serve_pairs(
             adj[b].append(s)
             adj[s] = [a, b]
             order, clock = _lowpoint(adj, s, disc, low, parent, head, clock)
-            start = disc[s]
             adj[a].pop()
             adj[b].pop()
             # parent[head[w]] is the vertex nearest s of the block holding
@@ -169,16 +193,36 @@ def _serve_pairs(
             for w in order:
                 at = parent[head[w]]
                 label[w] = w if at == s else label[at]
-            rest = []
-            for pair in unserved:
-                u, v = pair
-                if disc[u] >= start and disc[v] >= start and label[u] != label[v]:
-                    served[pair] = (c, a, b)
-                else:
-                    rest.append(pair)
-            unserved = rest
-            if not unserved:
-                break
+            yield c, a, b, order, disc[s], disc, label
+
+
+def _serve_pairs(
+    g: Graph, colors: Sequence[int], pairs: List[Edge]
+) -> Tuple[Dict[Edge, Tuple[int, int, int]], List[Edge]]:
+    """Split ``pairs`` into those joined by a conflict-free path under
+    ``colors`` (aligned with ``g.edges``) and the rest.
+
+    Returns ``(served, unserved)``: ``served`` maps each served pair to its
+    serving edge ab and that edge's color c as ``(c, a, b)``, the first run
+    of ``_edge_runs`` to serve it; ``unserved`` keeps the given order.  The
+    sweep stops as soon as every pair is served, so a call with one pair
+    finds the serving edge that a call with all pairs gives it.
+    """
+    unserved = pairs
+    served: Dict[Edge, Tuple[int, int, int]] = {}
+    if not unserved:
+        return served, unserved
+    for c, a, b, _, start, disc, label in _edge_runs(g, colors):
+        rest = []
+        for pair in unserved:
+            u, v = pair
+            if disc[u] >= start and disc[v] >= start and label[u] != label[v]:
+                served[pair] = (c, a, b)
+            else:
+                rest.append(pair)
+        unserved = rest
+        if not unserved:
+            break
     return served, unserved
 
 
@@ -198,18 +242,19 @@ def _adjacency_without(g: Graph, removed: Iterable[Edge]) -> List[Sequence[int]]
 
 
 class WitnessPaths(Mapping):
-    """Read-only map from every vertex pair (u, v), u < v, of a conflict-free
-    connected coloring to a conflict-free u-v path.
+    """Read-only map from every vertex pair (u, v), 0 <= u < v < n, of a
+    conflict-free connected coloring to a conflict-free u-v path.
 
-    A pair of adjacent vertices gets its edge.  Any other pair gets, when it
-    is read, the path through its serving edge ab of color c, given as
-    ``served[pair] = (c, a, b)``: two vertex-disjoint paths from {u, v} to
-    {a, b} in G - E_c, joined by ab.
+    It holds only the coloring: membership is a range test and builds no
+    path, and any other key, a reversed pair included, is missing.  A pair
+    of adjacent vertices gets its edge.  Any other pair gets, when it is
+    read, the path through its serving edge ab of color c, which
+    ``_serve_pairs`` finds again for that pair alone: two vertex-disjoint
+    paths from {u, v} to {a, b} in G - E_c, joined by ab.
     """
 
-    def __init__(self, coloring: EdgeColoring, served: Dict[Tuple[int, int], Tuple[int, int, int]]):
+    def __init__(self, coloring: EdgeColoring):
         self._coloring = coloring
-        self._served = served
 
     def __len__(self) -> int:
         n = self._coloring.graph.vertex_count
@@ -220,13 +265,19 @@ class WitnessPaths(Mapping):
         return ((u, v) for u in range(n) for v in range(u + 1, n))
 
     def __contains__(self, pair) -> bool:
-        return pair in self._served or pair in self._coloring.graph.edge_set
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        u, v = pair
+        n = self._coloring.graph.vertex_count
+        return isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n
 
     def __getitem__(self, pair: Tuple[int, int]) -> Tuple[int, ...]:
-        if pair in self._coloring.graph.edge_set:
-            return pair
-        c, a, b = self._served[pair]
+        if pair not in self:
+            raise KeyError(pair)
         g, colors = self._coloring.graph, self._coloring.colors
+        if pair in g.edge_set:
+            return pair
+        c, a, b = _serve_pairs(g, colors, [pair])[0][pair]
         color_class = [e for e, k in zip(g.edges, colors) if k == c]
         to_u, to_v = _two_disjoint_paths(_adjacency_without(g, color_class), pair, (a, b))
         return tuple(to_u) + tuple(reversed(to_v))

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -893,6 +894,29 @@ def test_cfc_budget_bounds_the_pair_records(tmp_path):
     assert proc.returncode == 4, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["status"], payload["bracket"]) == ("budget-exhausted", [15, 19999])
+
+
+def test_color2_and_check_bound_the_unserved_pairs(tmp_path):
+    # The verifier keeps one bitset row of unserved partners per vertex, not
+    # a record per pair, so cycle 6000 (about 1.8 * 10**7 nonadjacent pairs)
+    # is colored and checked under a 1 GiB address-space limit.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    n = 6000
+    edges = tmp_path / "cycle.edges"
+    edges.write_text(f"{n} {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+    coloring = tmp_path / "cycle.coloring"
+    for argv in (["color2", str(edges), "--out", str(coloring)], ["check", str(edges), str(coloring)]):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfcgraph.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 10.0, argv
+        assert json.loads(proc.stdout)["verified"] is True
 
 
 @settings(max_examples=300, deadline=None)

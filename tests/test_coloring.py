@@ -17,6 +17,7 @@ from cfcgraph.errors import (
     NotConnectedError,
 )
 from cfcgraph.families import gen_H, gen_path, gen_random_connected, gen_random_glued_blocks
+from cfcgraph.graph import nonadjacent_pairs
 
 from conftest import (
     bridge_subgraph_oracle,
@@ -99,6 +100,18 @@ def test_witness_paths_membership_builds_no_path(monkeypatch):
         for v in range(u + 1, n):
             assert (u, v) in witness
             assert (v, u) not in witness
+
+
+def test_witness_paths_miss_every_key_but_an_ordered_pair():
+    g = cfc.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    witness = cfc.verify_conflict_free_connected(colored(g, (1, 2, 1, 1))).witness_paths
+    path = witness[(0, 2)]
+    assert (path[0], path[-1]) == (0, 2) and witness.get((1, 2)) == (1, 2)
+    for key in ((2, 0), (1, 1), (-1, 2), (3, 4), (0, 4), (0,), (0, 1, 2), [0, 2], "02", 0, None, (0.0, 2)):
+        assert key not in witness
+        with pytest.raises(KeyError):
+            witness[key]
+        assert witness.get(key) is None
 
 
 def test_construct_two_coloring_c5():
@@ -332,6 +345,49 @@ def test_verifier_matches_pairwise_path_search():
             assert verdict.witness_paths is None
     # both verdicts occur often enough for the comparison to mean something
     assert 300 < verified < 900
+
+
+def _differential_colorings():
+    """Random 2- and 3-colourings of random connected graphs on 2-14
+    vertices, and the constructed colouring of every glued-block graph of
+    seeds 0-199."""
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = gen_random_connected(n, rng.uniform(0.1, 0.9), seed=rng.randrange(10**6))
+        t = rng.randint(2, 3)
+        yield colored(g, [rng.randint(1, t) for _ in g.edges])
+    for seed in range(200):
+        yield cfc.construct_two_coloring(gen_random_glued_blocks(seed))
+
+
+def test_bitset_verdict_matches_serve_pairs():
+    """The verdict's bitset rows against ``_serve_pairs`` on every
+    nonadjacent pair: the same failing pair, and on a "yes" each witness
+    path runs through the pair's serving edge."""
+    failing = holding = 0
+    for coloring in _differential_colorings():
+        g = coloring.graph
+        n = g.vertex_count
+        served, unserved = coloring_module._serve_pairs(g, coloring.colors, list(nonadjacent_pairs(g)))
+        verdict = cfc.verify_conflict_free_connected(coloring)
+        assert verdict.failing_pair == (unserved[0] if unserved else None), g
+        assert verdict.is_conflict_free_connected == (not unserved)
+        if n <= 7:
+            assert verdict.is_conflict_free_connected == coloring_is_conflict_free_connected(
+                g, coloring.colors
+            )
+        if unserved:
+            failing += 1
+            continue
+        holding += 1
+        for pair, (c, a, b) in served.items():
+            path = verdict.witness_paths[pair]
+            assert (path[0], path[-1]) == pair
+            steps = {cfc.canonical_edge(x, y) for x, y in zip(path, path[1:])}
+            assert (a, b) in steps and coloring.as_dict()[a, b] == c
+            assert cfc.is_conflict_free_path(coloring, path)
+    assert failing > 30 and holding > 200
 
 
 @pytest.mark.parametrize("seed", range(30))
