@@ -4,13 +4,15 @@ for the extremal families.
 
 All threshold comparisons use exact integer/rational arithmetic, e.g.
 "delta >= (n-4)/5" is tested as 5*delta >= n-4.  Each bound is written once,
-in its theorem's row, which the sharpness checks read too.
+in its theorem's row, which the sharpness checks read too.  A row's
+hypothesis is a dict of named boolean clauses; 3.4's order clause is its
+displayed threshold, ``thm_3_4_order_threshold(k)``.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -30,7 +32,6 @@ class TheoremCheck:
     clauses: Dict[str, bool]
     conclusion_holds: Optional[bool]  # None: the hypothesis fails, or no certificate decides it
     mode: Optional[str] = None
-    details: Dict[str, object] = field(default_factory=dict)
 
     @property
     def is_counterexample(self) -> bool:
@@ -68,18 +69,14 @@ class TheoremReport:
         return payload
 
 
-def thm_3_4_order_thresholds(k: int) -> Dict[str, int]:
-    """The two candidate order thresholds (the displayed one and the one the
-    derivation actually ends with), as ceilings of exact rationals over k - 4;
-    a k below the 3.4 row's least raises ParamOutOfRangeError."""
+def thm_3_4_order_threshold(k: int) -> int:
+    """3.4's displayed order threshold, the ceiling of an exact rational
+    over k - 4 and at least k^2 + k; tight at k = 5, where ``remark7-G 32``
+    meets every other clause with k - 1 cut edges.  A k below the 3.4 row's
+    least raises ParamOutOfRangeError."""
     _row_k("3.4", k)
-    base = (k // 2) * k * (k - 2)
-    displayed = Fraction(base + k * k - 5 * k + 3, k - 4)
-    derived = Fraction(base + k * k - 5 * k + 2, k - 4)
-    return {
-        "displayed": max(k * k + k, math.ceil(displayed)),
-        "derived": max(k * k + k, math.ceil(derived)),
-    }
+    bound = Fraction((k // 2) * k * (k - 2) + k * k - 5 * k + 3, k - 4)
+    return max(k * k + k, math.ceil(bound))
 
 
 def _degree_sum_bound(g: Graph, k: int) -> bool:
@@ -92,29 +89,19 @@ def _degree_sum_bound(g: Graph, k: int) -> bool:
 def _thm_3_1_clauses(g: Graph, d: BlockDecomposition, k: int):
     """delta >= (n-k+1)/k on order n >= k^2."""
     n = g.vertex_count
-    clauses = {
+    return {
         "order_at_least_k_squared": n >= k * k,
         "min_degree_bound": k * min_degree(g) >= n - k + 1,
     }
-    return clauses, {"k": k, "cut_edges": len(d.cut_edges)}
 
 
 def _thm_3_4_clauses(g: Graph, d: BlockDecomposition, k: int):
     """Degree sum >= (2n-2k+1)/k over nonadjacent pairs, above an order
     threshold."""
-    n = g.vertex_count
-    thresholds = thm_3_4_order_thresholds(k)
-    clauses = {
-        "order_threshold": n >= thresholds["displayed"],
+    return {
+        "order_threshold": g.vertex_count >= thm_3_4_order_threshold(k),
         "degree_sum_bound": _degree_sum_bound(g, k),
     }
-    details = {
-        "k": k,
-        "cut_edges": len(d.cut_edges),
-        "order_thresholds": thresholds,
-        "between_thresholds": thresholds["derived"] <= n < thresholds["displayed"],
-    }
-    return clauses, details
 
 
 def _cut_edge_bound(g, d, k, budget):
@@ -150,14 +137,14 @@ class _KRule(NamedTuple):
 class _Theorem:
     """One result of the paper, and the only source of its check's rules.
     ``clauses(g, d, k)``, d g's block decomposition, gives the hypothesis as
-    ``(clauses, details)`` without a search.  ``conclusion(g, d, k, budget)``,
+    a dict of named clauses without a search.  ``conclusion(g, d, k, budget)``,
     the only search, runs only when every clause holds and returns
     ``(conclusion, mode)``, both None when undecided.  The harness samples
     orders in [n_min, n_max] and edge probabilities in [p_min, p_max]
     (``ranges``), or for a row with a k rule orders base..base+5, base
     ``k.base_order(k)``, with p in [0.5, 0.9]."""
 
-    clauses: Callable[..., Tuple[Dict[str, bool], Dict[str, object]]]
+    clauses: Callable[..., Dict[str, bool]]
     conclusion: Callable[..., Tuple[Optional[bool], Optional[str]]]
     ranges: Optional[Tuple[int, int, float, float]] = None
     k: Optional[_KRule] = None
@@ -178,33 +165,32 @@ def _thm_4(lo: int, hi: Optional[int], linear_forest: bool, name: str, holds, ra
             result["linear_forest"] = d.is_linear_forest
         result[name] = holds(g, n, delta)
         result["non_complete"] = not is_complete(g)
-        return result, {"min_degree": delta, "component_orders": list(d.component_orders)}
+        return result
 
     return _Theorem(clauses, _cfc_two_check, ranges, degree=holds)
 
 
 _THEOREMS = {
     # Lemma 2.2 as its contrapositive: C(G) outside the shape forces cfc != 2.
-    "2.2": _Theorem(lambda g, d, k: ({"outside_shape": not d.lemma_2_2_shape}, {}),
+    "2.2": _Theorem(lambda g, d, k: {"outside_shape": not d.lemma_2_2_shape},
                     _no_two_coloring, (4, 7, 0.3, 0.9)),
     # At least one bridge, and every bridge component of order 2.
-    "2.3": _Theorem(lambda g, d, k: ({
+    "2.3": _Theorem(lambda g, d, k: {
         "has_cut_edges": bool(d.cut_edges),
         "all_components_order_2": all(o == 2 for o in d.component_orders),
         "non_complete": not is_complete(g),
-    }, {}), _cfc_two_check, (5, 9, 0.25, 0.55)),
+    }, _cfc_two_check, (5, 9, 0.25, 0.55)),
     # 2-edge-connected; the one-vertex graph has no block, so it is not.
-    "2.4": _Theorem(lambda g, d, k: ({
+    "2.4": _Theorem(lambda g, d, k: {
         "two_edge_connected": bool(d.block_count) and not d.cut_edges,
         "non_complete": not is_complete(g),
-    }, {}), _cfc_two_check, (4, 9, 0.4, 0.9)),
+    }, _cfc_two_check, (4, 9, 0.4, 0.9)),
     # Base order k^2, the least order 3.1's order clause admits.
     "3.1": _Theorem(_thm_3_1_clauses, _cut_edge_bound,
                     k=_KRule(3, "cut-edge bound", lambda k: k * k)),
     # Base order: the displayed threshold, the least order 3.4's order clause admits.
     "3.4": _Theorem(_thm_3_4_clauses, _cut_edge_bound,
-                    k=_KRule(5, "degree-sum cut-edge bound",
-                             lambda k: thm_3_4_order_thresholds(k)["displayed"])),
+                    k=_KRule(5, "degree-sum cut-edge bound", thm_3_4_order_threshold)),
     "4.1": _thm_4(25, None, True, "min_degree_bound", lambda g, n, delta: 5 * delta >= n - 4,
                   (25, 30, 0.5, 0.9)),
     "4.2": _thm_4(9, 24, True, "min_degree_bound",
@@ -248,10 +234,10 @@ def check_theorem(
     ``budget``.  Every TheoremCheck is built here."""
     row, k = _row_k(theorem, k)
     d = block_decomposition(g)
-    clauses, details = row.clauses(g, d, k)
+    clauses = row.clauses(g, d, k)
     hyp = all(clauses.values())
     concl, mode = row.conclusion(g, d, k, budget) if hyp else (None, None)
-    return TheoremCheck(theorem, hyp, clauses, concl, mode, details)
+    return TheoremCheck(theorem, hyp, clauses, concl, mode)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -371,7 +357,7 @@ def check_sharpness(family: str, *params: int, budget: Optional[int] = None) -> 
     if bound == "degree":
         margin_ok = not theorem.degree(g, n, delta) and theorem.degree(g, n, delta + 1)
     else:
-        failed = [name for name, ok in theorem.clauses(g, d, None)[0].items() if not ok]
+        failed = [name for name, ok in theorem.clauses(g, d, None).items() if not ok]
         margin_ok = failed == ["order_range"]
     two_colorable, refutation = two_coloring_certificate(g, d, budget)
     cfc_at_least_3 = None if two_colorable is None else not two_colorable

@@ -271,6 +271,26 @@ def test_gen_bad_family_and_arity(capsys):
     assert main(["gen", "H", "2", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["path", "0"], "path needs order >= 1"),
+        (["cycle", "2"], "cycle needs order >= 3"),
+        (["complete", "0"], "complete graph needs order >= 1"),
+        (["R", "2"], "R family needs k >= 3"),
+        (["remark4-H", "4"], "remark4-H needs t >= 5"),
+        (["remark6-H", "10"], "remark6-H needs n divisible by 4 with n/4 >= 3"),
+        (["random", "1", "50", "0"], "random graph needs n >= 2"),
+        (["random", "5", "0", "0"], "edge probability must be in (0, 1]"),
+    ],
+)
+def test_gen_below_a_familys_least_parameters_is_usage(params, message, capsys):
+    assert main(["gen", *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gen_random_percent_probability(tmp_path):
     out_a = tmp_path / "a.edges"
     out_b = tmp_path / "b.edges"
@@ -801,6 +821,8 @@ def test_check_names_the_failing_pair(c5_file, c5_colorings, capsys):
         ("coloring 2\n0 \u0661 1\n", "line 2: fields must be integers"),
         ("coloring \u0662\n0 1 1\n", "line 1: expected header 'coloring t', t a whole number"),
         ("coloring " + "9" * 5000 + "\n", "line 1: expected header 'coloring t', t a whole number"),
+        ("# no header\n", "line 1: missing header 'coloring t'"),
+        ("coloring 2\n0 1\n", "line 2: expected line 'u v c'"),
     ],
 )
 def test_check_bad_coloring_file_is_usage(text, message, c5_file, tmp_path, capsys):

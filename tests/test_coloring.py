@@ -51,6 +51,16 @@ def test_is_conflict_free_path_rejects_non_paths():
         cfc.is_conflict_free_path(c, [0, 2])
     with pytest.raises(NotAPathError):
         cfc.is_conflict_free_path(c, [0, 1, 0])
+    with pytest.raises(NotAPathError, match="^a path needs at least two vertices$"):
+        cfc.is_conflict_free_path(c, [0])
+
+
+def test_edge_coloring_rejects_a_wrong_length_and_a_color_below_1():
+    p4 = gen_path(4)
+    with pytest.raises(ValueError, match="^coloring must assign exactly one color per edge$"):
+        cfc.EdgeColoring(p4, (1, 2))
+    with pytest.raises(ValueError, match="^colors must be positive integers$"):
+        cfc.EdgeColoring(p4, (1, 0, 2))
 
 
 def test_verify_k3_monochromatic():

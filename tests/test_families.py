@@ -113,6 +113,8 @@ def test_param_validation():
         fam.gen_remark4_G(12)
     with pytest.raises(ParamOutOfRangeError):
         fam.gen_remark7_G(35)
+    with pytest.raises(ParamOutOfRangeError, match="^bridgeless non-complete sampling needs n >= 4$"):
+        fam.gen_random_bridgeless(3, 0.5, 0)
     for max_vertices in (3, 0, -5):
         with pytest.raises(ParamOutOfRangeError, match="max_vertices >= 4"):
             fam.gen_random_glued_blocks(0, max_vertices)

@@ -12,7 +12,7 @@ from cfcgraph.theorems import (
     check_sharpness,
     check_theorem,
     run_harness,
-    thm_3_4_order_thresholds,
+    thm_3_4_order_threshold,
 )
 
 
@@ -53,11 +53,22 @@ def test_thm_3_4_complete_graph_vacuous_degree_clause():
     assert report.conclusion_holds
 
 
-def test_thm_3_4_records_both_thresholds():
-    thresholds = thm_3_4_order_thresholds(5)
-    assert thresholds["displayed"] >= thresholds["derived"] >= 30
-    report = check_theorem(fam.gen_complete(40), "3.4", k=5)
-    assert report.details["order_thresholds"] == thresholds
+def test_thm_3_4_order_threshold_is_the_displayed_one():
+    assert [thm_3_4_order_threshold(k) for k in range(5, 13)] == [
+        33, 42, 56, 72, 90, 110, 132, 156,
+    ]
+
+
+def test_thm_3_4_order_threshold_is_tight_at_k_5():
+    # remark7-G 32 has k - 1 = 4 cut edges and least nonadjacent degree sum
+    # 11 (5 * 11 = 2 * 32 - 10 + 1): only its order, one below 33, keeps it
+    # from being a counterexample, so a threshold of 32 would not do.
+    g = fam.gen_remark7_G(32)
+    assert len(cfc.block_decomposition(g).cut_edges) > 5 - 2
+    assert cfc.min_nonadjacent_degree_sum(g) == 11
+    assert check_theorem(g, "3.4", k=5).clauses == {
+        "order_threshold": False, "degree_sum_bound": True,
+    }
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -65,7 +76,7 @@ def test_thm_3_4_thresholds_refuse_k_below_5(k):
     # The thresholds divide by k - 4: k = 4 would divide by zero, and k = 3
     # by a negative number.
     with pytest.raises(ParamOutOfRangeError, match="^the degree-sum cut-edge bound needs k >= 5$"):
-        thm_3_4_order_thresholds(k)
+        thm_3_4_order_threshold(k)
 
 
 def test_thm_4_4_constructive_mode():
@@ -360,34 +371,27 @@ def test_checks_on_the_one_vertex_graph():
     # hypothesis fails, with each clause pinned here.
     from cfcgraph.theorems import THEOREM_IDS, TheoremCheck
 
-    no_bridges = {"min_degree": 0, "component_orders": []}
     expected = {
-        "2.2": ({"outside_shape": False}, None, {}),
-        "2.3": ({"has_cut_edges": False, "all_components_order_2": True,
-                 "non_complete": False}, None, {}),
-        "2.4": ({"two_edge_connected": False, "non_complete": False}, None, {}),
-        "3.1": ({"order_at_least_k_squared": False, "min_degree_bound": True}, None,
-                {"k": 3, "cut_edges": 0}),
-        "3.4": ({"order_threshold": False, "degree_sum_bound": True}, None,
-                {"k": 5, "cut_edges": 0, "order_thresholds": {"displayed": 33, "derived": 32},
-                 "between_thresholds": False}),
-        "4.1": ({"order_range": False, "linear_forest": True, "min_degree_bound": True,
-                 "non_complete": False}, None, no_bridges),
-        "4.2": ({"order_range": False, "linear_forest": True, "min_degree_bound": False,
-                 "non_complete": False}, None, no_bridges),
-        "4.3": ({"order_range": False, "linear_forest": True, "min_degree_bound": False,
-                 "non_complete": False}, None, no_bridges),
-        "4.4": ({"order_range": False, "min_degree_bound": True, "non_complete": False},
-                None, no_bridges),
-        "4.5": ({"order_range": False, "linear_forest": True, "degree_sum_bound": True,
-                 "non_complete": False}, None, no_bridges),
+        "2.2": {"outside_shape": False},
+        "2.3": {"has_cut_edges": False, "all_components_order_2": True, "non_complete": False},
+        "2.4": {"two_edge_connected": False, "non_complete": False},
+        "3.1": {"order_at_least_k_squared": False, "min_degree_bound": True},
+        "3.4": {"order_threshold": False, "degree_sum_bound": True},
+        "4.1": {"order_range": False, "linear_forest": True, "min_degree_bound": True,
+                "non_complete": False},
+        "4.2": {"order_range": False, "linear_forest": True, "min_degree_bound": False,
+                "non_complete": False},
+        "4.3": {"order_range": False, "linear_forest": True, "min_degree_bound": False,
+                "non_complete": False},
+        "4.4": {"order_range": False, "min_degree_bound": True, "non_complete": False},
+        "4.5": {"order_range": False, "linear_forest": True, "degree_sum_bound": True,
+                "non_complete": False},
     }
     assert set(expected) == set(THEOREM_IDS)
     k1 = cfc.build_graph(1, [])
     for theorem in THEOREM_IDS:
-        clauses, mode, details = expected[theorem]
         assert check_theorem(k1, theorem) == TheoremCheck(
-            theorem, False, clauses, None, mode=mode, details=details
+            theorem, False, expected[theorem], None
         ), theorem
 
 
