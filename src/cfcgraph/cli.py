@@ -5,12 +5,16 @@ violated, 4 inconclusive (budget exhausted, or a sharpness claim or a harness
 trial whose cfc = 2 no certificate decides), 5 counterexample found /
 verification failed.
 All JSON output is deterministic for fixed flags (sorted keys, no
-timestamps).  ``main`` may be called any number of times in one process: the
-argument parser is built on the first call and reused, and it holds nothing
-derived from any input.  Each call runs with the cyclic garbage collector
-paused and gives the caller's collector state back on every exit: a command
-makes no reference cycles, so reference counting frees all it drops, while
-the collector would only re-walk a large graph as it is built.
+timestamps); the writer fills each row of ints, such as an edge and its
+colour, into one ``%d`` template.  ``main`` may be called any number of
+times in one process: the argument parser is built on the first call and
+reused, and it holds nothing derived from any input.  ``main`` parses a
+command line with the named command's parser alone and falls back to the
+full parser for anything else, so that errors keep its messages.  Each call
+runs with the cyclic garbage collector paused and gives the caller's
+collector state back on every exit: a command makes no reference cycles, so
+reference counting frees all it drops, while the collector would only
+re-walk a large graph as it is built.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import functools
 import gc
 import json
 import sys
+from itertools import chain
 from typing import Dict, List, Optional
 
 from .coloring import (
@@ -50,6 +55,8 @@ EXIT_COUNTEREXAMPLE = 5
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_ROW_TYPES = frozenset((list, tuple))
+_INT_ONLY = {int}
 
 
 def _json(value, pad: str) -> str:
@@ -57,7 +64,9 @@ def _json(value, pad: str) -> str:
     at the nesting level whose line start is ``pad`` (a newline and the
     indent).  ints, strs, bools, None, lists, tuples and dicts with str keys
     are written here; anything else, such as a float or a dict with a key
-    that is not a str, goes through json.dumps."""
+    that is not a str, goes through json.dumps.  A list or tuple of rows,
+    lists or tuples of one nonzero width holding only ints (no bools), is
+    filled into one ``%d`` template per row."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -73,6 +82,12 @@ def _json(value, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + "  "
+        if _ROW_TYPES.issuperset(map(type, value)) and len(set(map(len, value))) == 1:
+            cells = tuple(chain.from_iterable(value))
+            if set(map(type, cells)) == _INT_ONLY:
+                cell = inner + "  "
+                row = "[" + cell + ("," + cell).join(["%d"] * len(value[0])) + inner + "]"
+                return "[" + inner + ("," + inner).join([row] * len(value)) % cells + pad + "]"
         return "[" + inner + ("," + inner).join(
             [int.__repr__(x) if type(x) is int else _json(x, inner) for x in value]
         ) + pad + "]"
@@ -319,11 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed where it can be by the
+    named command's parser alone.  The full parser would only hand that
+    parser the same arguments after matching them itself; anything else (no
+    command, ``-h``, ``--``, an unknown name, or arguments the command does
+    not take) goes through the full parser, for its messages."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # "--" is left to the full parser: its handling of one has changed
+    # between Python versions.
+    if argv and "--" not in argv:
+        (commands,) = [
+            a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        command = commands.get(argv[0])
+        if command is not None:
+            args, extras = command.parse_known_args(
+                argv[1:], argparse.Namespace(subcommand=argv[0])
+            )
+            if not extras:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         # Resolved per call rather than stored in the shared parser, so a
         # rebound module-level command function is the one that runs.
         command = globals()["cmd_" + args.subcommand]
@@ -334,7 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (HypothesisViolatedError, CompleteGraphError)):
             return EXIT_HYPOTHESIS
-        return EXIT_BUDGET if isinstance(exc, BudgetExhaustedError) else EXIT_USAGE
+        return EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

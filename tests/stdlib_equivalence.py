@@ -18,7 +18,8 @@ connected graphs.
 ``solver.bridge_forest_bound`` must be h(G) as the oracle's components of
 C(G) give it.
 ``cli._render`` must write ``json.dumps(payload, sort_keys=True, indent=2)``
-plus a newline on random nested payloads.  ``min_nonadjacent_degree_sum``
+plus a newline on random nested payloads, rows of ints and their near
+misses included.  ``min_nonadjacent_degree_sum``
 must be the least degree sum over all nonadjacent pairs, on random graphs of
 up to 40 vertices from edgeless to complete, disconnected ones included.  Exits 1 on the first mismatch,
 naming its input.
@@ -229,18 +230,46 @@ def string(rng: random.Random) -> str:
     return "".join(rng.choice(CHARS) for _ in range(rng.randrange(8)))
 
 
+def integer(rng: random.Random) -> int:
+    return rng.randrange(-10**20, 10**20) if rng.random() < 0.2 else rng.randrange(-5, 100)
+
+
+def int_rows(rng: random.Random):
+    """Rows of ints of one width, as lists or tuples, which the JSON writer
+    fills into one template each, or such rows with one near miss it must
+    refuse: a bool, float or None in a row, a ragged width, all rows empty,
+    or an item that is not a row."""
+    width = rng.randint(1, 4)
+    rows = [[integer(rng) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+    miss = rng.randrange(8)
+    i = rng.randrange(len(rows))
+    if miss == 0:
+        rows[i][rng.randrange(width)] = rng.choice([True, False, 1.0, -0.5, None])
+    elif miss == 1:
+        rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + [integer(rng)]
+    elif miss == 2:
+        rows = [[] for _ in rows]
+    elif miss == 3:
+        rows[i] = rng.choice([integer(rng), string(rng), {}, {"a": 1}])
+    rows = [tuple(r) if type(r) is list and rng.random() < 0.3 else r for r in rows]
+    return rows if rng.random() < 0.7 else tuple(rows)
+
+
 def json_value(rng: random.Random, depth: int = 0):
     """A bool, None, int, float or string, or below depth 3 also a list,
-    tuple, or dict with str or with int keys, of such values."""
-    kind = rng.randrange(9 if depth < 3 else 6)
+    tuple, or dict with str or with int keys, of such values, or rows of
+    ints."""
+    kind = rng.randrange(10 if depth < 3 else 6)
     if kind == 0:
         return rng.choice([None, True, False])
     if kind == 1:
-        return rng.randrange(-10**20, 10**20) if rng.random() < 0.2 else rng.randrange(-5, 100)
+        return integer(rng)
     if kind == 2:
         return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
     if kind in (3, 4, 5):
         return string(rng)
+    if kind == 9:
+        return int_rows(rng)
     items = [json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
     if kind == 6:
         return items if rng.random() < 0.7 else tuple(items)

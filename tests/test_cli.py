@@ -471,7 +471,10 @@ PAUSE_EXITS = {
     "exit-5": (lambda: 5, 5),
     "parse-error-2": (lambda: _raise(EdgeListParseError("bad", 1)), 2),
     "hypothesis-3": (lambda: _raise(HypothesisViolatedError("no")), 3),
-    "budget-4": (lambda: _raise(BudgetExhaustedError(2, 3, 9)), 4),
+    # Exit 4 is a command's own return; a budget error that reached `main`
+    # would be a usage error like any other CfcError.
+    "budget-4": (lambda: 4, 4),
+    "budget-error-2": (lambda: _raise(BudgetExhaustedError(2, 3, 9)), 2),
     "file-not-found-2": (lambda: _raise(FileNotFoundError("gone")), 2),
     "keyboard-interrupt": (lambda: _raise(KeyboardInterrupt()), KeyboardInterrupt),
 }
@@ -701,25 +704,35 @@ def test_readme_lists_match_the_registries():
         assert params == list(inspect.signature(registry).parameters), item
 
 
-def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
-    # Each line of the README's "CLI usage" block, in order, in one directory.
+def _readme_cli_usage():
+    """Each line of the README's "CLI usage" block as an argv, in order."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme[readme.index("## CLI usage"):].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()]
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # Each line of the README's "CLI usage" block, in order, in one directory.
+    lines = _readme_cli_usage()
     assert lines and all(argv[0] == "cfcgraph" for argv in lines)
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert _outcome(argv[1:], capsys)[0] == 0, " ".join(argv)
 
 
+def _commands():
+    """The command parsers of the shared parser, by name."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
 def test_readme_names_every_cli_flag():
     # Each --option of each subcommand appears in the README as a whole flag:
     # `--n` is not satisfied by `--n-min`.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    (subparsers,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    for name, sub in subparsers.choices.items():
+    for name, sub in _commands().items():
         for action in sub._actions:
             for flag in action.option_strings:
                 if flag.startswith("--") and flag != "--help":
@@ -774,6 +787,73 @@ def test_main_reuses_one_parser(c5_file, tmp_path, monkeypatch, capsys):
     built.clear()
     assert [_outcome(argv, capsys) for argv in sequence] == fresh
     assert len(built) == one_tree
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The Namespace ``parse(argv)`` returns, or the code it exits with, and
+    what it wrote to stdout and stderr."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_main_parses_as_the_full_parser(c5_file, monkeypatch, capsys):
+    """`main` parses most command lines with the named command's parser
+    alone; each gives it the full parser's Namespace, or the full parser's
+    exit code, stdout and stderr."""
+    table = [argv[1:] for argv in _readme_cli_usage()] + [
+        # The sequence of test_main_reuses_one_parser.
+        ["analyze", c5_file],
+        ["color2", c5_file, "--out", "c5.coloring"],
+        ["check", c5_file, "c5.coloring"],
+        ["cfc", c5_file, "--format", "text"],
+        ["gen", "S", "3"],
+        ["verify", "2.2", "--trials", "3", "--seed", "1"],
+        ["cfc", c5_file, "--format", "dot"],
+        ["verify", "2.4", "--t", "5"],
+        ["analyze", "--format", "text", c5_file],
+        ["gen", "path", "4", "--format", "dot"],
+        ["sharpness", "remark4-H", "5"],
+        # No command, help, an unknown command or flag, and argparse's
+        # abbreviations, `=` values, `--`, repeats and negative numbers.
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        ["analyze", c5_file, "--bogus"],
+        ["cfc", c5_file, "--bud", "5"],
+        ["cfc", c5_file, "--format=text"],
+        ["cfc", "--", c5_file],
+        ["cfc", c5_file, "--format", "json", "--format", "text"],
+        ["gen", "path", "-5"],
+        ["color2", "-h"],
+        ["check", c5_file],
+        ["cfc", c5_file, "--budget", "x"],
+        ["verify", "3.1", "--k", "4", "--n-min=5", "--n-max", "9", "--out", "ce.edges"],
+        ["sharpness", "S", "3", "--budget", "7", "--format", "text"],
+    ]
+    parsed = []
+    for name in _commands():
+        monkeypatch.setattr(cli, "cmd_" + name, lambda args: parsed.append(args) or 0)
+
+    def via_main(argv):
+        assert main(argv) == 0
+        return parsed.pop()
+
+    for argv in table:
+        expected = _parse_outcome(build_parser().parse_args, argv, capsys)
+        assert _parse_outcome(via_main, argv, capsys) == expected, argv
+
+
+@pytest.mark.parametrize("extra,code", [([], 0), (["--bogus"], 2)], ids=["ok", "usage-error"])
+def test_main_without_argv_reads_sys_argv(extra, code, c5_file, monkeypatch, capsys):
+    expected = _outcome(["analyze", c5_file, *extra], capsys)
+    assert expected[0] == code
+    monkeypatch.setattr(sys, "argv", ["cfcgraph", "analyze", c5_file, *extra])
+    assert _outcome(None, capsys) == expected
 
 
 @pytest.fixture
